@@ -11,10 +11,8 @@ sit on top (figures, cli, verify).
 
 from .entangle import (
     DimensionNotFourError,
-    EntanglementReport,
     NotTwoFermionError,
     OneBodyDensityMatrix,
-    SlaterPairing,
     closed_form_sf_laughlin2,
     modified_measure,
     one_body_density,
@@ -23,10 +21,9 @@ from .entangle import (
     two_qubit_consistency,
     von_neumann,
 )
-from .exact import PiScalar, sqrt_exact
+from .exact import PiScalar
 from .figures import (
     FigureSpec,
-    SweepPoint,
     evaluate_point,
     figure_points,
     figure_spec,
@@ -37,7 +34,6 @@ from .figures import (
 )
 from .lll import (
     Amplitude,
-    FockConfig,
     FockVector,
     ZeroStateError,
     amplitude_pattern,
@@ -61,12 +57,8 @@ from .quasihole import (
     vanishes,
 )
 from .states import (
-    FAMILIES,
-    FAMILY_NAMES,
-    FamilySpec,
     KMatrix,
     ZeroWavefunctionError,
-    build_state,
     chi,
     chi_k,
     family_polynomial,
@@ -75,21 +67,14 @@ from .states import (
     hierarchical_phi_k,
     laughlin,
 )
-from .verify import CheckResult, all_passed, format_report, run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Amplitude",
-    "CheckResult",
     "CondensateKernel",
     "DimensionNotFourError",
-    "EntanglementReport",
-    "FAMILIES",
-    "FAMILY_NAMES",
-    "FamilySpec",
     "FigureSpec",
-    "FockConfig",
     "FockVector",
     "KMatrix",
     "MultiPoly",
@@ -99,13 +84,9 @@ __all__ = [
     "PiScalar",
     "ScaledPoly",
     "SlaterExpansion",
-    "SlaterPairing",
-    "SweepPoint",
     "ZeroStateError",
     "ZeroWavefunctionError",
-    "all_passed",
     "amplitude_pattern",
-    "build_state",
     "chi",
     "chi_k",
     "closed_form_sf_laughlin2",
@@ -117,7 +98,6 @@ __all__ = [
     "figure_spec",
     "figure_title",
     "filling_fraction",
-    "format_report",
     "gaussian_moment",
     "hierarchical_phi",
     "hierarchical_phi_k",
@@ -127,12 +107,10 @@ __all__ = [
     "orbital_norm_sq",
     "render_svg",
     "rows_to_csv",
-    "run_verification",
     "schliemann_eta",
     "slater_coefficient_magnitudes",
     "slater_pairing",
     "slater_project",
-    "sqrt_exact",
     "sweep",
     "to_fock",
     "two_qubit_consistency",

@@ -9,7 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 zero wavefunction,
 64 usage error.  Options resolve as flags > config file > defaults; the
-config file is flat ``key = value`` text with ``#`` comments.
+config file is flat ``key = value`` text with ``#`` comments.  A config
+key must name an option of some subcommand; keys of other subcommands are
+ignored, and values are checked with the running subcommand's flag type
+and choices.
 """
 
 from __future__ import annotations
@@ -22,14 +25,16 @@ from typing import Any, Sequence
 
 from .entangle import modified_measure
 from .figures import (
+    PRESETS,
     figure_points,
     figure_spec,
     figure_title,
     render_svg,
     rows_to_csv,
+    rows_to_json,
     sweep,
 )
-from .states import FAMILIES, FAMILY_NAMES, ZeroWavefunctionError
+from .states import FAMILIES, ZeroWavefunctionError
 from .verify import all_passed, format_report, run_verification
 
 EXIT_OK = 0
@@ -37,6 +42,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_ZERO_WAVEFUNCTION = 2
 EXIT_USAGE = 64
 
+# Every config key, with its default when neither flag nor config sets it.
 _DEFAULTS: dict[str, Any] = {
     "family": "laughlin",
     "n": 2,
@@ -48,12 +54,6 @@ _DEFAULTS: dict[str, Any] = {
     "jobs": 1,
 }
 
-_INT_KEYS = ("n", "m", "m_max", "jobs")
-_CHOICES = {
-    "family": FAMILY_NAMES,
-    "units": ("bits", "nats"),
-}
-
 
 class UsageError(ValueError):
     """Invalid flag or config value; maps to exit code 64."""
@@ -63,8 +63,18 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64.
 
     The default argparse exit code 2 would collide with the zero-wavefunction
-    exit code.
+    exit code.  Options are recorded by destination so that config values
+    are converted and checked by the same definitions as flags.
     """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args: Any, **kwargs: Any) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
 
     def error(self, message: str) -> Any:
         self.print_usage(sys.stderr)
@@ -92,29 +102,34 @@ def load_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, Any]:
     """Merge flag values, config-file values, and defaults, in that order."""
     config = load_config(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(config) - set(_DEFAULTS))
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
     resolved: dict[str, Any] = {}
     for key in keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            resolved[key] = _convert(key, config[key])
+            resolved[key] = _convert(args.options[key], config[key])
         else:
             resolved[key] = _DEFAULTS[key]
     return resolved
 
 
-def _convert(key: str, raw: str) -> Any:
-    if key in _INT_KEYS:
+def _convert(option: argparse.Action, raw: str) -> Any:
+    """A config value converted and checked like the flag it stands for."""
+    key, value = option.dest, raw
+    if option.type is int:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise UsageError(f"config value for {key} must be an integer, got {raw!r}") from exc
-    if key in _CHOICES and raw not in _CHOICES[key]:
+    if option.choices is not None and value not in option.choices:
         raise UsageError(
-            f"config value for {key} must be one of {_CHOICES[key]}, got {raw!r}"
+            f"config value for {key} must be one of {tuple(option.choices)}, got {raw!r}"
         )
-    return raw
+    return value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -150,20 +165,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _points_json(points) -> str:
-    rows = [
-        {
-            "t": p.t,
-            "m": p.m,
-            "family": p.family,
-            "N": p.n_electrons,
-            "S_f_bits": p.measure_bits,
-        }
-        for p in sorted(points, key=lambda q: (q.family, q.n_electrons, q.m))
-    ]
-    return json.dumps(rows, indent=2)
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, ("family", "n", "m_max", "format", "out", "jobs"))
     try:
@@ -178,7 +179,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = _points_json(points) + "\n" if opts["format"] == "json" else rows_to_csv(points)
+    text = rows_to_json(points) + "\n" if opts["format"] == "json" else rows_to_csv(points)
     if opts["out"]:
         _write_text(opts["out"], text)
         print(f"wrote {opts['out']}")
@@ -209,14 +210,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
             _write_text(f"{base}.svg", render_svg(points, figure_title(args.id)))
             written.append(f"{base}.svg")
         if fmt == "json":
-            _write_text(f"{base}.json", _points_json(points) + "\n")
+            _write_text(f"{base}.json", rows_to_json(points) + "\n")
             written.append(f"{base}.json")
         for path in written:
             print(f"wrote {path}")
     elif fmt == "svg":
         print(render_svg(points, figure_title(args.id)), end="")
     elif fmt == "json":
-        print(_points_json(points))
+        print(rows_to_json(points))
     else:
         print(rows_to_csv(points), end="")
     return EXIT_OK
@@ -240,36 +241,36 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p: _Parser, *, config: bool = True) -> None:
-        if config:
-            p.add_argument("--config", help="flat key = value config file")
+    def add_config(p: _Parser) -> None:
+        p.add_argument("--config", help="flat key = value config file")
+        p.set_defaults(options=p.options)
 
     p = sub.add_parser("compute", help="measure one (family, N, m) point")
-    p.add_argument("--family", choices=FAMILY_NAMES)
+    p.add_argument("--family", choices=tuple(FAMILIES))
     p.add_argument("--n", type=int, help="electron count N")
     p.add_argument("--m", type=int, help="odd exponent m")
     p.add_argument("--units", choices=("bits", "nats"))
     p.add_argument("--format", choices=("text", "json"))
-    add_common(p)
+    add_config(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="sweep odd m for one family and N")
-    p.add_argument("--family", choices=FAMILY_NAMES)
+    p.add_argument("--family", choices=tuple(FAMILIES))
     p.add_argument("--n", type=int, help="electron count N")
     p.add_argument("--m-max", dest="m_max", type=int, help="largest m (odd values up to this)")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--jobs", type=int, help="parallel worker processes")
-    add_common(p)
+    add_config(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("figure", help="emit a preset figure (1..5)")
-    p.add_argument("id", type=int, choices=(1, 2, 3, 4, 5))
+    p.add_argument("id", type=int, choices=tuple(PRESETS))
     p.add_argument("--m-max", dest="m_max", type=int, help="largest m on the t axis")
     p.add_argument("--format", choices=("csv", "svg", "json"))
     p.add_argument("--out", help="output base path (writes .csv and .svg)")
     p.add_argument("--jobs", type=int, help="parallel worker processes")
-    add_common(p)
+    add_config(p)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="run the self-verification suite")

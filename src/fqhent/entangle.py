@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .lll import Amplitude, FockConfig, FockVector
 
@@ -90,7 +89,9 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
     Annihilating nu from a configuration picks up (-1)^(position of nu);
     re-creating mu picks up (-1)^(number of remaining orbitals below mu).
     Both bra and ket configurations must be present in the state for a term
-    to contribute.
+    to contribute.  Each off-diagonal entry is accumulated once, for mu < nu,
+    and mirrored, so rho is symmetric even when amplitude products are
+    floats.
     """
     n, dim = v.n_particles, v.dim
     entries: list[list[Entry]] = [
@@ -102,8 +103,8 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
         for i, nu in enumerate(config):
             rest = config[:i] + config[i + 1 :]
             sign_remove = -1 if i % 2 else 1
-            for mu in range(dim):
-                if mu == nu or mu in rest:
+            for mu in range(nu):
+                if mu in rest:
                     continue
                 below = sum(1 for r in rest if r < mu)
                 sign_insert = -1 if below % 2 else 1
@@ -112,6 +113,9 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
                 if bra_amp is None:
                     continue
                 entries[mu][nu] += sign_remove * sign_insert * bra_amp.product(amp)
+    for nu in range(dim):
+        for mu in range(nu):
+            entries[nu][mu] = entries[mu][nu]
     scaled = tuple(
         tuple(e / n if isinstance(e, Fraction) else e / n for e in row)
         for row in entries
@@ -254,9 +258,9 @@ def slater_pairing(v: FockVector) -> SlaterPairing:
 
     When no orbital appears in more than one configuration (always true for
     homogeneous states) the configs themselves are the pairs and the weights
-    are the amplitude magnitudes.  Otherwise the antisymmetric coefficient
-    matrix is brought to real Schur form, whose 2x2 blocks give the pairs in
-    a rotated basis.
+    are the amplitude magnitudes.  Otherwise the pairs live in a rotated
+    basis and their weights come from the singular values of the
+    antisymmetric coefficient matrix.
     """
     if v.n_particles != 2:
         raise NotTwoFermionError(f"pairing requires N=2, got N={v.n_particles}")
@@ -274,18 +278,13 @@ def slater_pairing(v: FockVector) -> SlaterPairing:
             for a, b in configs
         )
         return SlaterPairing(pairs, v.dim - 2 * len(pairs), "orbital")
-    # Real Schur form of a real antisymmetric matrix is block diagonal with
-    # 2x2 blocks [[0, s], [-s, 0]]; the standard-form weight is 2|s|.
-    block_form = scipy.linalg.schur(_pairing_matrix(v), output="real")[0]
-    pairs_list: list[tuple[int, int, float]] = []
-    i = 0
-    while i < v.dim:
-        if i + 1 < v.dim and abs(block_form[i + 1, i]) > 1e-12:
-            pairs_list.append((i, i + 1, 2 * abs(block_form[i, i + 1])))
-            i += 2
-        else:
-            i += 1
-    return SlaterPairing(tuple(pairs_list), v.dim - 2 * len(pairs_list), "rotated")
+    # The singular values of a real antisymmetric matrix come in equal pairs
+    # s, s, one pair per 2x2 block [[0, s], [-s, 0]] of its standard form;
+    # the standard-form weight is 2s.
+    singular = np.linalg.svd(_pairing_matrix(v), compute_uv=False)
+    weights = [2 * float(s) for s in singular[0::2] if s > 1e-12]
+    pairs = tuple((2 * k, 2 * k + 1, z) for k, z in enumerate(weights))
+    return SlaterPairing(pairs, v.dim - 2 * len(pairs), "rotated")
 
 
 def schliemann_eta(v: FockVector) -> float:

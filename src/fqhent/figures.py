@@ -11,6 +11,8 @@ annotated in the SVG.
 
 from __future__ import annotations
 
+import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,6 +25,23 @@ DEFAULT_T_MAX = 6
 _PALETTE = ("#1f5fa8", "#c23b22", "#2e7d32")
 _MARKERS = ("square", "cross", "circle")
 
+PRESETS: dict[int, tuple[str, tuple[tuple[str, int], ...]]] = {
+    1: ("laughlin vs hierarchical_phi, N=2", (("laughlin", 2), ("hierarchical_phi", 2))),
+    2: ("laughlin vs hierarchical_phi, N=3", (("laughlin", 3), ("hierarchical_phi", 3))),
+    3: ("laughlin, N=2 vs N=3", (("laughlin", 2), ("laughlin", 3))),
+    4: ("hierarchical_phi, N=2 vs N=3", (("hierarchical_phi", 2), ("hierarchical_phi", 3))),
+    5: ("chi, N=4", (("chi", 4),)),
+}
+"""Figure id -> (title, (family, N) series)."""
+
+ROW_FIELDS = ("t", "m", "family", "N", "S_f_bits")
+"""Column names of an output row, in CSV and JSON order."""
+
+
+def _check_figure_id(fig_id: int) -> None:
+    if fig_id not in PRESETS:
+        raise ValueError(f"figure id must be one of {tuple(PRESETS)}, got {fig_id}")
+
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -33,28 +52,22 @@ class FigureSpec:
     t_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.id not in _FIGURE_SERIES:
-            raise ValueError(f"figure id must be in 1..5, got {self.id}")
+        _check_figure_id(self.id)
         if any(t < 0 for t in self.t_values):
             raise ValueError("t values must be non-negative")
 
 
-_FIGURE_SERIES: dict[int, tuple[tuple[str, int], ...]] = {
-    1: (("laughlin", 2), ("hierarchical_phi", 2)),
-    2: (("laughlin", 3), ("hierarchical_phi", 3)),
-    3: (("laughlin", 2), ("laughlin", 3)),
-    4: (("hierarchical_phi", 2), ("hierarchical_phi", 3)),
-    5: (("chi", 4),),
-}
-
-
 def figure_spec(fig_id: int, t_max: int = DEFAULT_T_MAX) -> FigureSpec:
     """The preset series for figure fig_id over t = 0 .. t_max."""
-    if fig_id not in _FIGURE_SERIES:
-        raise ValueError(f"figure id must be in 1..5, got {fig_id}")
+    _check_figure_id(fig_id)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    return FigureSpec(fig_id, _FIGURE_SERIES[fig_id], tuple(range(t_max + 1)))
+    return FigureSpec(fig_id, PRESETS[fig_id][1], tuple(range(t_max + 1)))
+
+
+def figure_title(fig_id: int) -> str:
+    _check_figure_id(fig_id)
+    return f"figure {fig_id}: {PRESETS[fig_id][0]}"
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,15 @@ class SweepPoint:
     @property
     def t(self) -> int:
         return (self.m - 1) // 2
+
+    def row(self) -> tuple[int, int, str, int, float | None]:
+        """The point's values in ROW_FIELDS order."""
+        return (self.t, self.m, self.family, self.n_electrons, self.measure_bits)
+
+
+def _sorted_points(points: Iterable[SweepPoint]) -> list[SweepPoint]:
+    """Points in output row order, sorted by (family, N, m)."""
+    return sorted(points, key=lambda p: (p.family, p.n_electrons, p.m))
 
 
 def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:
@@ -91,11 +113,15 @@ def sweep(
     """Evaluate (family, N, m) requests, optionally across processes.
 
     The result order follows the request order regardless of jobs, so
-    downstream sorting is the only ordering that matters.
+    downstream sorting is the only ordering that matters.  At most
+    min(jobs, len(requests), cpu count) worker processes are started.
     """
-    if jobs <= 1 or len(requests) <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(requests), os.cpu_count() or 1)
+    if workers <= 1:
         return [evaluate_point(*req) for req in requests]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_tuple, requests))
 
 
@@ -115,13 +141,18 @@ def rows_to_csv(points: Iterable[SweepPoint]) -> str:
     by (family, N, m); line endings are LF and numbers use 12 significant
     digits with a ``.`` decimal separator.
     """
-    lines = ["t,m,family,N,S_f_bits"]
-    kept = [p for p in points if p.measure_bits is not None]
-    for p in sorted(kept, key=lambda q: (q.family, q.n_electrons, q.m)):
-        lines.append(
-            f"{p.t},{p.m},{p.family},{p.n_electrons},{p.measure_bits:.12g}"
-        )
+    lines = [",".join(ROW_FIELDS)]
+    for p in _sorted_points(points):
+        *fields, value = p.row()
+        if value is not None:
+            lines.append(",".join(map(str, fields)) + f",{value:.12g}")
     return "\n".join(lines) + "\n"
+
+
+def rows_to_json(points: Iterable[SweepPoint]) -> str:
+    """JSON list of rows in CSV order; zero-wavefunction points carry null."""
+    rows = [dict(zip(ROW_FIELDS, p.row())) for p in _sorted_points(points)]
+    return json.dumps(rows, indent=2)
 
 
 # -- SVG rendering ---------------------------------------------------------
@@ -158,7 +189,7 @@ def _nice_step(span: float) -> float:
 def render_svg(points: Sequence[SweepPoint], title: str) -> str:
     """Self-contained scatter plot of sweep points; no external assets."""
     series: dict[tuple[str, int], list[SweepPoint]] = {}
-    for p in sorted(points, key=lambda q: (q.family, q.n_electrons, q.m)):
+    for p in _sorted_points(points):
         series.setdefault((p.family, p.n_electrons), []).append(p)
 
     t_values = [p.t for p in points] or [0]
@@ -237,14 +268,3 @@ def render_svg(points: Sequence[SweepPoint], title: str) -> str:
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def figure_title(fig_id: int) -> str:
-    names = {
-        1: "laughlin vs hierarchical_phi, N=2",
-        2: "laughlin vs hierarchical_phi, N=3",
-        3: "laughlin, N=2 vs N=3",
-        4: "hierarchical_phi, N=2 vs N=3",
-        5: "chi, N=4",
-    }
-    return f"figure {fig_id}: {names[fig_id]}"

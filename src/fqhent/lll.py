@@ -184,10 +184,6 @@ class FockVector:
         """True iff every config carries the same total angular momentum."""
         return len({sum(config) for config in self._terms}) <= 1
 
-    def total_angular_momentum(self) -> int:
-        """The common Σμ of a homogeneous state (maximum if inhomogeneous)."""
-        return max(sum(config) for config in self._terms)
-
     def occupations(self) -> dict[int, Fraction]:
         """Mean occupation number of each orbital, exactly; values sum to N."""
         out: dict[int, Fraction] = {mode: Fraction(0) for mode in range(self._dim)}

@@ -28,7 +28,13 @@ from .quasihole import CondensateKernel, condense, vanishes
 MAX_ELECTRONS = 5
 """Upper limit on N for family constructors; guards combinatorial blowup."""
 
-FAMILY_NAMES = ("laughlin", "hierarchical_phi", "chi")
+# name -> (Vandermonde power, condensate exponent p or None), each as a
+# function of m.  The condensate factor multiplies the Vandermonde power.
+_FAMILY_TABLE = {
+    "laughlin": (lambda m: m, None),
+    "hierarchical_phi": (lambda m: m, lambda m: 2),
+    "chi": (lambda m: 1, lambda m: m - 1),
+}
 
 
 class ZeroWavefunctionError(ValueError):
@@ -47,23 +53,22 @@ def _check_family_params(n_electrons: int, m: int) -> None:
 def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
     """The antisymmetric polynomial part of a family wavefunction.
 
-    Raises ZeroWavefunctionError when the chi condensate vanishes
-    (m > 2N+1) and ValueError for unknown families or bad parameters.
+    Raises ZeroWavefunctionError when the condensate vanishes (for chi,
+    m > 2N+1) and ValueError for unknown families or bad parameters.
     """
     _check_family_params(n_electrons, m)
-    if family == "laughlin":
-        return vandermonde_power(n_electrons, m)
-    if family == "hierarchical_phi":
-        cond = condense(CondensateKernel(n_electrons, p=2))
-        return vandermonde_power(n_electrons, m) * cond.poly
-    if family == "chi":
-        if vanishes(n_electrons, m - 1):
-            raise ZeroWavefunctionError(
-                f"zero wavefunction: m > 2N+1 (family chi, N={n_electrons}, m={m})"
-            )
-        cond = condense(CondensateKernel(n_electrons, p=m - 1))
-        return vandermonde_power(n_electrons, 1) * cond.poly
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
+    if family not in _FAMILY_TABLE:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILY_TABLE)}")
+    power, exponent = _FAMILY_TABLE[family]
+    if exponent is None:
+        return vandermonde_power(n_electrons, power(m))
+    p = exponent(m)
+    if vanishes(n_electrons, p):
+        raise ZeroWavefunctionError(
+            f"zero wavefunction: m > 2N+1 (family {family}, N={n_electrons}, m={m})"
+        )
+    cond = condense(CondensateKernel(n_electrons, p=p))
+    return vandermonde_power(n_electrons, power(m)) * cond.poly
 
 
 def laughlin(n_electrons: int, m: int) -> FockVector:
@@ -84,34 +89,7 @@ def chi(n_electrons: int, m: int) -> FockVector:
     return to_fock(slater_project(family_polynomial("chi", n_electrons, m)))
 
 
-FAMILIES = {
-    "laughlin": laughlin,
-    "hierarchical_phi": hierarchical_phi,
-    "chi": chi,
-}
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A (family, N, m) point of the parameter grid."""
-
-    family: str
-    n_electrons: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        _check_family_params(self.n_electrons, self.m)
-
-    @property
-    def t(self) -> int:
-        """The axis parameter t = (m-1)/2 used in sweeps and figures."""
-        return (self.m - 1) // 2
-
-
-def build_state(spec: FamilySpec) -> FockVector:
-    return FAMILIES[spec.family](spec.n_electrons, spec.m)
+FAMILIES = {f.__name__: f for f in (laughlin, hierarchical_phi, chi)}
 
 
 @dataclass(frozen=True)

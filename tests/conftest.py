@@ -79,3 +79,30 @@ def dim4_two_fermion_states(draw):
     )
     amps = {c: Fraction(v) for c, v in zip(picked, numerators)}
     return FockVector.from_rational_amplitudes(2, 4, amps)
+
+
+@st.composite
+def irrational_mixed_states(draw, max_particles: int = 3, max_dim: int = 6):
+    """Non-homogeneous states whose squared magnitudes are random integers.
+
+    Amplitude products are then mostly irrational, so the density matrix is
+    built from float products; configurations carry at least two distinct
+    total angular momenta.
+    """
+    n = draw(st.integers(2, max_particles))
+    dim = draw(st.integers(n + 1, max_dim))
+    configs = draw(
+        st.lists(
+            st.sets(st.integers(0, dim - 1), min_size=n, max_size=n).map(
+                lambda modes: tuple(sorted(modes))
+            ),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        ).filter(lambda cs: len({sum(c) for c in cs}) > 1)
+    )
+    terms = {
+        c: (draw(st.sampled_from((1, -1))), Fraction(draw(st.integers(1, 20))))
+        for c in configs
+    }
+    return FockVector.from_unnormalized(n, dim, terms)

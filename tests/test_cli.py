@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fqhent
 from fqhent.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -233,9 +238,68 @@ class TestConfig:
         code, _, err = run(capsys, "compute", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,value",
+        [(["table"], "xml"), (["compute"], "svg"), (["figure", "1"], "text")],
+    )
+    def test_format_checked_against_subcommand(self, capsys, tmp_path, argv, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format = {value}\nm-max = 3\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "format" in err and out == ""
+
     def test_malformed_line_exit_64(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
         code, _, err = run(capsys, "compute", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "key = value" in err
+
+    def test_unknown_key_exit_64(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("familly = chi\n")
+        code, _, err = run(capsys, "compute", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "config" in err and "familly" in err
+
+    def test_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        # the README's sweep.conf: figure takes m-max and ignores family, n
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text("family = hierarchical_phi\nn = 2\nm-max = 3\n")
+        code, out, _ = run(capsys, "figure", "1", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out.count("\n") == 5  # header + 2 series x 2 points
+        cfg.write_text("family = hierarchical_phi\nn = 2\nm-max = 3\nfamilly = chi\n")
+        code, _, _ = run(capsys, "figure", "1", "--config", str(cfg))
+        assert code == EXIT_USAGE
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["table", "figure"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_flag_below_one_exit_64(self, capsys, command, jobs):
+        argv = [command, *(["1"] if command == "figure" else []), "--m-max", "3"]
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == EXIT_USAGE
+        assert "jobs" in err and out == ""
+
+    def test_config_below_one_exit_64(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 0\n")
+        code, _, err = run(capsys, "table", "--m-max", "3", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "jobs" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    package_root = Path(fqhent.__file__).resolve().parent.parent
+    probe = "import sys, fqhent.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.stdout.strip() == "False"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import dim4_two_fermion_states
+from conftest import dim4_two_fermion_states, irrational_mixed_states
 from fqhent import (
     Amplitude,
     DimensionNotFourError,
@@ -30,6 +30,18 @@ from fqhent import (
 )
 
 LN2 = math.log(2)
+
+
+# (sign, squared magnitude) per config: N=2, dim=5, not homogeneous.  The
+# insertion order matters: it sets the order in which float products add up.
+IRRATIONAL_MIXED_STATE = {
+    (2, 3): (1, Fraction(1)),
+    (1, 3): (-1, Fraction(3)),
+    (0, 2): (1, Fraction(18)),
+    (0, 4): (1, Fraction(1)),
+    (0, 1): (-1, Fraction(18)),
+    (3, 4): (-1, Fraction(6)),
+}
 
 
 def rational_state(dim: int, amps: dict) -> FockVector:
@@ -112,6 +124,32 @@ class TestOneBodyDensity:
             OneBodyDensityMatrix(
                 2, ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
             )
+
+    def test_irrational_mixed_state_is_symmetric(self):
+        # float amplitude products once summed in different orders for
+        # rho[mu][nu] and rho[nu][mu] and failed the symmetry check
+        v = FockVector.from_unnormalized(2, 5, IRRATIONAL_MIXED_STATE)
+        rho = one_body_density(v)
+        expected = oracles.density_by_annihilation(v)
+        for i in range(v.dim):
+            for j in range(v.dim):
+                assert rho.entries[i][j] == rho.entries[j][i]
+                assert float(rho.entries[i][j]) == pytest.approx(expected[i][j], abs=1e-12)
+
+    @given(irrational_mixed_states())
+    @settings(max_examples=60, deadline=None)
+    def test_irrational_states_match_annihilation_oracle(self, v):
+        rho = one_body_density(v)
+        expected = oracles.density_by_annihilation(v)
+        for i in range(v.dim):
+            for j in range(v.dim):
+                assert float(rho.entries[i][j]) == pytest.approx(
+                    expected[i][j], abs=1e-12
+                )
+        spectrum = np.linalg.eigvalsh(np.array(expected))
+        assert von_neumann(rho) == pytest.approx(
+            oracles.entropy_of(max(lam, 0.0) for lam in spectrum), abs=1e-9
+        )
 
 
 class TestVonNeumann:
@@ -239,6 +277,25 @@ class TestSlaterPairing:
     @given(dim4_two_fermion_states())
     @settings(max_examples=60, deadline=None)
     def test_route_equivalence_random(self, v):
+        via_pairing = slater_pairing(v).entropy_nats()
+        via_density = von_neumann(one_body_density(v))
+        assert via_pairing == pytest.approx(via_density, abs=1e-9)
+
+    def test_rotated_path_on_irrational_mixed_state(self):
+        v = FockVector.from_unnormalized(2, 5, IRRATIONAL_MIXED_STATE)
+        pairing = slater_pairing(v)
+        assert pairing.basis == "rotated"
+        assert pairing.residual == 5 - 2 * len(pairing.pairs)
+        assert [(a, b) for a, b, _ in pairing.pairs] == [
+            (2 * k, 2 * k + 1) for k in range(len(pairing.pairs))
+        ]
+        assert pairing.entropy_nats() == pytest.approx(
+            von_neumann(one_body_density(v)), abs=1e-12
+        )
+
+    @given(irrational_mixed_states(max_particles=2))
+    @settings(max_examples=60, deadline=None)
+    def test_route_equivalence_irrational(self, v):
         via_pairing = slater_pairing(v).entropy_nats()
         via_density = von_neumann(one_body_density(v))
         assert via_pairing == pytest.approx(via_density, abs=1e-9)

@@ -16,6 +16,7 @@ from fqhent import (
     rows_to_csv,
     sweep,
 )
+from fqhent import figures
 from fqhent.figures import SweepPoint, figure_title
 
 
@@ -53,11 +54,43 @@ class TestEvaluateAndSweep:
         p = evaluate_point("chi", 2, 7)
         assert p.measure_bits is None
 
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep([("laughlin", 2, 1)], jobs=0)
+
     def test_parallel_equals_serial(self):
         requests = [("laughlin", 2, m) for m in (1, 3, 5)] + [
             ("chi", 2, m) for m in (1, 3, 5, 7)
         ]
         assert sweep(requests, jobs=1) == sweep(requests, jobs=2)
+
+    @pytest.mark.parametrize(
+        "jobs,n_requests,cpus,expected",
+        [(64, 3, 16, 3), (64, 10, 2, 2), (2, 10, 16, 2), (8, 1, 16, None)],
+    )
+    def test_worker_count_is_clamped(self, monkeypatch, jobs, n_requests, cpus, expected):
+        # a stub pool records max_workers, so no worker process is started
+        started = []
+
+        class StubExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(figures, "ProcessPoolExecutor", StubExecutor)
+        monkeypatch.setattr(figures.os, "cpu_count", lambda: cpus)
+        requests = [("laughlin", 2, 1)] * n_requests
+        points = figures.sweep(requests, jobs=jobs)
+        assert len(points) == n_requests
+        assert started == ([] if expected is None else [expected])
 
 
 class TestCsv:

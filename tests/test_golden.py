@@ -1,0 +1,43 @@
+"""Byte-for-byte golden outputs of the figure presets and the JSON rows.
+
+The CSV and SVG goldens are the committed demo outputs; the JSON goldens
+were recorded from the CLI and keep zero-wavefunction points as null.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from fqhent import figure_points, figure_spec, figure_title, render_svg, rows_to_csv
+from fqhent.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_OUTPUT = ROOT / "demos" / "output"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("fig_id", [1, 5])
+def test_figure_csv_and_svg(fig_id):
+    points = figure_points(figure_spec(fig_id))
+    assert rows_to_csv(points) == (DEMO_OUTPUT / f"figure{fig_id}.csv").read_text()
+    assert (
+        render_svg(points, figure_title(fig_id))
+        == (DEMO_OUTPUT / f"figure{fig_id}.svg").read_text()
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (
+            ["table", "--family", "chi", "--n", "2", "--m-max", "7", "--format", "json"],
+            "table_chi_n2_m7.json",
+        ),
+        (["figure", "1", "--format", "json"], "figure1.json"),
+    ],
+)
+def test_cli_json(capsys, argv, golden):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

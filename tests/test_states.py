@@ -7,11 +7,9 @@ from fractions import Fraction
 import pytest
 
 from fqhent import (
-    FamilySpec,
     KMatrix,
     MultiPoly,
     ZeroWavefunctionError,
-    build_state,
     chi,
     chi_k,
     condense,
@@ -161,23 +159,6 @@ class TestFamilyPolynomials:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_polynomial("unknown", 2, 3)
-
-
-class TestFamilySpec:
-    def test_t_parameter(self):
-        assert FamilySpec("laughlin", 2, 7).t == 3
-
-    def test_build_state_dispatch(self):
-        spec = FamilySpec("hierarchical_phi", 2, 1)
-        assert build_state(spec) == hierarchical_phi(2, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FamilySpec("nope", 2, 3)
-        with pytest.raises(ValueError):
-            FamilySpec("laughlin", 2, 4)
-        with pytest.raises(ValueError):
-            FamilySpec("laughlin", 1, 3)
 
 
 class TestKMatrix:
