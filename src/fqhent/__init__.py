@@ -1,10 +1,10 @@
 """Exact Fock-basis construction and single-particle entanglement measures
 for fractional quantum Hall model wavefunctions.
 
-The pipeline is: expand a model wavefunction's polynomial part exactly
-(poly), project it onto monomial determinants, normalize into a Fock vector
-over lowest-Landau-level orbitals (lll), and evaluate entanglement measures
-on the result (entangle).  Hierarchical families are produced from
+The pipeline is: build a model wavefunction's polynomial part exactly in
+the basis of monomial determinants (poly, states), normalize it into a Fock
+vector over lowest-Landau-level orbitals (lll), and evaluate entanglement
+measures on the result (entangle).  Hierarchical families are produced from
 two-quasihole condensate integrals (quasihole, states); figures and the CLI
 sit on top (figures, cli, verify).
 """
@@ -61,6 +61,7 @@ from .states import (
     ZeroWavefunctionError,
     chi,
     chi_k,
+    family_expansion,
     family_polynomial,
     filling_fraction,
     hierarchical_phi,
@@ -93,6 +94,7 @@ __all__ = [
     "condense",
     "elementary_symmetric",
     "evaluate_point",
+    "family_expansion",
     "family_polynomial",
     "figure_points",
     "figure_spec",

@@ -10,6 +10,10 @@ Antisymmetric polynomials admit a second exact representation: a sum of
 monomial determinants det(z_i^{lam_j}) over strictly decreasing exponent
 tuples lam_1 > lam_2 > ... > lam_N >= 0.  :func:`slater_project` converts to
 that basis and :meth:`SlaterExpansion.expand` converts back, both losslessly.
+:meth:`SlaterExpansion.times_symmetric` multiplies by a symmetric polynomial
+without leaving the basis, so an antisymmetric product a_delta * S can be
+built one determinant at a time, never holding the N!-fold redundant
+expansion that :func:`slater_project` starts from.
 """
 
 from __future__ import annotations
@@ -203,16 +207,30 @@ class MultiPoly:
 
     def is_antisymmetric(self) -> bool:
         """True iff swapping any pair of variables negates the polynomial exactly."""
-        for i in range(self._nvars):
-            for j in range(i + 1, self._nvars):
-                if self.swap(i, j) != -self:
-                    return False
-        return True
+        return self._invariant_under_generators(-1)
 
     def is_symmetric(self) -> bool:
-        for i in range(self._nvars):
-            for j in range(i + 1, self._nvars):
-                if self.swap(i, j) != self:
+        """True iff swapping any pair of variables leaves the polynomial unchanged."""
+        return self._invariant_under_generators(1)
+
+    def _invariant_under_generators(self, sign: int) -> bool:
+        """True iff every permutation of the variables multiplies self by sign^parity.
+
+        The swap (0 1) and the cycle (0 1 ... n-1) generate the symmetric
+        group, so checking those two suffices; the cycle has parity n - 1.  A
+        permutation p maps self onto (sign^parity) * self exactly when every
+        term's permuted key carries (sign^parity) times its coefficient.
+        """
+        n = self._nvars
+        if n == 1:
+            return True
+        terms = self._terms
+        swap = (1, 0, *range(2, n))
+        cycle = (*range(1, n), 0)
+        for perm, factor in ((swap, sign), (cycle, sign ** (n - 1))):
+            permuted = operator.itemgetter(*perm)
+            for key, coeff in terms.items():
+                if terms.get(permuted(key)) != factor * coeff:
                     return False
         return True
 
@@ -324,6 +342,38 @@ class SlaterExpansion:
                 key = tuple(lam[p] for p in perm)
                 out[key] = out.get(key, 0) + coeff * _perm_sign(perm)
         return MultiPoly(n, out)
+
+    def times_symmetric(self, sym: MultiPoly) -> "SlaterExpansion":
+        """The product with a symmetric polynomial, in the determinant basis.
+
+        For symmetric S = sum_nu s_nu z^nu, det(z_i^{lam_j}) * S is
+        sum_nu s_nu det(z_i^{(lam+nu)_j}): each lam + nu is sorted descending
+        with the sign of that sort, and a lam + nu with a repeated entry is a
+        determinant with two equal columns and drops out (Macdonald,
+        Symmetric Functions and Hall Polynomials, ch. I, the product a_lam m_mu).
+
+        Raises ValueError when sym is not symmetric or has another variable count.
+        """
+        n = self._nvars
+        if sym.nvars != n:
+            raise ValueError(f"variable count mismatch: {n} vs {sym.nvars}")
+        if not sym.is_symmetric():
+            raise ValueError("factor is not a symmetric polynomial")
+        pairs = list(itertools.combinations(range(n), 2))
+        factor = list(sym.terms.items())
+        out: dict[Exponents, int] = {}
+        for lam, coeff in self._terms.items():
+            for nu, s in factor:
+                alpha = tuple(map(operator.add, lam, nu))
+                if len(set(alpha)) < n:
+                    continue
+                key = tuple(sorted(alpha, reverse=True))
+                # the sort's parity is the parity of the ascending pairs
+                if sum(alpha[i] < alpha[j] for i, j in pairs) % 2:
+                    out[key] = out.get(key, 0) - coeff * s
+                else:
+                    out[key] = out.get(key, 0) + coeff * s
+        return SlaterExpansion(n, out)
 
     def __repr__(self) -> str:
         return f"SlaterExpansion({self._nvars}, {dict(self.items())!r})"

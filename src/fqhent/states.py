@@ -1,11 +1,21 @@
 """Constructors for the model wavefunction families.
 
-Three families are built, each as an exact polynomial in z_1..z_N that is
-then pushed through the determinant projection and orbital normalization:
+Three families are built, each an antisymmetric polynomial in z_1..z_N
+turned into a normalized lowest-Landau-level Fock vector:
 
   laughlin          prod_{j<k} (z_j - z_k)^m
   hierarchical_phi  Vandermonde^m times the p=2 quasihole condensate
   chi               Vandermonde^1 times the p=m-1 quasihole condensate
+
+Every family is a_delta * S: the Vandermonde determinant a_delta, with
+delta = (N-1, ..., 1, 0), times a symmetric S made of t = (power - 1) / 2
+factors of Vandermonde^2 and, for two of the families, the condensate.  The
+constructors build the state directly in the determinant basis
+(:func:`family_expansion`), one symmetric factor at a time.  The full
+polynomial (:func:`family_polynomial`) followed by
+:func:`fqhent.poly.slater_project` gives the same expansion with N! times as
+many terms; it is kept as the independent route that tests and
+``verify`` compare against.
 
 The condensate scalar prefactor is discarded before multiplication since
 every entanglement quantity is invariant under global scaling; the verify
@@ -14,6 +24,9 @@ of the Vandermonde factor would break fermionic antisymmetry.
 
 The chi construction collapses when the condensate integral vanishes
 (m > 2N+1), which is reported as ZeroWavefunctionError rather than a state.
+Before anything is built, the determinants and orbitals the state can have
+are counted; above MAX_DETERMINANTS or MAX_ORBITALS the request is refused
+with ValueError.
 """
 
 from __future__ import annotations
@@ -22,11 +35,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lll import FockVector, to_fock
-from .poly import MultiPoly, slater_project, vandermonde_power
+from .poly import MultiPoly, SlaterExpansion, vandermonde_power
 from .quasihole import CondensateKernel, condense, vanishes
 
 MAX_ELECTRONS = 5
 """Upper limit on N for family constructors; guards combinatorial blowup."""
+
+MAX_DETERMINANTS = 10_000
+"""Upper limit on the candidate determinants of a family state (see
+:func:`determinant_bound`); bounds the size of a construction for every m."""
+
+MAX_ORBITALS = 512
+"""Upper limit on the orbitals a family state can occupy.  The one-body
+density matrix has this many rows, so it bounds that matrix where the
+determinant limit does not: at N = 2 a state has only (m + 1) / 2
+determinants but m + 1 orbitals."""
 
 # name -> (Vandermonde power, condensate exponent p or None), each as a
 # function of m.  The condensate factor multiplies the Vandermonde power.
@@ -41,44 +64,124 @@ class ZeroWavefunctionError(ValueError):
     """The requested construction is identically zero, not a state."""
 
 
-def _check_family_params(n_electrons: int, m: int) -> None:
+def _family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | None]:
+    """Validated (Vandermonde power, condensate exponent p or None) of a family state.
+
+    Raises ValueError for bad parameters, an unknown family or a state over
+    MAX_ORBITALS or MAX_DETERMINANTS, and ZeroWavefunctionError when the
+    condensate vanishes (for chi, m > 2N+1).
+    """
     if n_electrons < 2:
         raise ValueError("need at least two electrons")
     if n_electrons > MAX_ELECTRONS:
         raise ValueError(f"N={n_electrons} exceeds the supported limit {MAX_ELECTRONS}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be a positive odd integer, got {m}")
-
-
-def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
-    """The antisymmetric polynomial part of a family wavefunction.
-
-    Raises ZeroWavefunctionError when the condensate vanishes (for chi,
-    m > 2N+1) and ValueError for unknown families or bad parameters.
-    """
-    _check_family_params(n_electrons, m)
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILY_TABLE)}")
-    power, exponent = _FAMILY_TABLE[family]
-    if exponent is None:
-        return vandermonde_power(n_electrons, power(m))
-    p = exponent(m)
-    if vanishes(n_electrons, p):
+    power_of, exponent_of = _FAMILY_TABLE[family]
+    power = power_of(m)
+    p = None if exponent_of is None else exponent_of(m)
+    if p is not None and vanishes(n_electrons, p):
         raise ZeroWavefunctionError(
             f"zero wavefunction: m > 2N+1 (family {family}, N={n_electrons}, m={m})"
         )
+    # Vandermonde^power: degree power * N(N-1)/2, exponents up to power * (N-1);
+    # the condensate adds degree 2N - p, at most 2 per variable
+    degree = power * n_electrons * (n_electrons - 1) // 2
+    largest = power * (n_electrons - 1)
+    if p is not None:
+        degree += 2 * n_electrons - p
+        largest += min(2, 2 * n_electrons - p)
+    name = f"family {family}, N={n_electrons}, m={m}"
+    if largest + 1 > MAX_ORBITALS:
+        raise ValueError(
+            f"{name} spans {largest + 1:,} orbitals, more than MAX_ORBITALS = {MAX_ORBITALS}"
+        )
+    if determinant_bound(n_electrons, degree, largest, MAX_DETERMINANTS) > MAX_DETERMINANTS:
+        raise ValueError(
+            f"{name} can have more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,} determinants"
+        )
+    return power, p
+
+
+def determinant_bound(n_electrons: int, degree: int, largest: int, limit: int) -> int:
+    """Strictly decreasing N-tuples of exponents that sum to degree, none above largest.
+
+    These are the determinants a homogeneous antisymmetric polynomial of
+    that degree and largest exponent can have.  Removing the staircase
+    (N-1, ..., 1, 0) makes them the partitions that fit in a box, which
+    _box_partitions counts.  The count is exact up to limit; past it, some
+    value above limit is returned.
+    """
+    staircase = n_electrons * (n_electrons - 1) // 2
+    return _box_partitions(degree - staircase, n_electrons, largest - (n_electrons - 1), limit)
+
+
+def _box_partitions(total: int, parts: int, largest: int, limit: int) -> int:
+    """Partitions of total into at most `parts` parts, each at most largest.
+
+    Every first part between ceil(total/parts) and min(largest, total)
+    leaves a non-empty box for the rest, so each loop step adds at least one
+    and counting stops, above limit, after at most limit + 1 steps per level.
+    """
+    if total < 0 or total > parts * largest:
+        return 0
+    if parts <= 1 or total == 0:
+        return 1
+    if parts == 2:
+        return min(largest, total) - (total + 1) // 2 + 1
+    count = 0
+    for first in range(min(largest, total), (total - 1) // parts, -1):
+        count += _box_partitions(total - first, parts - 1, first, limit - count)
+        if count > limit:
+            break
+    return count
+
+
+def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
+    """The antisymmetric polynomial part of a family wavefunction, fully expanded.
+
+    This is the slow, independent route: :func:`family_expansion` builds
+    the same state in the determinant basis without it.  Raises
+    ZeroWavefunctionError when the condensate vanishes (for chi, m > 2N+1)
+    and ValueError for unknown families or bad parameters.
+    """
+    power, p = _family_factors(family, n_electrons, m)
+    if p is None:
+        return vandermonde_power(n_electrons, power)
     cond = condense(CondensateKernel(n_electrons, p=p))
-    return vandermonde_power(n_electrons, power(m)) * cond.poly
+    return vandermonde_power(n_electrons, power) * cond.poly
+
+
+def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
+    """A family wavefunction built directly in the determinant basis.
+
+    Starts from the single determinant a_delta (the Vandermonde), multiplies
+    once by the condensate polynomial when the family has one, then
+    (power - 1) / 2 times by Vandermonde^2.  Equal, term for term, to
+    slater_project(family_polynomial(family, n_electrons, m)); raises as
+    that does.
+    """
+    power, p = _family_factors(family, n_electrons, m)
+    expansion = SlaterExpansion(n_electrons, {tuple(range(n_electrons - 1, -1, -1)): 1})
+    if p is not None:
+        expansion = expansion.times_symmetric(condense(CondensateKernel(n_electrons, p=p)).poly)
+    if power > 1:
+        square = vandermonde_power(n_electrons, 2)
+        for _ in range((power - 1) // 2):
+            expansion = expansion.times_symmetric(square)
+    return expansion
 
 
 def laughlin(n_electrons: int, m: int) -> FockVector:
     """Normalized state Vandermonde^m; a single determinant when m = 1."""
-    return to_fock(slater_project(family_polynomial("laughlin", n_electrons, m)))
+    return to_fock(family_expansion("laughlin", n_electrons, m))
 
 
 def hierarchical_phi(n_electrons: int, m: int) -> FockVector:
     """Normalized state Vandermonde^m times the p=2 condensate polynomial."""
-    return to_fock(slater_project(family_polynomial("hierarchical_phi", n_electrons, m)))
+    return to_fock(family_expansion("hierarchical_phi", n_electrons, m))
 
 
 def chi(n_electrons: int, m: int) -> FockVector:
@@ -86,7 +189,7 @@ def chi(n_electrons: int, m: int) -> FockVector:
 
     Raises ZeroWavefunctionError when m > 2N+1.
     """
-    return to_fock(slater_project(family_polynomial("chi", n_electrons, m)))
+    return to_fock(family_expansion("chi", n_electrons, m))
 
 
 FAMILIES = {f.__name__: f for f in (laughlin, hierarchical_phi, chi)}

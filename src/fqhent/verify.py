@@ -5,11 +5,14 @@ an exact expected value or an independent computation route.  Checks report
 pass/fail; purely informational items (quantities that are reported but
 deliberately not asserted, such as the curve ordering between families) are
 marked info.  The fast level keeps m <= 9 and N <= 3; full extends to
-m <= 13 and N <= 4.
+m <= 13 and N <= 4.  The family constructors build states directly in the
+determinant basis; basis-route-equivalence keeps the full-expansion route
+(family_polynomial, then slater_project) as their independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +31,8 @@ from .states import (
     ZeroWavefunctionError,
     chi,
     chi_k,
+    family_expansion,
+    family_polynomial,
     filling_fraction,
     hierarchical_phi,
     hierarchical_phi_k,
@@ -96,6 +101,57 @@ def check_laughlin_n3_slater_coefficients() -> CheckResult:
         "laughlin-n3-slater-coefficients",
         ok,
         f"magnitudes {sorted(got.values())}, round-trip {'ok' if round_trip else 'FAILED'}",
+    )
+
+
+def check_basis_route_equivalence(points: list[tuple[str, int, int]]) -> CheckResult:
+    """family_expansion equals slater_project(family_polynomial) term for term."""
+    compared = 0
+    for family, n, m in points:
+        try:
+            expected = slater_project(family_polynomial(family, n, m))
+        except ZeroWavefunctionError:
+            continue
+        if family_expansion(family, n, m) != expected:
+            return _result(
+                "basis-route-equivalence", False, f"mismatch at {family} N={n}, m={m}"
+            )
+        compared += 1
+    return _result(
+        "basis-route-equivalence",
+        True,
+        f"determinant-basis construction equals the full-expansion route "
+        f"on {compared} nonzero states",
+    )
+
+
+def check_laughlin_root_dominance(n_values: tuple[int, ...], m_max: int) -> CheckResult:
+    """Every laughlin(N,m) configuration is dominated by the root, which is present.
+
+    Read descending, a configuration lam is dominated by the root
+    ((N-1)m, ..., m, 0) when every partial sum of lam is at most the root's.
+    """
+    for n in n_values:
+        for m in range(1, m_max + 1, 2):
+            root = tuple(range((n - 1) * m, -1, -m))
+            root_sums = list(itertools.accumulate(root))
+            configs = laughlin(n, m).terms
+            if root[::-1] not in configs:
+                return _result(
+                    "laughlin-root-dominance", False, f"root {root} absent at N={n}, m={m}"
+                )
+            for config in configs:
+                sums = itertools.accumulate(config[::-1])
+                if any(s > r for s, r in zip(sums, root_sums)):
+                    return _result(
+                        "laughlin-root-dominance",
+                        False,
+                        f"{config} not dominated by root {root} at N={n}, m={m}",
+                    )
+    return _result(
+        "laughlin-root-dominance",
+        True,
+        f"root present and dominating for N in {n_values}, odd m <= {m_max}",
     )
 
 
@@ -297,10 +353,20 @@ def run_verification(level: str = "fast") -> list[CheckResult]:
     m_max = 13 if level == "full" else 9
     cond_n_max = 4 if level == "full" else 3
     chi_ns = (2, 3, 4) if level == "full" else (2, 3)
+    route_points = [
+        (family, n, m)
+        for family in ("laughlin", "hierarchical_phi", "chi")
+        for n in (2, 3)
+        for m in range(1, m_max + 1, 2)
+    ]
+    if level == "full":
+        route_points += [("laughlin", 4, m) for m in range(1, 8, 2)]
     return [
         check_binomial_amplitude_pattern(m_max),
         check_hierarchical_n2_lowest(),
         check_laughlin_n3_slater_coefficients(),
+        check_basis_route_equivalence(route_points),
+        check_laughlin_root_dominance(chi_ns, 9),
         check_condensate_n2(),
         check_condensate_n3(),
         check_condensate_vanishing(cond_n_max),

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,14 @@ class TestCompute:
         with pytest.raises(SystemExit) as excinfo:
             main(["compute", "--family", "bogus"])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_over_determinant_budget_exit_64(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--n", "4", "--m", "41")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "MAX_DETERMINANTS" in err
+        assert out == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -183,6 +192,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "fast")
         assert code == EXIT_OK
         assert "[PASS] condensate-n2" in out
+        assert "[PASS] basis-route-equivalence" in out
+        assert "[PASS] laughlin-root-dominance" in out
         assert "[FAIL]" not in out
         assert "-162*pi^2" in out
         assert "0 failed" in out

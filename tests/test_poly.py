@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,38 @@ from fqhent import (
 
 def z(nvars: int, index: int) -> MultiPoly:
     return MultiPoly.variable(nvars, index)
+
+
+def symmetrize(p: MultiPoly, sign: int = 1) -> MultiPoly:
+    """Sum of p over all variable permutations, weighted by sign^parity."""
+    out = MultiPoly.zero(p.nvars)
+    for perm in itertools.permutations(range(p.nvars)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(p.nvars), 2))
+        out = out + p.permute(perm) * sign**inversions
+    return out
+
+
+def invariant_under_all_swaps(p: MultiPoly, sign: int) -> bool:
+    """The all-pairs definition: every transposition multiplies p by sign."""
+    return all(
+        p.swap(i, j) == p * sign for i, j in itertools.combinations(range(p.nvars), 2)
+    )
+
+
+@st.composite
+def symmetry_candidates(draw):
+    """Polynomials that are symmetric, antisymmetric, (0 1)-invariant only, or random."""
+    p = draw(multi_polys(max_nvars=4, max_exp=3, max_terms=4))
+    kind = draw(st.sampled_from(("raw", "sym", "anti", "swap-sym", "swap-anti")))
+    if kind == "sym":
+        return symmetrize(p)
+    if kind == "anti":
+        return symmetrize(p, -1)
+    if p.nvars > 1 and kind == "swap-sym":
+        return p + p.swap(0, 1)
+    if p.nvars > 1 and kind == "swap-anti":
+        return p - p.swap(0, 1)
+    return p
 
 
 class TestMultiPoly:
@@ -134,6 +167,19 @@ class TestAntisymmetry:
     def test_expanded_slater_is_antisymmetric(self, expansion):
         assert expansion.expand().is_antisymmetric()
 
+    def test_antisymmetric_under_one_swap_only_is_rejected(self):
+        # (z1 - z2) z3 changes sign under (0 1) but not under the other swaps
+        p = (z(3, 0) - z(3, 1)) * z(3, 2)
+        assert p.swap(0, 1) == -p
+        assert not p.is_antisymmetric()
+        assert not ((z(3, 0) + z(3, 1)) * z(3, 2)).is_symmetric()
+
+    @given(symmetry_candidates())
+    @settings(max_examples=120, deadline=None)
+    def test_generators_agree_with_all_swaps(self, p):
+        assert p.is_symmetric() == invariant_under_all_swaps(p, 1)
+        assert p.is_antisymmetric() == invariant_under_all_swaps(p, -1)
+
 
 class TestVandermonde:
     def test_single_variable_is_one(self):
@@ -211,3 +257,28 @@ class TestSlaterProjection:
                 expected[key] = expected.get(key, 0) + coeff * sign
         expected = {k: c for k, c in expected.items() if c}
         assert dict(expansion.expand().terms) == expected
+
+
+class TestTimesSymmetric:
+    def test_known_product(self):
+        # (z1 - z2)(z1 + z2) = z1^2 - z2^2
+        product = SlaterExpansion(2, {(1, 0): 1}).times_symmetric(z(2, 0) + z(2, 1))
+        assert dict(product.terms) == {(2, 0): 1}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_projection_of_the_product(self, data):
+        expansion = data.draw(slater_expansions(max_orbital=5))
+        sym = symmetrize(data.draw(multi_polys(nvars=expansion.nvars, max_exp=3, max_terms=3)))
+        assert expansion.times_symmetric(sym) == slater_project(expansion.expand() * sym)
+
+    def test_rejects_non_symmetric_factor(self):
+        expansion = SlaterExpansion(3, {(2, 1, 0): 1})
+        with pytest.raises(ValueError, match="not a symmetric"):
+            expansion.times_symmetric(z(3, 0))
+        with pytest.raises(ValueError, match="not a symmetric"):
+            expansion.times_symmetric((z(3, 0) + z(3, 1)) * z(3, 2))
+
+    def test_rejects_variable_count_mismatch(self):
+        with pytest.raises(ValueError):
+            SlaterExpansion(2, {(1, 0): 1}).times_symmetric(MultiPoly.one(3))

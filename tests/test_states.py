@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,15 +16,26 @@ from fqhent import (
     chi_k,
     condense,
     CondensateKernel,
+    family_expansion,
     family_polynomial,
     filling_fraction,
     hierarchical_phi,
     hierarchical_phi_k,
     laughlin,
     modified_measure,
+    slater_project,
     vandermonde_power,
     vanishes,
 )
+from fqhent.states import (
+    MAX_DETERMINANTS,
+    MAX_ORBITALS,
+    _family_factors,
+    determinant_bound,
+)
+
+FAMILIES = ("laughlin", "hierarchical_phi", "chi")
+ODD_M = tuple(range(1, 14, 2))
 
 
 class TestLaughlin:
@@ -159,6 +172,100 @@ class TestFamilyPolynomials:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_polynomial("unknown", 2, 3)
+
+
+class TestFamilyExpansion:
+    """The determinant-basis construction against the full-expansion route."""
+
+    @pytest.mark.parametrize(
+        "family,n,m",
+        [(f, n, m) for f in FAMILIES for n in (2, 3, 4) for m in ODD_M]
+        + [(f, 5, m) for f in FAMILIES for m in (1, 3)],
+    )
+    def test_matches_full_expansion_route(self, family, n, m):
+        try:
+            expected = slater_project(family_polynomial(family, n, m))
+        except ZeroWavefunctionError:
+            with pytest.raises(ZeroWavefunctionError):
+                family_expansion(family, n, m)
+            return
+        assert family_expansion(family, n, m) == expected
+
+    def test_rejects_like_family_polynomial(self):
+        with pytest.raises(ValueError):
+            family_expansion("unknown", 2, 3)
+        with pytest.raises(ValueError):
+            family_expansion("laughlin", 2, 4)
+        with pytest.raises(ZeroWavefunctionError):
+            family_expansion("chi", 2, 7)
+
+
+def _brute_force_bound(n: int, degree: int, largest: int) -> int:
+    return sum(
+        1
+        for lam in itertools.combinations(range(largest + 1), n)
+        if sum(lam) == degree
+    )
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bound_matches_enumeration(self, n):
+        for largest in range(12):
+            for degree in range(n * largest + 1):
+                assert determinant_bound(n, degree, largest, 10**6) == _brute_force_bound(
+                    n, degree, largest
+                ), (n, degree, largest)
+
+    @pytest.mark.parametrize(
+        "n,m,expected",
+        [(4, 13, 1588), (5, 5, 649), (5, 9, 7483), (4, 41, 51071)],
+    )
+    def test_laughlin_bounds(self, n, m, expected):
+        # degree m N(N-1)/2, largest exponent m (N-1)
+        assert determinant_bound(n, m * n * (n - 1) // 2, m * (n - 1), 10**6) == expected
+
+    @pytest.mark.parametrize(
+        "family,n,m", [("laughlin", 4, 7), ("hierarchical_phi", 3, 11), ("chi", 4, 3)]
+    )
+    def test_bound_covers_the_state(self, family, n, m):
+        expansion = family_expansion(family, n, m)
+        (degree,) = {sum(lam) for lam in expansion.terms}
+        largest = max(lam[0] for lam in expansion.terms)
+        assert len(expansion) <= determinant_bound(n, degree, largest, 10**6)
+
+    def test_count_stops_past_limit(self):
+        start = time.perf_counter()
+        assert determinant_bound(5, 10**9, 10**9 // 2, 100) > 100
+        assert determinant_bound(2, 10**9, 10**9, 100) > 100
+        assert time.perf_counter() - start < 0.5
+
+    def test_rejects_over_determinant_budget(self):
+        assert MAX_DETERMINANTS == 10_000
+        with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+            family_expansion("laughlin", 4, 41)
+        with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+            family_polynomial("laughlin", 5, 11)
+
+    def test_rejects_over_orbital_budget(self):
+        # N = 2 stays far below the determinant budget: (m + 1) / 2 determinants
+        assert MAX_ORBITALS == 512
+        assert len(family_expansion("laughlin", 2, 511)) == 256
+        with pytest.raises(ValueError, match="MAX_ORBITALS"):
+            laughlin(2, 513)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_allows_every_point_in_use(self, family):
+        # tests, verify and figures use N <= 4 at odd m <= 13; the benchmark
+        # adds laughlin (5, 5), hierarchical_phi (5, 3) and chi (5, 11)
+        points = [(n, m) for n in (2, 3, 4) for m in ODD_M] + [(5, 1), (5, 3), (5, 5)]
+        if family == "chi":
+            points.append((5, 11))
+        for n, m in points:
+            try:
+                _family_factors(family, n, m)
+            except ZeroWavefunctionError:
+                pass
 
 
 class TestKMatrix:
