@@ -20,7 +20,7 @@ arithmetic; entropies and eta are reported as floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -41,26 +41,27 @@ class DimensionNotFourError(ValueError):
 
 @dataclass(frozen=True)
 class OneBodyDensityMatrix:
-    """Real symmetric density matrix with unit trace.
+    """Real symmetric density matrix with unit trace, stored sparsely.
 
-    Entries are exact Fractions whenever the underlying amplitude products
-    are rational squares; homogeneous states always produce exactly diagonal
-    rational matrices.
+    diag holds the dim diagonal entries; off_diagonal maps (mu, nu) with
+    mu < nu to the entry rho_{mu nu} = rho_{nu mu} and holds only nonzero
+    entries, so the matrix is symmetric by construction and is diagonal
+    exactly when off_diagonal is empty.  Entries are exact Fractions
+    whenever the underlying amplitude products are rational; the diagonal
+    always is.
     """
 
     dim: int
-    entries: tuple[tuple[Entry, ...], ...]
+    diag: tuple[Entry, ...]
+    off_diagonal: dict[tuple[int, int], Entry] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.dim or any(
-            len(row) != self.dim for row in self.entries
-        ):
-            raise ValueError("entries must form a dim x dim matrix")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        trace = sum(self.entries[i][i] for i in range(self.dim))
+        if len(self.diag) != self.dim:
+            raise ValueError(f"diagonal has {len(self.diag)} entries, not dim = {self.dim}")
+        for (mu, nu), entry in self.off_diagonal.items():
+            if not 0 <= mu < nu < self.dim or entry == 0:
+                raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
+        trace = sum(self.diag)
         if isinstance(trace, Fraction):
             if trace != 1:
                 raise ValueError(f"trace is {trace}, not 1")
@@ -68,59 +69,47 @@ class OneBodyDensityMatrix:
             raise ValueError(f"trace is {trace}, not 1")
 
     def diagonal(self) -> tuple[Entry, ...]:
-        return tuple(self.entries[i][i] for i in range(self.dim))
+        return self.diag
 
     def is_diagonal(self) -> bool:
         """True iff every off-diagonal entry is exactly zero."""
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
-        )
+        return not self.off_diagonal
 
     def as_numpy(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
+        out = np.diag([float(p) for p in self.diag])
+        for (mu, nu), entry in self.off_diagonal.items():
+            out[mu, nu] = out[nu, mu] = float(entry)
+        return out
 
 
 def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
     """rho_{mu nu} = <a_mu^dag a_nu> / N by exact fermionic contraction.
 
-    Annihilating nu from a configuration picks up (-1)^(position of nu);
-    re-creating mu picks up (-1)^(number of remaining orbitals below mu).
-    Both bra and ket configurations must be present in the state for a term
-    to contribute.  Each off-diagonal entry is accumulated once, for mu < nu,
-    and mirrored, so rho is symmetric even when amplitude products are
-    floats.
+    The diagonal is the occupation of each orbital over N.  Off the
+    diagonal, a_mu |config> is (-1)^(position of mu) times the hole that
+    removing mu leaves, so rho_{mu nu} sums the signed amplitude products of
+    the configurations that leave the same hole when mu and nu are removed.
+    Configurations are therefore grouped by hole and paired only within a
+    group.  In a homogeneous state two configurations sharing a hole would
+    differ in total angular momentum, so no group has two members and rho
+    comes out exactly diagonal.
     """
-    n, dim = v.n_particles, v.dim
-    entries: list[list[Entry]] = [
-        [Fraction(0) for _ in range(dim)] for _ in range(dim)
-    ]
+    n = v.n_particles
+    holes: dict[FockConfig, list[tuple[int, int, Amplitude]]] = {}
     for config, amp in v.terms.items():
-        for mode in config:
-            entries[mode][mode] += amp.magnitude_sq
-        for i, nu in enumerate(config):
-            rest = config[:i] + config[i + 1 :]
-            sign_remove = -1 if i % 2 else 1
-            for mu in range(nu):
-                if mu in rest:
-                    continue
-                below = sum(1 for r in rest if r < mu)
-                sign_insert = -1 if below % 2 else 1
-                bra_config = tuple(sorted(rest + (mu,)))
-                bra_amp = v.terms.get(bra_config)
-                if bra_amp is None:
-                    continue
-                entries[mu][nu] += sign_remove * sign_insert * bra_amp.product(amp)
-    for nu in range(dim):
-        for mu in range(nu):
-            entries[nu][mu] = entries[mu][nu]
-    scaled = tuple(
-        tuple(e / n if isinstance(e, Fraction) else e / n for e in row)
-        for row in entries
+        for i, mode in enumerate(config):
+            hole = config[:i] + config[i + 1 :]
+            holes.setdefault(hole, []).append((mode, -1 if i % 2 else 1, amp))
+    sums: dict[tuple[int, int], Entry] = {}
+    for group in holes.values():
+        for k, (mu, sign_mu, amp_mu) in enumerate(group):
+            for nu, sign_nu, amp_nu in group[k + 1 :]:
+                key = (mu, nu) if mu < nu else (nu, mu)
+                sums[key] = sums.get(key, 0) + sign_mu * sign_nu * amp_mu.product(amp_nu)
+    diag = tuple(p / n for p in v.occupations().values())
+    return OneBodyDensityMatrix(
+        v.dim, diag, {key: e / n for key, e in sums.items() if e != 0}
     )
-    return OneBodyDensityMatrix(dim, scaled)
 
 
 def von_neumann(rho: OneBodyDensityMatrix) -> float:
@@ -227,9 +216,6 @@ class SlaterPairing:
         total = sum(z * z for _, _, z in self.pairs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pair weights have squared sum {total}, not 1")
-
-    def weights(self) -> tuple[float, ...]:
-        return tuple(z for _, _, z in self.pairs)
 
     def entropy_nats(self) -> float:
         """Entropy of the one-body density matrix recomputed from weights.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .entangle import modified_measure
-from .states import FAMILIES, ZeroWavefunctionError
+from .states import FAMILIES, ZeroWavefunctionError, family_factors
 
 DEFAULT_T_MAX = 6
 
@@ -112,12 +112,20 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate (family, N, m) requests, optionally across processes.
 
-    The result order follows the request order regardless of jobs, so
-    downstream sorting is the only ordering that matters.  At most
-    min(jobs, len(requests), cpu count) worker processes are started.
+    Every request is checked against the family limits before any is
+    evaluated, so a sweep with a request over the size budget raises
+    ValueError at once.  The result order follows the request order
+    regardless of jobs, so downstream sorting is the only ordering that
+    matters.  At most min(jobs, len(requests), cpu count) worker processes
+    are started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for request in requests:
+        try:
+            family_factors(*request)
+        except ZeroWavefunctionError:
+            pass
     workers = min(jobs, len(requests), os.cpu_count() or 1)
     if workers <= 1:
         return [evaluate_point(*req) for req in requests]

@@ -82,10 +82,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def constant(cls, nvars: int, value: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         """The polynomial z_{index+1} (0-based index)."""
         if not 0 <= index < nvars:

@@ -46,10 +46,11 @@ MAX_DETERMINANTS = 10_000
 :func:`determinant_bound`); bounds the size of a construction for every m."""
 
 MAX_ORBITALS = 512
-"""Upper limit on the orbitals a family state can occupy.  The one-body
-density matrix has this many rows, so it bounds that matrix where the
-determinant limit does not: at N = 2 a state has only (m + 1) / 2
-determinants but m + 1 orbitals."""
+"""Upper limit on the orbitals a family state can occupy.  to_fock weighs
+orbital mu by the exact integer 2^(mu+1) mu!, whose size grows with mu, so
+this bounds its cost where the determinant limit does not: at N = 2 a state
+has only (m + 1) / 2 determinants but m + 1 orbitals, and to_fock alone
+takes about 0.8 s at m = 2001 and 5 s at m = 4001 (Python 3.11, 2-core VM)."""
 
 # name -> (Vandermonde power, condensate exponent p or None), each as a
 # function of m.  The condensate factor multiplies the Vandermonde power.
@@ -64,7 +65,7 @@ class ZeroWavefunctionError(ValueError):
     """The requested construction is identically zero, not a state."""
 
 
-def _family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | None]:
+def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | None]:
     """Validated (Vandermonde power, condensate exponent p or None) of a family state.
 
     Raises ValueError for bad parameters, an unknown family or a state over
@@ -147,7 +148,7 @@ def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
     ZeroWavefunctionError when the condensate vanishes (for chi, m > 2N+1)
     and ValueError for unknown families or bad parameters.
     """
-    power, p = _family_factors(family, n_electrons, m)
+    power, p = family_factors(family, n_electrons, m)
     if p is None:
         return vandermonde_power(n_electrons, power)
     cond = condense(CondensateKernel(n_electrons, p=p))
@@ -163,7 +164,7 @@ def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
     slater_project(family_polynomial(family, n_electrons, m)); raises as
     that does.
     """
-    power, p = _family_factors(family, n_electrons, m)
+    power, p = family_factors(family, n_electrons, m)
     expansion = SlaterExpansion(n_electrons, {tuple(range(n_electrons - 1, -1, -1)): 1})
     if p is not None:
         expansion = expansion.times_symmetric(condense(CondensateKernel(n_electrons, p=p)).poly)

@@ -109,31 +109,27 @@ def condensate_closed_form(
     return {k: c for k, c in out.items() if c}
 
 
-def density_by_annihilation(v) -> list[list[float]]:
-    """One-body density matrix via annihilation maps.
+def density_by_partial_trace(v) -> list[list[float]]:
+    """One-body density matrix with unit trace, first-quantised.
 
-    Computes a_mu |psi> for every mu as a map over (N-1)-particle
-    configurations, then takes overlaps: rho_{mu nu} = <a_mu psi | a_nu psi>
-    divided by N.  This is a different contraction order from the library's
-    insertion-based route.
+    Writes the state out as an antisymmetric wavefunction
+    psi(i_1, ..., i_N) over all N! orderings of every configuration, with
+    the sign of each ordering taken by cycle counting and norm 1, then takes
+    the partial trace rho_{mu nu} = sum over the rest of
+    psi(mu, rest) psi(nu, rest).  No second-quantised sign rule is shared
+    with the library.
     """
-    dim, n = v.dim, v.n_particles
-    annihilated: list[dict[tuple[int, ...], float]] = [dict() for _ in range(dim)]
+    n = v.n_particles
+    scale = 1 / math.sqrt(math.factorial(n))
+    by_first: defaultdict[int, dict[tuple[int, ...], float]] = defaultdict(dict)
     for config, amp in v.terms.items():
-        value = amp.as_float
-        for i, mode in enumerate(config):
-            rest = config[:i] + config[i + 1 :]
-            signed = value if i % 2 == 0 else -value
-            annihilated[mode][rest] = annihilated[mode].get(rest, 0.0) + signed
-    rho = [[0.0] * dim for _ in range(dim)]
-    for mu in range(dim):
-        for nu in range(dim):
-            total = 0.0
-            for rest, left in annihilated[mu].items():
-                right = annihilated[nu].get(rest)
-                if right is not None:
-                    total += left * right
-            rho[mu][nu] = total / n
+        for perm in itertools.permutations(range(n)):
+            ordered = tuple(config[p] for p in perm)
+            by_first[ordered[0]][ordered[1:]] = _cycle_sign(perm) * amp.as_float * scale
+    rho = [[0.0] * v.dim for _ in range(v.dim)]
+    for mu, left in by_first.items():
+        for nu, right in by_first.items():
+            rho[mu][nu] = sum(value * right.get(rest, 0.0) for rest, value in left.items())
     return rho
 
 

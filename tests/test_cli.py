@@ -83,6 +83,18 @@ class TestCompute:
         assert "MAX_DETERMINANTS" in err
         assert out == ""
 
+    def test_table_over_determinant_budget_exit_64_before_computing(self, capsys):
+        # laughlin N=4 is refused from m = 25; m = 1..23 took about 37 s
+        # when the sweep met the budget only at the first refused point
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "table", "--family", "laughlin", "--n", "4", "--m-max", "41"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "MAX_DETERMINANTS" in err
+        assert out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--family", "hierarchical_phi", "--n", "2",

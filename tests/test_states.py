@@ -30,8 +30,8 @@ from fqhent import (
 from fqhent.states import (
     MAX_DETERMINANTS,
     MAX_ORBITALS,
-    _family_factors,
     determinant_bound,
+    family_factors,
 )
 
 FAMILIES = ("laughlin", "hierarchical_phi", "chi")
@@ -263,7 +263,7 @@ class TestSizeLimits:
             points.append((5, 11))
         for n, m in points:
             try:
-                _family_factors(family, n, m)
+                family_factors(family, n, m)
             except ZeroWavefunctionError:
                 pass
 
