@@ -348,6 +348,12 @@ class SlaterExpansion:
         determinant with two equal columns and drops out (Macdonald,
         Symmetric Functions and Hall Polynomials, ch. I, the product a_lam m_mu).
 
+        Works in two phases.  The plain product sum c_lam s_nu z^(lam+nu) is
+        accumulated first, with each exponent tuple packed into one int of
+        fixed-width slots wide enough for any entry of lam + nu, so that
+        lam + nu is one int addition.  Each distinct monomial of that product
+        is then straightened once.
+
         Raises ValueError when sym is not symmetric or has another variable count.
         """
         n = self._nvars
@@ -355,20 +361,34 @@ class SlaterExpansion:
             raise ValueError(f"variable count mismatch: {n} vs {sym.nvars}")
         if not sym.is_symmetric():
             raise ValueError("factor is not a symmetric polynomial")
-        pairs = list(itertools.combinations(range(n), 2))
-        factor = list(sym.terms.items())
-        out: dict[Exponents, int] = {}
+        largest = max((lam[0] for lam in self._terms), default=0)
+        width = (largest + sym.max_single_degree()).bit_length()
+        shifts = [width * i for i in range(n)]
+        mask = (1 << width) - 1
+
+        def pack(exponents: Exponents) -> int:
+            return sum(e << shift for e, shift in zip(exponents, shifts))
+
+        factor = [(pack(nu), s) for nu, s in sym.terms.items()]
+        product: dict[int, int] = {}
+        get = product.get
         for lam, coeff in self._terms.items():
+            packed = pack(lam)
             for nu, s in factor:
-                alpha = tuple(map(operator.add, lam, nu))
-                if len(set(alpha)) < n:
-                    continue
-                key = tuple(sorted(alpha, reverse=True))
-                # the sort's parity is the parity of the ascending pairs
-                if sum(alpha[i] < alpha[j] for i, j in pairs) % 2:
-                    out[key] = out.get(key, 0) - coeff * s
-                else:
-                    out[key] = out.get(key, 0) + coeff * s
+                key = packed + nu
+                product[key] = get(key, 0) + coeff * s
+
+        pairs = list(itertools.combinations(range(n), 2))
+        out: dict[Exponents, int] = {}
+        for packed, coeff in product.items():
+            alpha = [packed >> shift & mask for shift in shifts]
+            if not coeff or len(set(alpha)) < n:
+                continue
+            key = tuple(sorted(alpha, reverse=True))
+            # the sort's parity is the parity of the ascending pairs
+            if sum(alpha[i] < alpha[j] for i, j in pairs) % 2:
+                coeff = -coeff
+            out[key] = out.get(key, 0) + coeff
         return SlaterExpansion(n, out)
 
     def __repr__(self) -> str:

@@ -128,15 +128,16 @@ def condense(kernel: CondensateKernel) -> ScaledPoly:
     result: dict[Exponents, Fraction] = {}
     for key, coeff in holo.terms.items():
         k, l = key[xi1], key[xi2]
+        # Of the binomial terms C(p,j) (−1)^j (ξ₁*)^{p−j} (ξ₂*)^j, the moments
+        # vanish off the diagonal, so only j = p − k can survive, and only if l == j.
+        j = p - k
+        if l != j:
+            continue
+        m1 = gaussian_moment(k, p - j, alpha)
+        m2 = gaussian_moment(l, j, alpha)
+        scalar = (m1 * m2).rational * math.comb(p, j) * (-1) ** j * coeff
         z_key = key[:n]
-        for j in range(p + 1):
-            # binomial term C(p,j) (−1)^j (ξ₁*)^{p−j} (ξ₂*)^j
-            m1 = gaussian_moment(k, p - j, alpha)
-            m2 = gaussian_moment(l, j, alpha)
-            if m1.is_zero or m2.is_zero:
-                continue
-            scalar = (m1 * m2).rational * math.comb(p, j) * (-1) ** j * coeff
-            result[z_key] = result.get(z_key, Fraction(0)) + scalar
+        result[z_key] = result.get(z_key, Fraction(0)) + scalar
     return ScaledPoly.from_rational_terms(n, result, 2)
 
 

@@ -268,9 +268,30 @@ class TestTimesSymmetric:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_projection_of_the_product(self, data):
-        expansion = data.draw(slater_expansions(max_orbital=5))
-        sym = symmetrize(data.draw(multi_polys(nvars=expansion.nvars, max_exp=3, max_terms=3)))
+        expansion = data.draw(slater_expansions(max_nvars=5, max_orbital=20))
+        sym = symmetrize(data.draw(multi_polys(nvars=expansion.nvars, max_exp=20, max_terms=3)))
         assert expansion.times_symmetric(sym) == slater_project(expansion.expand() * sym)
+
+    def test_zero_operands_give_the_zero_expansion(self):
+        zero = SlaterExpansion(3)
+        assert zero.times_symmetric(elementary_symmetric(3, 2)) == zero
+        assert zero.times_symmetric(MultiPoly.zero(3)) == zero
+        assert SlaterExpansion(3, {(4, 2, 0): 5}).times_symmetric(MultiPoly.zero(3)) == zero
+
+    @pytest.mark.parametrize("nvars", [2, 3, 5])
+    @pytest.mark.parametrize("top", [7, 8, 15, 16, 31, 32])
+    def test_largest_exponent_at_a_power_of_two_boundary(self, nvars, top):
+        # a_delta times the power sum p_r, whose largest exponent is exactly
+        # top: 2^w - 1 fills a w-bit slot, 2^w needs one bit more
+        delta = tuple(range(nvars - 1, -1, -1))
+        expansion = SlaterExpansion(nvars, {delta: 1, (delta[0] + 1, *delta[1:]): -2})
+        r = top - delta[0] - 1
+        power_sum = MultiPoly(
+            nvars, {tuple(r if i == j else 0 for i in range(nvars)): 1 for j in range(nvars)}
+        )
+        product = expansion.times_symmetric(power_sum)
+        assert max(lam[0] for lam in product.terms) == top
+        assert product == slater_project(expansion.expand() * power_sum)
 
     def test_rejects_non_symmetric_factor(self):
         expansion = SlaterExpansion(3, {(2, 1, 0): 1})

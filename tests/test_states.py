@@ -180,7 +180,9 @@ class TestFamilyExpansion:
     @pytest.mark.parametrize(
         "family,n,m",
         [(f, n, m) for f in FAMILIES for n in (2, 3, 4) for m in ODD_M]
-        + [(f, 5, m) for f in FAMILIES for m in (1, 3)],
+        + [(f, 5, m) for f in FAMILIES for m in (1, 3)]
+        + [("laughlin", 5, 5)]
+        + [("chi", 5, m) for m in (5, 7, 9, 11)],
     )
     def test_matches_full_expansion_route(self, family, n, m):
         try:
