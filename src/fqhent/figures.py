@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -129,6 +128,9 @@ def sweep(
     workers = min(jobs, len(requests), os.cpu_count() or 1)
     if workers <= 1:
         return [evaluate_point(*req) for req in requests]
+    # Imported here so that start-up and serial sweeps never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_tuple, requests))
 

@@ -4,14 +4,23 @@ The integral treated here is
 
     I(z) = ∫∫ d²ξ₁ d²ξ₂  Π_i (ξ₁−z_i)(ξ₂−z_i) · (ξ₁*−ξ₂*)^p · e^{−α(|ξ₁|²+|ξ₂|²)}
 
-with α = 1/3 throughout.  Expanding the integrand in monomials of ξ₁, ξ₂
-reduces everything to the diagonal moment identity
+with α = ALPHA = 1/3 throughout.  Each holomorphic product expands in the
+elementary symmetric polynomials of z_1..z_N (Macdonald, ch. I),
 
-    ∫ d²ξ ξ^a (ξ*)^b e^{−α|ξ|²} = δ_{ab} · π · a! · α^{−(a+1)},
+    Π_i (ξ−z_i) = Σ_k (−1)^{N−k} e_{N−k}(z) ξ^k,
 
-so the result is an exact symmetric polynomial in z_1..z_N times a rational
-multiple of π².  The zero polynomial is a legitimate outcome and is what
-makes some hierarchical construction attempts collapse.
+the pairing factor by the binomial theorem, and the diagonal moment identity
+
+    ∫ d²ξ ξ^a (ξ*)^b e^{−α|ξ|²} = δ_{ab} · π · a! · α^{−(a+1)} = δ_{ab} · π · M(a)
+
+keeps only ξ₁^{p−j} ξ₂^j from the j-th binomial term, so that
+
+    I(z) = π² Σ_j C(p, j) (−1)^{p+j} M(p−j) M(j) · e_{N−p+j}(z) e_{N−j}(z)
+
+over max(0, p−N) ≤ j ≤ min(N, p): an exact symmetric polynomial in
+z_1..z_N times a rational multiple of π².  The zero polynomial is a
+legitimate outcome and is what makes some hierarchical construction
+attempts collapse.
 """
 
 from __future__ import annotations
@@ -21,30 +30,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import PiScalar
-from .poly import Exponents, MultiPoly
+from .poly import Exponents, MultiPoly, elementary_symmetric
+
+ALPHA = Fraction(1, 3)
+"""Gaussian width α of the quasihole measure e^{−α|ξ|²}."""
 
 
 @dataclass(frozen=True)
 class CondensateKernel:
     """Parameters of a two-quasihole condensate integral.
 
-    n_electrons is the number of z coordinates, p the power of the
-    antiholomorphic pairing factor (ξ₁*−ξ₂*)^p, and alpha the Gaussian width.
+    n_electrons is the number of z coordinates and p the power of the
+    antiholomorphic pairing factor (ξ₁*−ξ₂*)^p.
     """
 
     n_electrons: int
     p: int
-    alpha: Fraction = Fraction(1, 3)
 
     def __post_init__(self) -> None:
         if self.n_electrons < 1:
             raise ValueError("need at least one electron")
         if self.p < 0:
             raise ValueError("pairing exponent must be non-negative")
-        alpha = Fraction(self.alpha)
-        if alpha <= 0:
-            raise ValueError("Gaussian width must be positive")
-        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -110,34 +117,21 @@ def gaussian_moment(a: int, b: int, alpha: Fraction | int) -> PiScalar:
 def condense(kernel: CondensateKernel) -> ScaledPoly:
     """Evaluate the condensate integral as an exact ScaledPoly.
 
-    The holomorphic factor Π_i (ξ₁−z_i)(ξ₂−z_i) is expanded as a polynomial
-    in N+2 variables (z_1..z_N, ξ₁, ξ₂), the pairing factor by the binomial
-    theorem, and each resulting ξ-monomial is integrated with
-    gaussian_moment.  Every surviving term carries π·π, so the result scale
-    has π power 2 (or is exactly zero).
+    Since Π_i (ξ−z_i) = Σ_k (−1)^{N−k} e_{N−k}(z) ξ^k and the moments keep
+    only ξ₁^{p−j} ξ₂^j from the j-th binomial term of (ξ₁*−ξ₂*)^p, the
+    result is Σ_j weight_j · e_{N−p+j}(z) · e_{N−j}(z) over
+    max(0, p−N) ≤ j ≤ min(N, p), with weight_j = C(p, j) (−1)^{p+j}
+    M(p−j) M(j) and M(k) the rational part of gaussian_moment(k, k, ALPHA).
+    Every term carries π·π, so the scale has π power 2 (or is exactly zero).
     """
-    n, p, alpha = kernel.n_electrons, kernel.p, kernel.alpha
-    nv = n + 2
-    xi1, xi2 = n, n + 1
-
-    holo = MultiPoly.one(nv)
-    for i in range(n):
-        for xi in (xi1, xi2):
-            holo = holo * (MultiPoly.variable(nv, xi) - MultiPoly.variable(nv, i))
-
+    n, p = kernel.n_electrons, kernel.p
+    moment = [gaussian_moment(k, k, ALPHA).rational for k in range(min(n, p) + 1)]
     result: dict[Exponents, Fraction] = {}
-    for key, coeff in holo.terms.items():
-        k, l = key[xi1], key[xi2]
-        # Of the binomial terms C(p,j) (−1)^j (ξ₁*)^{p−j} (ξ₂*)^j, the moments
-        # vanish off the diagonal, so only j = p − k can survive, and only if l == j.
-        j = p - k
-        if l != j:
-            continue
-        m1 = gaussian_moment(k, p - j, alpha)
-        m2 = gaussian_moment(l, j, alpha)
-        scalar = (m1 * m2).rational * math.comb(p, j) * (-1) ** j * coeff
-        z_key = key[:n]
-        result[z_key] = result.get(z_key, Fraction(0)) + scalar
+    for j in range(max(0, p - n), min(n, p) + 1):
+        weight = math.comb(p, j) * (-1) ** (p + j) * moment[p - j] * moment[j]
+        product = elementary_symmetric(n, n - p + j) * elementary_symmetric(n, n - j)
+        for key, coeff in product.terms.items():
+            result[key] = result.get(key, Fraction(0)) + weight * coeff
     return ScaledPoly.from_rational_terms(n, result, 2)
 
 

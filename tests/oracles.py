@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from typing import Callable
 
 Terms = dict[tuple[int, ...], int]
 
@@ -107,6 +108,71 @@ def condensate_closed_form(
                 key = tuple(x + y for x, y in zip(ka, kb))
                 out[key] += prefactor * term_sign
     return {k: c for k, c in out.items() if c}
+
+
+def condensate_by_expansion(
+    n: int, p: int, alpha: Fraction = Fraction(1, 3)
+) -> dict[tuple[int, ...], Fraction]:
+    """Two-quasihole condensate integral by full expansion, sans pi^2.
+
+    Multiplies prod_i (xi1 - z_i)(xi2 - z_i) out one linear factor at a time
+    as a polynomial in z_1..z_N, xi1, xi2, expands (xi1* - xi2*)^p term by
+    term, and integrates every xi-monomial against every binomial term with
+    the diagonal Gaussian moment pi a! alpha^{-(a+1)}.  No elementary
+    symmetric polynomial appears.
+    """
+    alpha = Fraction(alpha)
+
+    def moment(a: int, b: int) -> Fraction:
+        return Fraction(math.factorial(a)) / alpha ** (a + 1) if a == b else Fraction(0)
+
+    holo: dict[tuple[int, ...], int] = {(0,) * (n + 2): 1}
+    for i in range(n):
+        for xi in (n, n + 1):
+            nxt: defaultdict[tuple[int, ...], int] = defaultdict(int)
+            for key, coeff in holo.items():
+                up_xi = list(key)
+                up_xi[xi] += 1
+                nxt[tuple(up_xi)] += coeff
+                up_z = list(key)
+                up_z[i] += 1
+                nxt[tuple(up_z)] -= coeff
+            holo = {key: c for key, c in nxt.items() if c}
+    out: defaultdict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    for key, coeff in holo.items():
+        for j in range(p + 1):
+            weight = moment(key[n], p - j) * moment(key[n + 1], j)
+            out[key[:n]] += math.comb(p, j) * (-1) ** j * coeff * weight
+    return {k: c for k, c in out.items() if c}
+
+
+def _shift_determinants(
+    terms: Terms, step: int, weight: Callable[[tuple[int, ...], int], int]
+) -> Terms:
+    """Sum over j of weight(lam, j) a_{lam + step e_j}, dropping repeats.
+
+    A strictly decreasing lam stays strictly decreasing under a unit shift
+    of one entry unless the shift repeats an entry, so no determinant needs
+    re-sorting and no sign changes.
+    """
+    out: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for lam, coeff in terms.items():
+        for j in range(len(lam)):
+            moved = lam[:j] + (lam[j] + step,) + lam[j + 1 :]
+            if len(set(moved)) < len(moved):
+                continue
+            out[moved] += weight(lam, j) * coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def lowering(terms: Terms) -> Terms:
+    """L^- = sum_i d/dz_i on a determinant expansion: a_lam -> sum_j lam_j a_{lam-e_j}."""
+    return _shift_determinants(terms, -1, lambda lam, j: lam[j])
+
+
+def raising(terms: Terms, n_phi: int) -> Terms:
+    """L^+ = sum_i (z_i^2 d/dz_i - n_phi z_i): a_lam -> sum_j (lam_j - n_phi) a_{lam+e_j}."""
+    return _shift_determinants(terms, 1, lambda lam, j: lam[j] - n_phi)
 
 
 def density_by_partial_trace(v) -> list[list[float]]:

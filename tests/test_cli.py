@@ -315,9 +315,9 @@ class TestJobs:
         assert "jobs" in err
 
 
-def test_cli_import_does_not_load_scipy():
+def _loaded_by_cli_import(module: str) -> bool:
     package_root = Path(fqhent.__file__).resolve().parent.parent
-    probe = "import sys, fqhent.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, fqhent.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -325,4 +325,13 @@ def test_cli_import_does_not_load_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # the process pool is imported only when a sweep starts one
+    assert not _loaded_by_cli_import("multiprocessing")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 
 import pytest
@@ -85,7 +86,7 @@ class TestEvaluateAndSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(figures, "ProcessPoolExecutor", StubExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
         monkeypatch.setattr(figures.os, "cpu_count", lambda: cpus)
         requests = [("laughlin", 2, 1)] * n_requests
         points = figures.sweep(requests, jobs=jobs)

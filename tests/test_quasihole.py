@@ -76,6 +76,18 @@ class TestCondense:
         if not out.is_zero:
             assert out.scale.pi_power == 2
 
+    def test_builds_no_polynomial_in_the_quasihole_coordinates(self, monkeypatch):
+        widths = []
+        init = MultiPoly.__init__
+
+        def recording_init(self, nvars, terms=()):
+            widths.append(nvars)
+            init(self, nvars, terms)
+
+        monkeypatch.setattr(MultiPoly, "__init__", recording_init)
+        condense(CondensateKernel(4, 2))
+        assert widths and max(widths) == 4
+
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (3, 4), (4, 6)])
     def test_output_is_symmetric(self, n, p):
         poly = condense(CondensateKernel(n, p)).poly
@@ -86,14 +98,15 @@ class TestCondense:
         poly = condense(CondensateKernel(n, p)).poly
         assert poly.degrees() == {2 * n - p}
 
-    def test_general_alpha_scales_only_the_prefactor(self):
-        default = condense(CondensateKernel(2, 2))
-        other = condense(CondensateKernel(2, 2, alpha=Fraction(1, 2)))
-        assert other.poly == default.poly
-        assert other.scale == PiScalar(Fraction(-32), 2)
-        assert dict(
-            (k, other.scale.rational * c) for k, c in other.poly.terms.items()
-        ) == oracles.condensate_closed_form(2, 2, alpha=Fraction(1, 2))
+    @pytest.mark.parametrize(
+        "n,p", [(n, p) for n in range(1, 6) for p in range(2 * n + 3)]
+    )
+    def test_matches_full_expansion_oracle(self, n, p):
+        out = condense(CondensateKernel(n, p))
+        got = {
+            key: out.scale.rational * coeff for key, coeff in out.poly.terms.items()
+        }
+        assert got == oracles.condensate_by_expansion(n, p)
 
 
 class TestVanishes:
@@ -144,5 +157,3 @@ class TestKernelValidation:
             CondensateKernel(0, 2)
         with pytest.raises(ValueError):
             CondensateKernel(2, -1)
-        with pytest.raises(ValueError):
-            CondensateKernel(2, 2, alpha=Fraction(0))

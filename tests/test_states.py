@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from fqhent import (
     KMatrix,
     MultiPoly,
@@ -200,6 +201,28 @@ class TestFamilyExpansion:
             family_expansion("laughlin", 2, 4)
         with pytest.raises(ZeroWavefunctionError):
             family_expansion("chi", 2, 7)
+
+
+class TestLaughlinInvariants:
+    """Translation invariance, L^- = 0, and sphere highest weight, L^+ = 0."""
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in (2, 3, 4) for m in ODD_M] + [(5, m) for m in (1, 3, 5)]
+    )
+    def test_laughlin_is_annihilated(self, n, m):
+        terms = dict(family_expansion("laughlin", n, m).terms)
+        assert oracles.lowering(terms) == {}
+        assert oracles.raising(terms, m * (n - 1)) == {}
+
+    def test_perturbed_coefficient_breaks_both(self):
+        terms = dict(family_expansion("laughlin", 5, 5).terms)
+        terms[max(terms)] += 1
+        assert oracles.lowering(terms)
+        assert oracles.raising(terms, 5 * 4)
+
+    @pytest.mark.parametrize("family", ["hierarchical_phi", "chi"])
+    def test_condensate_states_are_not_translation_invariant(self, family):
+        assert oracles.lowering(dict(family_expansion(family, 3, 3).terms))
 
 
 def _brute_force_bound(n: int, degree: int, largest: int) -> int:
