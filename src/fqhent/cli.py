@@ -8,11 +8,11 @@ Subcommands:
   verify    run the self-verification suite (fast or full)
 
 Exit codes: 0 success, 1 verification failure, 2 zero wavefunction,
-64 usage error.  Options resolve as flags > config file > defaults; the
-config file is flat ``key = value`` text with ``#`` comments.  A config
-key must name an option of some subcommand; keys of other subcommands are
-ignored, and values are checked with the running subcommand's flag type
-and choices.
+64 usage error or unwritable ``--out``.  Options resolve as flags > config
+file > defaults; the config file is flat ``key = value`` text with ``#``
+comments.  A config key must name an option of some subcommand; keys of
+other subcommands are ignored, and values are checked with the running
+subcommand's flag type and choices.
 """
 
 from __future__ import annotations
@@ -133,7 +133,10 @@ def _convert(option: argparse.Action, raw: str) -> Any:
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, newline="\n")
+    try:
+        Path(path).write_text(text, newline="\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 # -- subcommands -----------------------------------------------------------

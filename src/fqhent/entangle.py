@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .lll import Amplitude, FockConfig, FockVector
+from .lll import Amplitude, FockConfig, FockVector, amplitude_product
 
 Entry = Fraction | float
 
@@ -92,21 +92,24 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
     Configurations are therefore grouped by hole and paired only within a
     group.  In a homogeneous state two configurations sharing a hole would
     differ in total angular momentum, so no group has two members and rho
-    comes out exactly diagonal.
+    comes out exactly diagonal.  Everything is summed in the state's integer
+    weights; each diagonal entry takes one division, by N times their total.
     """
-    n = v.n_particles
-    holes: dict[FockConfig, list[tuple[int, int, Amplitude]]] = {}
-    for config, amp in v.terms.items():
+    n, total = v.n_particles, v.total
+    occupied = [0] * v.dim
+    holes: dict[FockConfig, list[tuple[int, int]]] = {}
+    for config, weight in v.weights.items():
         for i, mode in enumerate(config):
+            occupied[mode] += abs(weight)
             hole = config[:i] + config[i + 1 :]
-            holes.setdefault(hole, []).append((mode, -1 if i % 2 else 1, amp))
+            holes.setdefault(hole, []).append((mode, -weight if i % 2 else weight))
     sums: dict[tuple[int, int], Entry] = {}
     for group in holes.values():
-        for k, (mu, sign_mu, amp_mu) in enumerate(group):
-            for nu, sign_nu, amp_nu in group[k + 1 :]:
+        for k, (mu, w_mu) in enumerate(group):
+            for nu, w_nu in group[k + 1 :]:
                 key = (mu, nu) if mu < nu else (nu, mu)
-                sums[key] = sums.get(key, 0) + sign_mu * sign_nu * amp_mu.product(amp_nu)
-    diag = tuple(p / n for p in v.occupations().values())
+                sums[key] = sums.get(key, 0) + amplitude_product(w_mu, w_nu, total)
+    diag = tuple(Fraction(s, n * total) for s in occupied)
     return OneBodyDensityMatrix(
         v.dim, diag, {key: e / n for key, e in sums.items() if e != 0}
     )
@@ -233,8 +236,8 @@ class SlaterPairing:
 
 def _pairing_matrix(v: FockVector) -> np.ndarray:
     w = np.zeros((v.dim, v.dim))
-    for (a, b), amp in v.terms.items():
-        w[a, b] = amp.as_float / 2
+    for (a, b), weight in v.weights.items():
+        w[a, b] = math.copysign(math.sqrt(abs(weight) / v.total), weight) / 2
         w[b, a] = -w[a, b]
     return w
 
@@ -250,7 +253,8 @@ def slater_pairing(v: FockVector) -> SlaterPairing:
     """
     if v.n_particles != 2:
         raise NotTwoFermionError(f"pairing requires N=2, got N={v.n_particles}")
-    configs = sorted(v.terms)
+    weights = v.weights
+    configs = sorted(weights)
     seen: set[int] = set()
     disjoint = True
     for a, b in configs:
@@ -260,8 +264,7 @@ def slater_pairing(v: FockVector) -> SlaterPairing:
         seen.update((a, b))
     if disjoint:
         pairs = tuple(
-            (a, b, math.sqrt(float(v.terms[(a, b)].magnitude_sq)))
-            for a, b in configs
+            (a, b, math.sqrt(abs(weights[(a, b)]) / v.total)) for a, b in configs
         )
         return SlaterPairing(pairs, v.dim - 2 * len(pairs), "orbital")
     # The singular values of a real antisymmetric matrix come in equal pairs
@@ -286,22 +289,12 @@ def schliemann_eta(v: FockVector) -> float:
         raise NotTwoFermionError(f"eta requires N=2, got N={v.n_particles}")
     if v.dim != 4:
         raise DimensionNotFourError(f"eta requires dim=4, got dim={v.dim}")
-
-    def amp(a: int, b: int) -> Amplitude | None:
-        return v.terms.get((a, b))
-
-    pfaffian_terms: list[Fraction | float] = []
-    for (a, b), (c, d), sign in (
-        ((0, 1), (2, 3), 1),
-        ((0, 2), (1, 3), -1),
-        ((0, 3), (1, 2), 1),
-    ):
-        first, second = amp(a, b), amp(c, d)
-        if first is None or second is None:
-            continue
-        pfaffian_terms.append(sign * first.product(second))
-    if not pfaffian_terms:
-        return 0.0
+    weights = v.weights
+    pfaffian_terms = [
+        sign * amplitude_product(weights[first], weights[second], v.total)
+        for first, second, sign in (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1))
+        if first in weights and second in weights
+    ]
     exact = [p for p in pfaffian_terms if isinstance(p, Fraction)]
     inexact = [p for p in pfaffian_terms if not isinstance(p, Fraction)]
     total = float(sum(exact, Fraction(0))) + sum(inexact)

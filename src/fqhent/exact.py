@@ -60,13 +60,3 @@ class PiScalar:
             return f"-{pi}"
         return f"{self.rational}*{pi}"
 
-
-def sqrt_exact(value: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None when irrational."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None

@@ -4,10 +4,11 @@ In symmetric gauge the lowest-Landau-level orbitals are
 f_i(z) = A_i z^i e^{−|z|²/4} with A_i = 1/sqrt(pi 2^{i+1} i!).  An
 antisymmetric polynomial written in the monomial-determinant basis therefore
 becomes a sum over occupation configurations once each determinant is scaled
-by the orbital normalizations.  Amplitudes are kept as a sign plus an exact
-rational squared magnitude; every coefficient in this package is real, so no
-other phase can occur.  The shared factor pi^{N/2} cancels in normalization
-and is dropped uniformly.
+by the orbital normalizations.  A state is kept as one signed integer
+weight per configuration, its squared amplitude up to a single shared
+total; every coefficient in this package is real, so no other phase can
+occur.  The shared factor pi^{N/2} cancels in normalization and is dropped
+uniformly.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from .exact import PiScalar, sqrt_exact
+from .exact import PiScalar
 from .poly import SlaterExpansion
 
 FockConfig = tuple[int, ...]
@@ -58,57 +59,74 @@ class Amplitude:
     def as_float(self) -> float:
         return self.sign * math.sqrt(float(self.magnitude_sq))
 
-    def product(self, other: "Amplitude") -> Fraction | float:
-        """Signed product of two amplitudes, exact whenever the square root is.
 
-        Returns a Fraction when magnitude_sq * other.magnitude_sq is a perfect
-        rational square (always the case for states built from rational
-        amplitudes), otherwise a float.
-        """
-        product_sq = self.magnitude_sq * other.magnitude_sq
-        sign = self.sign * other.sign
-        root = sqrt_exact(product_sq)
-        if root is not None:
-            return sign * root
-        return sign * math.sqrt(float(product_sq))
+def amplitude_product(w: int, x: int, total: int) -> Fraction | float:
+    """Product sign(w x) sqrt(|w x|) / total of the amplitudes with weights w and x.
+
+    A Fraction when |w x| is a perfect square (always the case for states
+    built from rational amplitudes), otherwise a float.
+    """
+    magnitude = abs(w * x)
+    sign = 1 if (w < 0) == (x < 0) else -1
+    root = math.isqrt(magnitude)
+    if root * root == magnitude:
+        return Fraction(sign * root, total)
+    return sign * math.sqrt(magnitude / (total * total))
+
+
+def _cleared(terms: Mapping[FockConfig, tuple[int, Fraction]]) -> tuple[dict, int]:
+    """Signed squared magnitudes times the lcm of their denominators, and that lcm."""
+    lcm = math.lcm(*(mag.denominator for _, mag in terms.values()))
+    return {c: s * mag.numerator * (lcm // mag.denominator) for c, (s, mag) in terms.items()}, lcm
 
 
 class FockVector:
     """A normalized N-fermion state over dim lowest-Landau-level orbitals.
 
-    terms maps each occupied configuration (strictly increasing orbital
-    tuple) to its Amplitude; squared magnitudes sum to 1 as an exact rational
-    identity.
+    Each occupied configuration c (a strictly increasing orbital tuple)
+    carries a signed integer weight w_c, the weights sharing no common
+    factor; its amplitude is sign(w_c) sqrt(|w_c| / total), where total is
+    the sum of the |w_c|.  terms and items() show the same exact values as
+    Amplitudes.
     """
 
-    __slots__ = ("_n_particles", "_dim", "_terms")
+    __slots__ = ("_n_particles", "_dim", "_weights", "_total")
 
     def __init__(
         self, n_particles: int, dim: int, terms: Mapping[FockConfig, Amplitude]
     ) -> None:
+        weights, denom = _cleared({c: (a.sign, a.magnitude_sq) for c, a in terms.items()})
+        total = sum(map(abs, weights.values()))
+        if total != denom:
+            raise ValueError(f"squared magnitudes sum to {Fraction(total, denom)}, not 1")
+        self._store(n_particles, dim, weights)
+
+    @classmethod
+    def _from_weights(cls, n_particles: int, dim: int, weights: Mapping[FockConfig, int]):
+        state = cls.__new__(cls)
+        state._store(n_particles, dim, weights)
+        return state
+
+    def _store(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
         if n_particles < 1:
             raise ValueError("need at least one particle")
         if dim < n_particles:
             raise ValueError("dim must be at least the particle count")
-        store: dict[FockConfig, Amplitude] = {}
-        total = Fraction(0)
-        for config, amp in terms.items():
-            config = tuple(config)
+        for config in weights:
             if len(config) != n_particles:
                 raise ValueError(f"config {config} does not have {n_particles} orbitals")
             if any(config[i] >= config[i + 1] for i in range(len(config) - 1)):
                 raise ValueError(f"config {config} is not strictly increasing")
             if config[0] < 0 or config[-1] >= dim:
                 raise ValueError(f"config {config} has orbitals outside 0..{dim - 1}")
-            if amp.magnitude_sq == 0:
-                continue
-            store[config] = amp
-            total += amp.magnitude_sq
-        if total != 1:
-            raise ValueError(f"squared magnitudes sum to {total}, not 1")
+        common = math.gcd(*weights.values())
+        if common == 0:
+            raise ZeroStateError("all squared magnitudes are zero")
+        store = {tuple(c): w // common for c, w in weights.items() if w}
         object.__setattr__(self, "_n_particles", n_particles)
         object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_terms", store)
+        object.__setattr__(self, "_weights", store)
+        object.__setattr__(self, "_total", sum(map(abs, store.values())))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FockVector is immutable")
@@ -120,19 +138,11 @@ class FockVector:
         dim: int,
         terms: Mapping[FockConfig, tuple[int, Fraction]],
     ) -> "FockVector":
-        """Normalize a map config -> (sign, squared magnitude) exactly."""
-        total = sum((Fraction(mag) for _, mag in terms.values()), Fraction(0))
-        if total == 0:
-            raise ZeroStateError("all squared magnitudes are zero")
-        return cls(
-            n_particles,
-            dim,
-            {
-                config: Amplitude(sign, Fraction(mag) / total)
-                for config, (sign, mag) in terms.items()
-                if mag
-            },
-        )
+        """Normalize a map config -> (sign, int or Fraction squared magnitude) exactly."""
+        for config, (sign, mag) in terms.items():
+            if sign not in (1, -1) or not isinstance(mag, (int, Fraction)) or mag < 0:
+                raise ValueError(f"config {config}: need sign +1 or -1, int or Fraction >= 0")
+        return cls._from_weights(n_particles, dim, _cleared(terms)[0])
 
     @classmethod
     def from_rational_amplitudes(
@@ -157,40 +167,51 @@ class FockVector:
         return self._dim
 
     @property
+    def weights(self) -> Mapping[FockConfig, int]:
+        """Signed integer weight of each occupied configuration, gcd-reduced."""
+        return MappingProxyType(self._weights)
+
+    @property
+    def total(self) -> int:
+        """Sum of the absolute weights: |w_c| / total is the squared amplitude."""
+        return self._total
+
+    @property
     def terms(self) -> Mapping[FockConfig, Amplitude]:
-        return MappingProxyType(self._terms)
+        return MappingProxyType({
+            c: Amplitude(1 if w > 0 else -1, Fraction(abs(w), self._total))
+            for c, w in self._weights.items()
+        })
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._weights)
 
     def items(self) -> Iterator[tuple[FockConfig, Amplitude]]:
         """Terms in canonical (ascending lexicographic) config order."""
-        for config in sorted(self._terms):
-            yield config, self._terms[config]
+        return iter(sorted(self.terms.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return (
-            self._n_particles == other._n_particles
-            and self._dim == other._dim
-            and self._terms == other._terms
+        return (self._n_particles, self._dim, self._weights) == (
+            other._n_particles, other._dim, other._weights
         )
 
     def __hash__(self) -> int:
-        return hash((self._n_particles, self._dim, frozenset(self._terms.items())))
+        return hash((self._n_particles, self._dim, frozenset(self._weights.items())))
 
     def is_homogeneous(self) -> bool:
         """True iff every config carries the same total angular momentum."""
-        return len({sum(config) for config in self._terms}) <= 1
+        return len({sum(config) for config in self._weights}) <= 1
 
     def occupations(self) -> dict[int, Fraction]:
         """Mean occupation number of each orbital, exactly; values sum to N."""
-        out: dict[int, Fraction] = {mode: Fraction(0) for mode in range(self._dim)}
-        for config, amp in self._terms.items():
+        sums = [0] * self._dim
+        for config, weight in self._weights.items():
+            weight = abs(weight)
             for mode in config:
-                out[mode] += amp.magnitude_sq
-        return out
+                sums[mode] += weight
+        return {mode: Fraction(s, self._total) for mode, s in enumerate(sums)}
 
     def __repr__(self) -> str:
         body = {c: (a.sign, a.magnitude_sq) for c, a in self.items()}
@@ -204,37 +225,32 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
     the configuration mu = reversed(lam) with unnormalized amplitude
     c_lam * sigma * sqrt(prod_j 2^{mu_j+1} mu_j!), where sigma is the parity
     of the sorting reversal (a global sign, kept for convention fidelity) and
-    the pi^{N/2} common to all terms has been dropped.
+    the pi^{N/2} common to all terms has been dropped.  Its integer weight is
+    that amplitude's sign times its square, c_lam^2 prod_j 2^{mu_j+1} mu_j!.
     """
     if expansion.is_zero:
         raise ZeroStateError("zero polynomial has no Fock expansion")
     n = expansion.nvars
     reversal_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    unnorm: dict[FockConfig, tuple[int, Fraction]] = {}
+    weights: dict[FockConfig, int] = {}
     max_orbital = n - 1
     for lam, coeff in expansion.terms.items():
         config = tuple(reversed(lam))
-        weight = 1
+        weight = coeff * coeff
         for mu in config:
             weight *= 2 ** (mu + 1) * math.factorial(mu)
-        sign = reversal_sign * (1 if coeff > 0 else -1)
-        unnorm[config] = (sign, Fraction(coeff * coeff * weight))
+        weights[config] = weight if reversal_sign * coeff > 0 else -weight
         max_orbital = max(max_orbital, lam[0])
-    return FockVector.from_unnormalized(n, max_orbital + 1, unnorm)
+    return FockVector._from_weights(n, max_orbital + 1, weights)
 
 
 def amplitude_pattern(v: FockVector) -> list[tuple[FockConfig, int]]:
-    """Squared-amplitude ratios cleared to smallest integers.
+    """Squared-amplitude ratios as smallest integers: the absolute weights.
 
     Configurations appear in canonical ascending order; the integer ratios
     share no common factor.
     """
-    configs = sorted(v.terms)
-    mags = [v.terms[c].magnitude_sq for c in configs]
-    denom_lcm = math.lcm(*(m.denominator for m in mags))
-    ints = [m.numerator * (denom_lcm // m.denominator) for m in mags]
-    common = math.gcd(*ints)
-    return [(c, i // common) for c, i in zip(configs, ints)]
+    return sorted((config, abs(w)) for config, w in v.weights.items())
 
 
 def slater_coefficient_magnitudes(

@@ -50,7 +50,7 @@ MAX_ORBITALS = 512
 orbital mu by the exact integer 2^(mu+1) mu!, whose size grows with mu, so
 this bounds its cost where the determinant limit does not: at N = 2 a state
 has only (m + 1) / 2 determinants but m + 1 orbitals, and to_fock alone
-takes about 0.8 s at m = 2001 and 5 s at m = 4001 (Python 3.11, 2-core VM)."""
+takes about 0.45 s at m = 2001 and 3 s at m = 4001 (Python 3.11, 2-core VM)."""
 
 # name -> (Vandermonde power, condensate exponent p or None), each as a
 # function of m.  The condensate factor multiplies the Vandermonde power.

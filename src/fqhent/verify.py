@@ -24,7 +24,7 @@ from .entangle import (
     two_qubit_consistency,
 )
 from .exact import PiScalar
-from .lll import slater_coefficient_magnitudes
+from .lll import amplitude_pattern, slater_coefficient_magnitudes
 from .poly import MultiPoly, slater_project, vandermonde_power
 from .quasihole import CondensateKernel, condense, vanishes
 from .states import (
@@ -59,15 +59,9 @@ def check_binomial_amplitude_pattern(m_max: int) -> CheckResult:
     """laughlin(2,m) squared amplitudes are C(m,k)/2^(m-1) on configs {k, m-k}."""
     for m in range(1, m_max + 1, 2):
         state = laughlin(2, m)
-        expected = {
-            (k, m - k): Fraction(math.comb(m, k), 2 ** (m - 1))
-            for k in range((m - 1) // 2 + 1)
-        }
-        got = {c: a.magnitude_sq for c, a in state.terms.items()}
-        if got != expected:
-            return _result(
-                "binomial-amplitude-pattern", False, f"mismatch at m={m}: {got}"
-            )
+        expected = [((k, m - k), math.comb(m, k)) for k in range((m - 1) // 2 + 1)]
+        if amplitude_pattern(state) != expected or state.total != 2 ** (m - 1):
+            return _result("binomial-amplitude-pattern", False, f"mismatch at m={m}: {state!r}")
     return _result(
         "binomial-amplitude-pattern",
         True,
@@ -135,7 +129,7 @@ def check_laughlin_root_dominance(n_values: tuple[int, ...], m_max: int) -> Chec
         for m in range(1, m_max + 1, 2):
             root = tuple(range((n - 1) * m, -1, -m))
             root_sums = list(itertools.accumulate(root))
-            configs = laughlin(n, m).terms
+            configs = laughlin(n, m).weights
             if root[::-1] not in configs:
                 return _result(
                     "laughlin-root-dominance", False, f"root {root} absent at N={n}, m={m}"

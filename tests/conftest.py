@@ -82,12 +82,14 @@ def dim4_two_fermion_states(draw):
 
 
 @st.composite
-def irrational_mixed_states(draw, max_particles: int = 3, max_dim: int = 6):
-    """Non-homogeneous states whose squared magnitudes are random integers.
+def unnormalized_terms(
+    draw, max_particles: int = 3, max_dim: int = 6, max_denominator: int = 1
+):
+    """(N, dim, {config: (sign, squared magnitude)}) of a non-homogeneous state.
 
-    Amplitude products are then mostly irrational, so the density matrix is
-    built from float products; configurations carry at least two distinct
-    total angular momenta.
+    Squared magnitudes are random positive rationals, integers by default,
+    so amplitude products are mostly irrational; configurations carry at
+    least two distinct total angular momenta.
     """
     n = draw(st.integers(2, max_particles))
     dim = draw(st.integers(n + 1, max_dim))
@@ -102,7 +104,21 @@ def irrational_mixed_states(draw, max_particles: int = 3, max_dim: int = 6):
         ).filter(lambda cs: len({sum(c) for c in cs}) > 1)
     )
     terms = {
-        c: (draw(st.sampled_from((1, -1))), Fraction(draw(st.integers(1, 20))))
+        c: (
+            draw(st.sampled_from((1, -1))),
+            Fraction(draw(st.integers(1, 20)), draw(st.integers(1, max_denominator))),
+        )
         for c in configs
     }
-    return FockVector.from_unnormalized(n, dim, terms)
+    return n, dim, terms
+
+
+def irrational_mixed_states(max_particles: int = 3, max_dim: int = 6):
+    """Non-homogeneous states whose squared magnitudes are random integers.
+
+    Amplitude products are then mostly irrational, so the density matrix is
+    built from float products.
+    """
+    return unnormalized_terms(max_particles, max_dim).map(
+        lambda args: FockVector.from_unnormalized(*args)
+    )

@@ -199,6 +199,20 @@ def density_by_partial_trace(v) -> list[list[float]]:
     return rho
 
 
+def occupations_from_unnormalized(dim: int, terms) -> list[Fraction]:
+    """Occupation of each orbital, in Fractions, from {config: (sign, squared magnitude)}.
+
+    Each configuration's squared magnitude is normalised on its own and
+    added to every orbital it occupies; no integer weights are involved.
+    """
+    total = sum((Fraction(mag) for _, mag in terms.values()), Fraction(0))
+    out = [Fraction(0)] * dim
+    for config, (_, mag) in terms.items():
+        for mode in config:
+            out[mode] += Fraction(mag) / total
+    return out
+
+
 def entropy_of(probabilities) -> float:
     """Shannon entropy in nats with 0 ln 0 = 0."""
     total = 0.0

@@ -158,6 +158,17 @@ class TestTable:
         )
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_unwritable_out_exit_64(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "table", "--family", "laughlin", "--n", "2", "--m-max", "3",
+            "--out", str(target),
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestFigure:
     def test_writes_csv_and_svg(self, capsys, tmp_path):
@@ -192,6 +203,14 @@ class TestFigure:
         assert code == EXIT_OK
         assert (tmp_path / "fig2.csv").exists()
         assert not (tmp_path / "fig2.svg").exists()
+
+    def test_unwritable_out_exit_64(self, capsys, tmp_path):
+        base = tmp_path / "missing" / "f"
+        code, out, err = run(capsys, "figure", "1", "--m-max", "3", "--out", str(base))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot write {base}.csv")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_invalid_id(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import slater_expansions
+import oracles
+from conftest import slater_expansions, unnormalized_terms
 from fqhent import (
     Amplitude,
     FockVector,
@@ -18,12 +19,14 @@ from fqhent import (
     ZeroStateError,
     amplitude_pattern,
     laughlin,
+    one_body_density,
     orbital_norm_sq,
     slater_coefficient_magnitudes,
     slater_project,
     to_fock,
     vandermonde_power,
 )
+from fqhent.lll import amplitude_product
 
 
 class TestOrbitalNorm:
@@ -48,15 +51,14 @@ class TestAmplitude:
             Amplitude(1, Fraction(-1, 2))
 
     def test_product_exact_when_square(self):
-        a = Amplitude(1, Fraction(1, 4))
-        b = Amplitude(-1, Fraction(9, 4))
-        assert a.product(b) == Fraction(-3, 4)
-        assert isinstance(a.product(b), Fraction)
+        # amplitudes +sqrt(1/4) and -sqrt(9/4) as weights over the total 4
+        got = amplitude_product(1, -9, 4)
+        assert got == Fraction(-3, 4)
+        assert isinstance(got, Fraction)
 
     def test_product_float_fallback(self):
-        a = Amplitude(1, Fraction(1, 2))
-        b = Amplitude(1, Fraction(1, 1))
-        got = a.product(b)
+        # amplitudes sqrt(1/2) and sqrt(1) as weights over the total 2
+        got = amplitude_product(1, 2, 2)
         assert isinstance(got, float)
         assert got == pytest.approx(math.sqrt(0.5))
 
@@ -141,12 +143,53 @@ class TestFockVectorValidation:
         with pytest.raises(ZeroStateError):
             FockVector.from_rational_amplitudes(2, 4, {(0, 1): Fraction(0)})
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(0, 1): (1, Fraction(-1))},
+            {(0, 1): (1, -1), (2, 3): (1, -3)},
+            {(0, 1): (1, 2), (2, 3): (1, -3)},
+            {(0, 1): (0, 1), (2, 3): (1, 1)},
+            {(0, 1): (2, 1)},
+            {(0, 1): (-2, 1), (2, 3): (1, 1)},
+            {(0, 1): (1, 0.5), (2, 3): (1, 1)},
+        ],
+    )
+    def test_from_unnormalized_rejects_bad_signs_and_magnitudes(self, terms):
+        with pytest.raises(ValueError, match="sign|negative"):
+            FockVector.from_unnormalized(2, 4, terms)
+
+    def test_weights_and_total(self):
+        v = FockVector.from_unnormalized(2, 4, {(0, 1): (1, 6), (2, 3): (-1, Fraction(9))})
+        assert dict(v.weights) == {(0, 1): 2, (2, 3): -3}
+        assert v.total == 5
+        assert v.terms[(2, 3)] == Amplitude(-1, Fraction(3, 5))
+
     def test_occupations_sum_to_n(self):
         v = laughlin(2, 5)
         occ = v.occupations()
         assert sum(occ.values()) == 2
         assert occ[0] == Fraction(1, 16)
         assert occ[2] == Fraction(10, 16)
+
+
+class TestIntegerWeights:
+    @given(unnormalized_terms(max_particles=4, max_dim=7, max_denominator=6))
+    @settings(max_examples=80, deadline=None)
+    def test_occupations_and_density_diagonal_match_fractions(self, args):
+        n, dim, terms = args
+        v = FockVector.from_unnormalized(n, dim, terms)
+        expected = oracles.occupations_from_unnormalized(dim, terms)
+        assert list(v.occupations().values()) == expected
+        assert one_body_density(v).diag == tuple(p / n for p in expected)
+        assert FockVector(n, dim, v.terms) == v
+
+    @given(slater_expansions())
+    @settings(max_examples=50, deadline=None)
+    def test_terms_rebuild_the_state(self, expansion):
+        v = to_fock(expansion)
+        assert FockVector(v.n_particles, v.dim, v.terms) == v
+        assert sum(map(abs, v.weights.values())) == v.total
 
 
 class TestAmplitudePattern:
