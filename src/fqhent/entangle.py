@@ -61,12 +61,15 @@ class OneBodyDensityMatrix:
         for (mu, nu), entry in self.off_diagonal.items():
             if not 0 <= mu < nu < self.dim or entry == 0:
                 raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
-        trace = sum(self.diag)
-        if isinstance(trace, Fraction):
-            if trace != 1:
-                raise ValueError(f"trace is {trace}, not 1")
-        elif abs(trace - 1.0) > 1e-9:
-            raise ValueError(f"trace is {trace}, not 1")
+        if all(isinstance(p, (int, Fraction)) for p in self.diag):
+            # over one common denominator: dim Fraction additions would each
+            # reduce a growing fraction
+            common = math.lcm(*(p.denominator for p in self.diag))
+            numerator = sum(p.numerator * (common // p.denominator) for p in self.diag)
+            if numerator != common:
+                raise ValueError(f"trace is {Fraction(numerator, common)}, not 1")
+        elif abs(sum(self.diag) - 1.0) > 1e-9:
+            raise ValueError(f"trace is {sum(self.diag)}, not 1")
 
     def diagonal(self) -> tuple[Entry, ...]:
         return self.diag

@@ -10,10 +10,13 @@ Antisymmetric polynomials admit a second exact representation: a sum of
 monomial determinants det(z_i^{lam_j}) over strictly decreasing exponent
 tuples lam_1 > lam_2 > ... > lam_N >= 0.  :func:`slater_project` converts to
 that basis and :meth:`SlaterExpansion.expand` converts back, both losslessly.
-:meth:`SlaterExpansion.times_symmetric` multiplies by a symmetric polynomial
-without leaving the basis, so an antisymmetric product a_delta * S can be
-built one determinant at a time, never holding the N!-fold redundant
-expansion that :func:`slater_project` starts from.
+:func:`vandermonde_expansion` builds prod (z_j - z_k)^m in that basis by the
+squeezing (Jack) recursion, never holding the N!-fold redundant expansion
+that :func:`slater_project` starts from, and
+:meth:`SlaterExpansion.times_elementary` multiplies by an elementary
+symmetric polynomial by the Pieri rule.  :meth:`SlaterExpansion.times_symmetric`
+multiplies by any symmetric polynomial without leaving the basis; it is the
+general route the two fast ones are checked against.
 """
 
 from __future__ import annotations
@@ -391,6 +394,35 @@ class SlaterExpansion:
             out[key] = out.get(key, 0) + coeff
         return SlaterExpansion(n, out)
 
+    def times_elementary(self, r: int) -> "SlaterExpansion":
+        """The product with e_r(z_1 .. z_N), by the Pieri rule.
+
+        det(z_i^{lam_j}) * e_r is the sum of det(z_i^{(lam + 1_S)_j}) over the
+        r-subsets S of positions (Macdonald, ch. I).  Adding one to some
+        entries of a strictly decreasing lam leaves it non-increasing, so no
+        sign ever changes; a result with a repeated entry drops out.
+
+        The entry at position i collides exactly when i is in S, i - 1 is
+        not, and lam_{i-1} = lam_i + 1.  With S and those adjacent positions
+        as bit sets over positions, that is a nonzero S & ~(S << 1) & adjacent.
+        """
+        n = self._nvars
+        if not 0 <= r <= n:
+            raise ValueError(f"r={r} out of range 0..{n}")
+        steps = []  # (positions that can collide, the 0/1 step added to lam)
+        for chosen in itertools.combinations(range(n), r):
+            bits = sum(1 << i for i in chosen)
+            steps.append((bits & ~(bits << 1), tuple(int(i in chosen) for i in range(n))))
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for lam, coeff in self._terms.items():
+            adjacent = sum(1 << i for i in range(1, n) if lam[i - 1] == lam[i] + 1)
+            for leading, step in steps:
+                if not leading & adjacent:
+                    key = tuple(map(operator.add, lam, step))
+                    out[key] = get(key, 0) + coeff
+        return SlaterExpansion(n, out)
+
     def __repr__(self) -> str:
         return f"SlaterExpansion({self._nvars}, {dict(self.items())!r})"
 
@@ -413,6 +445,123 @@ def vandermonde_power(nvars: int, power: int) -> MultiPoly:
         for k in range(j + 1, nvars):
             result = result * _pair_power(nvars, j, k, power)
     return result
+
+
+def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
+    """slater_project(vandermonde_power(nvars, power)) for odd power, by squeezing.
+
+    prod_{j<k} (z_j - z_k)^m = a_delta * prod (z_j - z_k)^(m-1) is the
+    antisymmetric Jack polynomial of root lam0 = ((N-1)m, ..., m, 0) at
+    alpha = -2/(m-1) (Bernevig & Haldane, PRL 100, 246802 (2008); Thomale,
+    Estienne, Regnault & Bernevig, PRB 84, 045127 (2011)).  With k = m - 1
+    and rho(lam) = sum_i lam_i (lam_i - 1 + k i), i counted from 0 in
+    descending order, c_lam0 = 1 and every strictly decreasing mu that lam0
+    dominates, visited in lexicographically descending order, has
+
+        (rho(lam0) - rho(mu)) c_mu = -k sum_{i<j, l>=1} s(theta) (theta_i - theta_j) c_theta
+
+    where theta is mu with mu_i + l and mu_j - l, s(theta) the sign of
+    sorting it descending, and a theta with a repeated entry drops out.
+    Every theta dominates mu, so its coefficient is already known, and the
+    sort sign counts the occupied orbitals the two moved entries pass over.
+    Only theta that lam0 dominates can have a coefficient, which bounds l.
+    The mirror image of mu, (top - mu_{N-1}, ..., top - mu_0) with
+    top = (N-1)m, has the same coefficient: z_i -> 1/z_i, times
+    prod_i z_i^top, maps the state to (-1)^(m N(N-1)/2) times itself and
+    a_mu to (-1)^(N(N-1)/2) a_mirror, and m is odd.  So a mu whose mirror
+    was visited before it copies that coefficient.
+
+    Coefficients are keyed by sum_i 3^mu_i, which is unique like a bit
+    mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61 orbitals.
+    Everything stays an exact integer; a division that leaves a remainder,
+    or by zero, raises ArithmeticError.
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    if power < 1 or power % 2 == 0:
+        raise ValueError(f"power must be a positive odd integer, got {power}")
+    root = tuple(range((nvars - 1) * power, -1, -power))
+    k = power - 1
+    top = root[0]
+
+    def rho(lam: Exponents) -> int:
+        return sum(x * (x - 1 + k * i) for i, x in enumerate(lam))
+
+    rho_root = rho(root)
+    bounds = list(itertools.accumulate(root))
+    digit = [3**x for x in range(top + 1)]
+    coeffs: dict[int, int] = {}
+    get = coeffs.get
+    out: dict[Exponents, int] = {}
+    for mu in _dominated(root):
+        key = sum(digit[x] for x in mu)
+        if mu == root:
+            coeffs[key] = out[mu] = 1
+            continue
+        mirror = tuple(top - x for x in reversed(mu))
+        if mirror > mu:
+            c = get(sum(digit[x] for x in mirror))
+            if c:
+                coeffs[key] = out[mu] = c
+            continue
+        # theta adds l to the sums of its largest t + 1 entries for i <= t < j,
+        # so it is dominated only if l is at most each of those slacks
+        slack = [r - s for r, s in zip(bounds, itertools.accumulate(mu))]
+        occupied = bytearray(top + 1)
+        for x in mu:
+            occupied[x] = 1
+        total = 0
+        for i in range(nvars - 1):
+            a = mu[i]
+            room = top - a
+            for j in range(i + 1, nvars):
+                room = min(room, slack[j - 1])
+                b = mu[j]
+                base = key - digit[a] - digit[b]
+                passed = 0  # occupied orbitals strictly inside (a, a + l) and (b - l, b)
+                for l in range(1, min(room, b) + 1):
+                    up, down = occupied[a + l], occupied[b - l]
+                    if not (up or down):
+                        c = get(base + digit[a + l] + digit[b - l])
+                        if c:
+                            c *= a - b + 2 * l
+                            total += -c if passed & 1 else c
+                    passed += up + down
+        denominator = rho_root - rho(mu)
+        if not denominator:
+            raise ArithmeticError(f"squeezing recursion has a zero denominator at {mu}")
+        coeff, remainder = divmod(-k * total, denominator)
+        if remainder:
+            raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
+        if coeff:
+            coeffs[key] = out[mu] = coeff
+    return SlaterExpansion(nvars, out)
+
+
+def _dominated(root: Exponents) -> Iterator[Exponents]:
+    """Strictly decreasing tuples that root dominates, lexicographically descending.
+
+    mu is dominated when it has root's sum and each partial sum of mu,
+    read from the largest entry, is at most root's.
+    """
+    n = len(root)
+    bounds = list(itertools.accumulate(root))
+    prefix = [0] * n
+
+    def extend(i: int, below: int, partial: int) -> Iterator[Exponents]:
+        if i == n:
+            yield tuple(prefix)
+            return
+        rest = bounds[-1] - partial  # sum of the n - i entries still to choose
+        left = n - i - 1
+        # the other `left` entries are distinct and below x, at least 0 .. left - 1
+        highest = min(below - 1, bounds[i] - partial, rest - left * (left - 1) // 2)
+        lowest = -(-(rest + left * (left + 1) // 2) // (left + 1))
+        for x in range(highest, lowest - 1, -1):
+            prefix[i] = x
+            yield from extend(i + 1, x, partial + x)
+
+    return extend(0, bounds[0] + 1, 0)
 
 
 def _pair_power(nvars: int, j: int, k: int, power: int) -> MultiPoly:

@@ -135,6 +135,28 @@ def condense(kernel: CondensateKernel) -> ScaledPoly:
     return ScaledPoly.from_rational_terms(n, result, 2)
 
 
+def condensate_terms(kernel: CondensateKernel) -> tuple[tuple[int, int, int], ...]:
+    """condense(kernel).poly as integer terms (w, r, s), meaning sum w e_r(z) e_s(z).
+
+    C(p, j) M(p−j) M(j) = p! α^{−(p+2)} for every j, so the integral is
+    π² (−1)^p p! α^{−(p+2)} Σ_j (−1)^j e_{N−p+j} e_{N−j}.  For even p its
+    lexicographically largest monomial, the squares of N − p/2 variables,
+    comes only from j = p/2, with coefficient (−1)^{p/2}; condense's
+    primitive polynomial with positive leading term is therefore
+    Σ_j (−1)^{j−p/2} e_{N−p+j} e_{N−j}.  The terms j and p − j are the same
+    product, so j < p/2 is returned once with weight 2(−1)^{j−p/2}.  Empty
+    when the integral vanishes.
+    """
+    n, p = kernel.n_electrons, kernel.p
+    if vanishes(n, p):
+        return ()
+    half = p // 2
+    return tuple(
+        ((1 if j == half else 2) * (-1) ** (j + half), n - p + j, n - j)
+        for j in range(max(0, p - n), half + 1)
+    )
+
+
 def vanishes(n_electrons: int, p: int) -> bool:
     """True iff the condensate integral is identically zero.
 

@@ -7,15 +7,15 @@ turned into a normalized lowest-Landau-level Fock vector:
   hierarchical_phi  Vandermonde^m times the p=2 quasihole condensate
   chi               Vandermonde^1 times the p=m-1 quasihole condensate
 
-Every family is a_delta * S: the Vandermonde determinant a_delta, with
-delta = (N-1, ..., 1, 0), times a symmetric S made of t = (power - 1) / 2
-factors of Vandermonde^2 and, for two of the families, the condensate.  The
-constructors build the state directly in the determinant basis
-(:func:`family_expansion`), one symmetric factor at a time.  The full
-polynomial (:func:`family_polynomial`) followed by
-:func:`fqhent.poly.slater_project` gives the same expansion with N! times as
-many terms; it is kept as the independent route that tests and
-``verify`` compare against.
+The constructors build each state directly in the determinant basis
+(:func:`family_expansion`), with no polynomial multiplication.  The
+Vandermonde power comes from the exact integer squeezing (Jack) recursion
+from its root ((N-1)m, ..., m, 0), and the condensate, a sum of products
+e_r e_s of elementary symmetric polynomials, is multiplied in by Pieri
+steps.  Two slower routes are kept as independent checks for tests and
+``verify``: the full polynomial (:func:`family_polynomial`) followed by
+:func:`fqhent.poly.slater_project`, which holds N! times as many terms, and
+:meth:`fqhent.poly.SlaterExpansion.times_symmetric` by the expanded factors.
 
 The condensate scalar prefactor is discarded before multiplication since
 every entanglement quantity is invariant under global scaling; the verify
@@ -35,13 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lll import FockVector, to_fock
-from .poly import MultiPoly, SlaterExpansion, vandermonde_power
-from .quasihole import CondensateKernel, condense, vanishes
+from .poly import Exponents, MultiPoly, SlaterExpansion, vandermonde_expansion, vandermonde_power
+from .quasihole import CondensateKernel, condensate_terms, condense, vanishes
 
-MAX_ELECTRONS = 5
+MAX_ELECTRONS = 7
 """Upper limit on N for family constructors; guards combinatorial blowup."""
 
-MAX_DETERMINANTS = 10_000
+MAX_DETERMINANTS = 40_000
 """Upper limit on the candidate determinants of a family state (see
 :func:`determinant_bound`); bounds the size of a construction for every m."""
 
@@ -158,21 +158,23 @@ def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
 def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
     """A family wavefunction built directly in the determinant basis.
 
-    Starts from the single determinant a_delta (the Vandermonde), multiplies
-    once by the condensate polynomial when the family has one, then
-    (power - 1) / 2 times by Vandermonde^2.  Equal, term for term, to
-    slater_project(family_polynomial(family, n_electrons, m)); raises as
-    that does.
+    The Vandermonde power comes from the squeezing recursion
+    (:func:`fqhent.poly.vandermonde_expansion`) and the condensate, when the
+    family has one, from Pieri steps: its terms w e_r e_s
+    (:func:`fqhent.quasihole.condensate_terms`) are applied as two
+    :meth:`~fqhent.poly.SlaterExpansion.times_elementary` products each.
+    Equal, term for term, to slater_project(family_polynomial(family,
+    n_electrons, m)); raises as that does.
     """
     power, p = family_factors(family, n_electrons, m)
-    expansion = SlaterExpansion(n_electrons, {tuple(range(n_electrons - 1, -1, -1)): 1})
-    if p is not None:
-        expansion = expansion.times_symmetric(condense(CondensateKernel(n_electrons, p=p)).poly)
-    if power > 1:
-        square = vandermonde_power(n_electrons, 2)
-        for _ in range((power - 1) // 2):
-            expansion = expansion.times_symmetric(square)
-    return expansion
+    expansion = vandermonde_expansion(n_electrons, power)
+    if p is None:
+        return expansion
+    total: dict[Exponents, int] = {}
+    for weight, r, s in condensate_terms(CondensateKernel(n_electrons, p=p)):
+        for lam, coeff in expansion.times_elementary(r).times_elementary(s).terms.items():
+            total[lam] = total.get(lam, 0) + weight * coeff
+    return SlaterExpansion(n_electrons, total)
 
 
 def laughlin(n_electrons: int, m: int) -> FockVector:

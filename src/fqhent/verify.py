@@ -7,7 +7,10 @@ deliberately not asserted, such as the curve ordering between families) are
 marked info.  The fast level keeps m <= 9 and N <= 3; full extends to
 m <= 13 and N <= 4.  The family constructors build states directly in the
 determinant basis; basis-route-equivalence keeps the full-expansion route
-(family_polynomial, then slater_project) as their independent check.
+(family_polynomial, then slater_project) as their independent check, and
+laughlin-translation-highest-weight checks Laughlin states by two exact
+identities, at N <= 4 and, in full, up to N = 7 where that route is out of
+reach.
 """
 
 from __future__ import annotations
@@ -146,6 +149,44 @@ def check_laughlin_root_dominance(n_values: tuple[int, ...], m_max: int) -> Chec
         "laughlin-root-dominance",
         True,
         f"root present and dominating for N in {n_values}, odd m <= {m_max}",
+    )
+
+
+def check_laughlin_translation_highest_weight(points: list[tuple[int, int]]) -> CheckResult:
+    """L^- and L^+ annihilate laughlin(N, m), in exact integers.
+
+    In the determinant basis L^- = sum_i d/dz_i maps a_lam to
+    sum_i lam_i a_{lam - e_i} (translation invariance), and
+    L^+ = sum_i (z_i^2 d/dz_i - N_phi z_i), with N_phi = m(N-1), maps it to
+    sum_i (lam_i - N_phi) a_{lam + e_i} (highest weight on the sphere).
+    Moving one entry by one never passes a neighbour, so no sign arises; a
+    result with a repeated entry drops out.  Neither identity is used to
+    build the state, so this checks the construction where the
+    full-expansion route is out of reach.
+    """
+    for n, m in points:
+        terms = family_expansion("laughlin", n, m).terms
+        flux = m * (n - 1)
+        for step, offset in ((-1, 0), (1, flux)):
+            image: dict[tuple[int, ...], int] = {}
+            for lam, coeff in terms.items():
+                for i, x in enumerate(lam):
+                    moved = x + step
+                    if moved < 0 or moved in lam:
+                        continue
+                    key = lam[:i] + (moved,) + lam[i + 1 :]
+                    image[key] = image.get(key, 0) + (x - offset) * coeff
+            if any(image.values()):
+                name = "L-" if step < 0 else "L+"
+                return _result(
+                    "laughlin-translation-highest-weight",
+                    False,
+                    f"{name} does not annihilate laughlin N={n}, m={m}",
+                )
+    return _result(
+        "laughlin-translation-highest-weight",
+        True,
+        f"L- and L+ annihilate laughlin at {len(points)} points up to N={max(n for n, _ in points)}",
     )
 
 
@@ -353,14 +394,17 @@ def run_verification(level: str = "fast") -> list[CheckResult]:
         for n in (2, 3)
         for m in range(1, m_max + 1, 2)
     ]
+    ladder_points = [(n, m) for n in (2, 3, 4) for m in range(1, m_max + 1, 2)]
     if level == "full":
         route_points += [("laughlin", 4, m) for m in range(1, 8, 2)]
+        ladder_points += [(5, m) for m in range(1, 10, 2)] + [(6, 1), (6, 3), (6, 5), (7, 3)]
     return [
         check_binomial_amplitude_pattern(m_max),
         check_hierarchical_n2_lowest(),
         check_laughlin_n3_slater_coefficients(),
         check_basis_route_equivalence(route_points),
         check_laughlin_root_dominance(chi_ns, 9),
+        check_laughlin_translation_highest_weight(ladder_points),
         check_condensate_n2(),
         check_condensate_n3(),
         check_condensate_vanishing(cond_n_max),

@@ -84,7 +84,7 @@ class TestCompute:
         assert out == ""
 
     def test_table_over_determinant_budget_exit_64_before_computing(self, capsys):
-        # laughlin N=4 is refused from m = 25; m = 1..23 took about 37 s
+        # laughlin N=4 is refused from m = 39; m = 1..23 took about 37 s
         # when the sweep met the budget only at the first refused point
         start = time.perf_counter()
         code, out, err = run(
@@ -225,9 +225,26 @@ class TestVerify:
         assert "[PASS] condensate-n2" in out
         assert "[PASS] basis-route-equivalence" in out
         assert "[PASS] laughlin-root-dominance" in out
+        assert "[PASS] laughlin-translation-highest-weight" in out
         assert "[FAIL]" not in out
         assert "-162*pi^2" in out
         assert "0 failed" in out
+
+    def test_ladder_check_catches_a_perturbed_laughlin_state(self, monkeypatch):
+        from fqhent import verify
+
+        real = verify.family_expansion
+
+        def perturbed(family, n, m):
+            terms = dict(real(family, n, m).terms)
+            terms[min(terms)] += 1
+            return fqhent.SlaterExpansion(n, terms)
+
+        assert verify.check_laughlin_translation_highest_weight([(5, 5)]).status == "pass"
+        monkeypatch.setattr(verify, "family_expansion", perturbed)
+        result = verify.check_laughlin_translation_highest_weight([(3, 3), (5, 5)])
+        assert result.status == "fail"
+        assert "N=3, m=3" in result.detail
 
     def test_default_level_is_fast(self, capsys):
         code, out, _ = run(capsys, "verify")

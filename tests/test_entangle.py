@@ -119,6 +119,20 @@ class TestOneBodyDensity:
             [0.25, 0.5],
         ]
 
+    def test_trace_is_checked_exactly(self):
+        sixths = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+        assert OneBodyDensityMatrix(3, sixths).dim == 3
+        assert OneBodyDensityMatrix(2, (1, 0)).dim == 2
+        assert OneBodyDensityMatrix(2, (0.25, 0.75)).dim == 2
+        for diag in (
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)),
+            (Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**30)),
+            (1, 1),
+            (0.25, 0.5),
+        ):
+            with pytest.raises(ValueError, match="trace"):
+                OneBodyDensityMatrix(len(diag), diag)
+
     def test_irrational_mixed_state_is_symmetric(self):
         # float amplitude products once summed in different orders for
         # rho[mu][nu] and rho[nu][mu] and failed the symmetry check

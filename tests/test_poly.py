@@ -25,6 +25,7 @@ from fqhent import (
     slater_project,
     vandermonde_power,
 )
+from fqhent.poly import vandermonde_expansion
 
 
 def z(nvars: int, index: int) -> MultiPoly:
@@ -203,6 +204,26 @@ class TestVandermonde:
         assert p.degrees() == {power * nvars * (nvars - 1) // 2}
 
 
+class TestVandermondeExpansion:
+    """The squeezing recursion against the projection of the expanded power."""
+
+    @pytest.mark.parametrize(
+        "nvars,power",
+        [(n, m) for n in (1, 2, 3, 4) for m in (1, 3, 5, 7)]
+        + [(5, 3), (2, 101), (3, 41)],
+    )
+    def test_matches_projection_of_the_expanded_power(self, nvars, power):
+        # (3, 41) reaches orbital 82, past the 61 at which a bit mask's
+        # hash would start to repeat
+        expected = slater_project(vandermonde_power(nvars, power))
+        assert vandermonde_expansion(nvars, power) == expected
+
+    def test_rejects_bad_arguments(self):
+        for nvars, power in ((0, 3), (3, 0), (3, 2), (3, -1)):
+            with pytest.raises(ValueError):
+                vandermonde_expansion(nvars, power)
+
+
 class TestElementarySymmetric:
     def test_examples(self):
         assert elementary_symmetric(2, 2) == z(2, 0) * z(2, 1)
@@ -303,3 +324,24 @@ class TestTimesSymmetric:
     def test_rejects_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             SlaterExpansion(2, {(1, 0): 1}).times_symmetric(MultiPoly.one(3))
+
+
+class TestTimesElementary:
+    """The Pieri step against the general product with e_r."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_times_symmetric(self, data):
+        expansion = data.draw(slater_expansions(max_nvars=7, max_orbital=12))
+        r = data.draw(st.integers(0, expansion.nvars))
+        expected = expansion.times_symmetric(elementary_symmetric(expansion.nvars, r))
+        assert expansion.times_elementary(r) == expected
+
+    def test_collision_drops_out(self):
+        # (1, 0) * e_1: raising the 0 would repeat the 1
+        assert dict(SlaterExpansion(2, {(1, 0): 3}).times_elementary(1).terms) == {(2, 0): 3}
+
+    def test_rejects_r_out_of_range(self):
+        for r in (-1, 3):
+            with pytest.raises(ValueError):
+                SlaterExpansion(2, {(1, 0): 1}).times_elementary(r)

@@ -14,9 +14,11 @@ from fqhent import (
     PiScalar,
     ScaledPoly,
     condense,
+    elementary_symmetric,
     gaussian_moment,
     vanishes,
 )
+from fqhent.quasihole import condensate_terms
 
 THIRD = Fraction(1, 3)
 
@@ -107,6 +109,18 @@ class TestCondense:
             key: out.scale.rational * coeff for key, coeff in out.poly.terms.items()
         }
         assert got == oracles.condensate_by_expansion(n, p)
+
+
+class TestCondensateTerms:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reproduce_the_condensate_polynomial_exactly(self, n):
+        # same content and sign as condense, not just proportional to it
+        for p in range(2 * n + 3):
+            kernel = CondensateKernel(n, p)
+            poly = MultiPoly.zero(n)
+            for weight, r, s in condensate_terms(kernel):
+                poly = poly + weight * (elementary_symmetric(n, r) * elementary_symmetric(n, s))
+            assert poly == condense(kernel).poly, (n, p)
 
 
 class TestVanishes:

@@ -28,6 +28,7 @@ from fqhent import (
     vandermonde_power,
     vanishes,
 )
+from fqhent import SlaterExpansion, poly, states
 from fqhent.states import (
     MAX_DETERMINANTS,
     MAX_ORBITALS,
@@ -69,8 +70,8 @@ class TestLaughlin:
     def test_rejects_small_and_large_n(self):
         with pytest.raises(ValueError):
             laughlin(1, 3)
-        with pytest.raises(ValueError):
-            laughlin(6, 3)
+        with pytest.raises(ValueError, match="exceeds the supported limit 7"):
+            laughlin(8, 3)
 
 
 class TestHierarchicalPhi:
@@ -194,6 +195,33 @@ class TestFamilyExpansion:
             return
         assert family_expansion(family, n, m) == expected
 
+    @pytest.mark.parametrize("family,n,m", [("hierarchical_phi", 6, 3), ("chi", 7, 3)])
+    def test_matches_laughlin_times_condensate_past_n5(self, family, n, m):
+        # at N >= 6 the full expansion is out of reach: multiply the Laughlin
+        # part by the expanded condensate polynomial instead
+        power, p = family_factors(family, n, m)
+        expected = family_expansion("laughlin", n, power).times_symmetric(
+            condense(CondensateKernel(n, p)).poly
+        )
+        assert family_expansion(family, n, m) == expected
+
+    def test_builds_without_polynomial_products(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the polynomial route was used")
+
+        points = [("laughlin", 4, 7), ("hierarchical_phi", 4, 5), ("chi", 4, 7)]
+        monkeypatch.setattr(states, "vandermonde_power", refuse)
+        monkeypatch.setattr(states, "condense", refuse)
+        monkeypatch.setattr(poly, "vandermonde_power", refuse)
+        monkeypatch.setattr(SlaterExpansion, "times_symmetric", refuse)
+        monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+        built = [family_expansion(*point) for point in points]
+        for point in points:
+            states.FAMILIES[point[0]](*point[1:])
+        monkeypatch.undo()
+        for point, expansion in zip(points, built):
+            assert expansion == slater_project(family_polynomial(*point))
+
     def test_rejects_like_family_polynomial(self):
         with pytest.raises(ValueError):
             family_expansion("unknown", 2, 3)
@@ -207,7 +235,10 @@ class TestLaughlinInvariants:
     """Translation invariance, L^- = 0, and sphere highest weight, L^+ = 0."""
 
     @pytest.mark.parametrize(
-        "n,m", [(n, m) for n in (2, 3, 4) for m in ODD_M] + [(5, m) for m in (1, 3, 5)]
+        "n,m",
+        [(n, m) for n in (2, 3, 4) for m in ODD_M]
+        + [(5, m) for m in (1, 3, 5, 7, 9)]
+        + [(6, 1), (6, 3), (6, 5), (7, 1), (7, 3)],
     )
     def test_laughlin_is_annihilated(self, n, m):
         terms = dict(family_expansion("laughlin", n, m).terms)
@@ -266,11 +297,12 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 0.5
 
     def test_rejects_over_determinant_budget(self):
-        assert MAX_DETERMINANTS == 10_000
+        # laughlin(5, 15) has 60,459 candidate determinants
+        assert MAX_DETERMINANTS == 40_000
         with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
             family_expansion("laughlin", 4, 41)
         with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
-            family_polynomial("laughlin", 5, 11)
+            family_polynomial("laughlin", 5, 15)
 
     def test_rejects_over_orbital_budget(self):
         # N = 2 stays far below the determinant budget: (m + 1) / 2 determinants
@@ -278,6 +310,21 @@ class TestSizeLimits:
         assert len(family_expansion("laughlin", 2, 511)) == 256
         with pytest.raises(ValueError, match="MAX_ORBITALS"):
             laughlin(2, 513)
+
+    def test_limits_reach_n5_to_m13_and_n7_at_low_m(self):
+        for family, n, m in [
+            ("laughlin", 5, 13),
+            ("hierarchical_phi", 5, 13),
+            ("laughlin", 6, 7),
+            ("hierarchical_phi", 6, 5),
+            ("laughlin", 7, 3),
+            ("hierarchical_phi", 7, 3),
+            ("laughlin", 4, 37),
+        ]:
+            family_factors(family, n, m)
+        for family, n, m in [("laughlin", 5, 15), ("laughlin", 7, 5), ("laughlin", 4, 39)]:
+            with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+                family_factors(family, n, m)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_allows_every_point_in_use(self, family):
