@@ -16,7 +16,9 @@ from fqhent import CondensateKernel, condense, gaussian_moment, vanishes
 def main() -> None:
     print("== single-coordinate Gaussian moments, weight exp(-|xi|^2/3) ==")
     for a, b in ((0, 0), (1, 1), (2, 2), (2, 1)):
-        print(f"  a={a} b={b}: {gaussian_moment(a, b, Fraction(1, 3))}")
+        moment = gaussian_moment(a, b, Fraction(1, 3))  # the moment over pi
+        shown = f"{moment}*pi" if moment else "0"
+        print(f"  a={a} b={b}: {shown}")
 
     print("\n== the pair condensate for two and three electrons (p=2) ==")
     for n in (2, 3):

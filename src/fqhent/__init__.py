@@ -21,7 +21,6 @@ from .entangle import (
     two_qubit_consistency,
     von_neumann,
 )
-from .exact import PiScalar
 from .figures import (
     FigureSpec,
     evaluate_point,
@@ -82,7 +81,6 @@ __all__ = [
     "NotAntisymmetricError",
     "NotTwoFermionError",
     "OneBodyDensityMatrix",
-    "PiScalar",
     "ScaledPoly",
     "SlaterExpansion",
     "ZeroStateError",

@@ -19,7 +19,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exact import PiScalar
 from .poly import SlaterExpansion
 
 FockConfig = tuple[int, ...]
@@ -30,14 +29,14 @@ class ZeroStateError(ValueError):
     """A Fock vector was requested for the zero polynomial."""
 
 
-def orbital_norm_sq(i: int) -> PiScalar:
-    """Squared norm of z^i e^{−|z|²/4} over the plane: pi * 2^{i+1} * i!.
+def orbital_norm_sq(i: int) -> int:
+    """Squared norm of z^i e^{−|z|²/4} over the plane, over pi: 2^{i+1} * i!.
 
-    This is A_i^{−2} for the normalized orbital.
+    This is A_i^{−2} / pi for the normalized orbital.
     """
     if i < 0:
         raise ValueError("orbital index must be non-negative")
-    return PiScalar(Fraction(2 ** (i + 1) * math.factorial(i)), 1)
+    return 2 ** (i + 1) * math.factorial(i)
 
 
 @dataclass(frozen=True)
@@ -226,22 +225,22 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
     c_lam * sigma * sqrt(prod_j 2^{mu_j+1} mu_j!), where sigma is the parity
     of the sorting reversal (a global sign, kept for convention fidelity) and
     the pi^{N/2} common to all terms has been dropped.  Its integer weight is
-    that amplitude's sign times its square, c_lam^2 prod_j 2^{mu_j+1} mu_j!.
+    that amplitude's sign times its square, c_lam^2 prod_j orbital_norm_sq(mu_j).
     """
     if expansion.is_zero:
         raise ZeroStateError("zero polynomial has no Fock expansion")
     n = expansion.nvars
     reversal_sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    dim = 1 + max(lam[0] for lam in expansion.terms)
+    norm_sq = [orbital_norm_sq(mu) for mu in range(dim)]
     weights: dict[FockConfig, int] = {}
-    max_orbital = n - 1
     for lam, coeff in expansion.terms.items():
         config = tuple(reversed(lam))
         weight = coeff * coeff
         for mu in config:
-            weight *= 2 ** (mu + 1) * math.factorial(mu)
+            weight *= norm_sq[mu]
         weights[config] = weight if reversal_sign * coeff > 0 else -weight
-        max_orbital = max(max_orbital, lam[0])
-    return FockVector._from_weights(n, max_orbital + 1, weights)
+    return FockVector._from_weights(n, dim, weights)
 
 
 def amplitude_pattern(v: FockVector) -> list[tuple[FockConfig, int]]:

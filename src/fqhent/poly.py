@@ -297,6 +297,8 @@ class SlaterExpansion:
             if any(key[i] <= key[i + 1] for i in range(len(key) - 1)) or key[-1] < 0:
                 raise ValueError(f"{key} is not strictly decreasing and non-negative")
             coeff = operator.index(coeff)
+            if key in store:
+                coeff += store.pop(key)
             if coeff:
                 store[key] = coeff
         object.__setattr__(self, "_nvars", nvars)

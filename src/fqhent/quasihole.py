@@ -21,6 +21,10 @@ over max(0, p−N) ≤ j ≤ min(N, p): an exact symmetric polynomial in
 z_1..z_N times a rational multiple of π².  The zero polynomial is a
 legitimate outcome and is what makes some hierarchical construction
 attempts collapse.
+
+Every π here is a fixed power that cancels once a state is normalized, so
+no π is carried: gaussian_moment returns the moment over π and a
+ScaledPoly's scale is the integral over π².
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PiScalar
 from .poly import Exponents, MultiPoly, elementary_symmetric
 
 ALPHA = Fraction(1, 3)
@@ -56,19 +59,19 @@ class CondensateKernel:
 
 @dataclass(frozen=True)
 class ScaledPoly:
-    """An exact scalar times a primitive integer polynomial.
+    """π² times a rational scale times a primitive integer polynomial.
 
     The polynomial carries no common integer factor and its leading term in
     the canonical order has positive coefficient; the scale absorbs the
-    content, the sign, and the power of π.  The zero value is represented as
-    zero scale with the zero polynomial.
+    content and the sign, and the π² is implied.  The zero value is
+    represented as zero scale with the zero polynomial.
     """
 
-    scale: PiScalar
+    scale: Fraction
     poly: MultiPoly
 
     def __post_init__(self) -> None:
-        if self.scale.is_zero != self.poly.is_zero:
+        if (self.scale == 0) != self.poly.is_zero:
             raise ValueError("scale must be zero exactly when the polynomial is zero")
 
     @property
@@ -76,13 +79,11 @@ class ScaledPoly:
         return self.poly.is_zero
 
     @classmethod
-    def from_rational_terms(
-        cls, nvars: int, terms: dict[Exponents, Fraction], pi_power: int
-    ) -> "ScaledPoly":
+    def from_rational_terms(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "ScaledPoly":
         """Normalize a rational-coefficient term map into scale × primitive poly."""
         terms = {key: coeff for key, coeff in terms.items() if coeff}
         if not terms:
-            return cls(PiScalar(Fraction(0)), MultiPoly.zero(nvars))
+            return cls(Fraction(0), MultiPoly.zero(nvars))
         denom_lcm = math.lcm(*(coeff.denominator for coeff in terms.values()))
         numer_gcd = math.gcd(*(coeff.numerator for coeff in terms.values()))
         content = Fraction(numer_gcd, denom_lcm)
@@ -90,16 +91,16 @@ class ScaledPoly:
         if terms[leading] < 0:
             content = -content
         poly = MultiPoly(nvars, {key: int(coeff / content) for key, coeff in terms.items()})
-        return cls(PiScalar(content, pi_power), poly)
+        return cls(content, poly)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return f"{self.scale} * ({self.poly})"
+        return f"{self.scale}*pi^2 * ({self.poly})"
 
 
-def gaussian_moment(a: int, b: int, alpha: Fraction | int) -> PiScalar:
-    """Moment ∫ d²ξ ξ^a (ξ*)^b e^{−α|ξ|²}, exactly.
+def gaussian_moment(a: int, b: int, alpha: Fraction | int) -> Fraction:
+    """Moment ∫ d²ξ ξ^a (ξ*)^b e^{−α|ξ|²} over π, exactly.
 
     Angular integration kills every off-diagonal moment; on the diagonal the
     radial integral gives π · a! · α^{−(a+1)}.
@@ -110,8 +111,8 @@ def gaussian_moment(a: int, b: int, alpha: Fraction | int) -> PiScalar:
     if alpha <= 0:
         raise ValueError("Gaussian width must be positive")
     if a != b:
-        return PiScalar(Fraction(0))
-    return PiScalar(Fraction(math.factorial(a)) * alpha ** (-(a + 1)), 1)
+        return Fraction(0)
+    return math.factorial(a) * alpha ** (-(a + 1))
 
 
 def condense(kernel: CondensateKernel) -> ScaledPoly:
@@ -121,18 +122,18 @@ def condense(kernel: CondensateKernel) -> ScaledPoly:
     only ξ₁^{p−j} ξ₂^j from the j-th binomial term of (ξ₁*−ξ₂*)^p, the
     result is Σ_j weight_j · e_{N−p+j}(z) · e_{N−j}(z) over
     max(0, p−N) ≤ j ≤ min(N, p), with weight_j = C(p, j) (−1)^{p+j}
-    M(p−j) M(j) and M(k) the rational part of gaussian_moment(k, k, ALPHA).
-    Every term carries π·π, so the scale has π power 2 (or is exactly zero).
+    M(p−j) M(j) and M(k) = gaussian_moment(k, k, ALPHA), the moment over π.
+    Every term carries π·π, which the scale leaves implied.
     """
     n, p = kernel.n_electrons, kernel.p
-    moment = [gaussian_moment(k, k, ALPHA).rational for k in range(min(n, p) + 1)]
+    moment = [gaussian_moment(k, k, ALPHA) for k in range(min(n, p) + 1)]
     result: dict[Exponents, Fraction] = {}
     for j in range(max(0, p - n), min(n, p) + 1):
         weight = math.comb(p, j) * (-1) ** (p + j) * moment[p - j] * moment[j]
         product = elementary_symmetric(n, n - p + j) * elementary_symmetric(n, n - j)
         for key, coeff in product.terms.items():
             result[key] = result.get(key, Fraction(0)) + weight * coeff
-    return ScaledPoly.from_rational_terms(n, result, 2)
+    return ScaledPoly.from_rational_terms(n, result)
 
 
 def condensate_terms(kernel: CondensateKernel) -> tuple[tuple[int, int, int], ...]:

@@ -31,6 +31,7 @@ with ValueError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,10 +48,11 @@ MAX_DETERMINANTS = 40_000
 
 MAX_ORBITALS = 512
 """Upper limit on the orbitals a family state can occupy.  to_fock weighs
-orbital mu by the exact integer 2^(mu+1) mu!, whose size grows with mu, so
-this bounds its cost where the determinant limit does not: at N = 2 a state
-has only (m + 1) / 2 determinants but m + 1 orbitals, and to_fock alone
-takes about 0.45 s at m = 2001 and 3 s at m = 4001 (Python 3.11, 2-core VM)."""
+orbital mu by the exact integer orbital_norm_sq(mu) = 2^(mu+1) mu!, whose
+size grows with mu, so this bounds its cost where the determinant limit does
+not: at N = 2 a state has only (m + 1) / 2 determinants but m + 1 orbitals,
+and to_fock alone takes about 0.4 s at m = 2001 and 2.8 s at m = 4001
+(Python 3.11, 2-core VM)."""
 
 # name -> (Vandermonde power, condensate exponent p or None), each as a
 # function of m.  The condensate factor multiplies the Vandermonde power.
@@ -207,6 +209,13 @@ class KMatrix:
 
     def __post_init__(self) -> None:
         (a, b), (c, d) = self.entries
+        if len(self.charge) != 2:
+            raise ValueError(f"charge must have 2 entries, got {len(self.charge)}")
+        for value in (a, b, c, d, *self.charge):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"entries and charge must be integers, got {value!r}") from None
         if b != c:
             raise ValueError("matrix must be symmetric")
         if a * d - b * c == 0:

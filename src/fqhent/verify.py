@@ -26,7 +26,6 @@ from .entangle import (
     slater_pairing,
     two_qubit_consistency,
 )
-from .exact import PiScalar
 from .lll import amplitude_pattern, slater_coefficient_magnitudes
 from .poly import MultiPoly, slater_project, vandermonde_power
 from .quasihole import CondensateKernel, condense, vanishes
@@ -194,7 +193,7 @@ def check_condensate_n2() -> CheckResult:
     """condense(N=2, p=2) equals -162 pi^2 (z1^2 + z2^2)."""
     out = condense(CondensateKernel(2, 2))
     expected_poly = MultiPoly(2, {(2, 0): 1, (0, 2): 1})
-    expected_scale = PiScalar(Fraction(-162), 2)
+    expected_scale = Fraction(-162)
     ok = out.poly == expected_poly and out.scale == expected_scale
     return _result(
         "condensate-n2",

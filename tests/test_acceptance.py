@@ -15,7 +15,6 @@ from fqhent import (
     CondensateKernel,
     FockVector,
     MultiPoly,
-    PiScalar,
     ZeroWavefunctionError,
     chi,
     closed_form_sf_laughlin2,
@@ -135,8 +134,8 @@ def test_criterion_05_quasihole_integrals():
     ok = (
         two.poly == MultiPoly(2, {(2, 0): 1, (0, 2): 1})
         and three.poly == MultiPoly(3, {(2, 2, 0): 1, (2, 0, 2): 1, (0, 2, 2): 1})
-        and two.scale == PiScalar(Fraction(-162), 2)
-        and three.scale == PiScalar(Fraction(-162), 2)
+        and two.scale == Fraction(-162)
+        and three.scale == Fraction(-162)
     )
     _criterion(
         5,

@@ -265,6 +265,13 @@ class TestSlaterProjection:
         with pytest.raises(ValueError):
             SlaterExpansion(2, {(0, 1): 1})
 
+    def test_expansion_sums_repeated_tuples(self):
+        # as MultiPoly does: repeats add up and a zero sum drops out
+        assert SlaterExpansion(2, [((1, 0), 1), ((1, 0), -1)]).is_zero
+        pairs = [((2, 0), 2), ((1, 0), 5), ((2, 0), 3)]
+        assert dict(SlaterExpansion(2, pairs).terms) == {(2, 0): 5, (1, 0): 5}
+        assert dict(MultiPoly(2, pairs).terms) == {(2, 0): 5, (1, 0): 5}
+
     @given(slater_expansions())
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, expansion):

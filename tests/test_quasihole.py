@@ -11,7 +11,6 @@ import oracles
 from fqhent import (
     CondensateKernel,
     MultiPoly,
-    PiScalar,
     ScaledPoly,
     condense,
     elementary_symmetric,
@@ -25,18 +24,18 @@ THIRD = Fraction(1, 3)
 
 class TestGaussianMoment:
     def test_area(self):
-        assert gaussian_moment(0, 0, THIRD) == PiScalar(Fraction(3), 1)
+        assert gaussian_moment(0, 0, THIRD) == Fraction(3)
 
     def test_off_diagonal_vanishes(self):
-        assert gaussian_moment(1, 0, THIRD).is_zero
-        assert gaussian_moment(4, 2, THIRD).is_zero
+        assert gaussian_moment(1, 0, THIRD) == 0
+        assert gaussian_moment(4, 2, THIRD) == 0
 
     def test_diagonal_value(self):
-        # pi * 2! * 3^3
-        assert gaussian_moment(2, 2, THIRD) == PiScalar(Fraction(54), 1)
+        # pi * 2! * 3^3, returned over pi
+        assert gaussian_moment(2, 2, THIRD) == Fraction(54)
 
     def test_general_alpha(self):
-        assert gaussian_moment(1, 1, Fraction(1, 2)) == PiScalar(Fraction(4), 1)
+        assert gaussian_moment(1, 1, Fraction(1, 2)) == Fraction(4)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -49,34 +48,32 @@ class TestCondense:
     def test_two_electrons_pair_exponent_two(self):
         out = condense(CondensateKernel(2, 2))
         assert out.poly == MultiPoly(2, {(2, 0): 1, (0, 2): 1})
-        assert out.scale == PiScalar(Fraction(-162), 2)
+        assert out.scale == Fraction(-162)
 
     def test_three_electrons_pair_exponent_two(self):
         out = condense(CondensateKernel(3, 2))
         assert out.poly == MultiPoly(3, {(2, 2, 0): 1, (2, 0, 2): 1, (0, 2, 2): 1})
-        assert out.scale == PiScalar(Fraction(-162), 2)
+        assert out.scale == Fraction(-162)
 
     def test_boundary_overrun_is_zero(self):
         out = condense(CondensateKernel(2, 6))
         assert out.is_zero
-        assert out.scale.is_zero
+        assert out.scale == 0
 
     def test_zero_pair_exponent_is_squared_product(self):
         # p=0 gives 9 pi^2 (z1 z2 ... zN)^2
         out = condense(CondensateKernel(4, 0))
         assert out.poly == MultiPoly(4, {(2, 2, 2, 2): 1})
-        assert out.scale == PiScalar(Fraction(9), 2)
+        assert out.scale == Fraction(9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", range(11))
     def test_matches_closed_form_oracle(self, n, p):
         out = condense(CondensateKernel(n, p))
         got = {
-            key: out.scale.rational * coeff for key, coeff in out.poly.terms.items()
+            key: out.scale * coeff for key, coeff in out.poly.terms.items()
         }
         assert got == oracles.condensate_closed_form(n, p)
-        if not out.is_zero:
-            assert out.scale.pi_power == 2
 
     def test_builds_no_polynomial_in_the_quasihole_coordinates(self, monkeypatch):
         widths = []
@@ -106,7 +103,7 @@ class TestCondense:
     def test_matches_full_expansion_oracle(self, n, p):
         out = condense(CondensateKernel(n, p))
         got = {
-            key: out.scale.rational * coeff for key, coeff in out.poly.terms.items()
+            key: out.scale * coeff for key, coeff in out.poly.terms.items()
         }
         assert got == oracles.condensate_by_expansion(n, p)
 
@@ -145,12 +142,12 @@ class TestVanishes:
 class TestScaledPoly:
     def test_normalization_extracts_content_and_sign(self):
         terms = {(2, 0): Fraction(-4, 3), (0, 2): Fraction(-8, 3)}
-        sp = ScaledPoly.from_rational_terms(2, terms, 2)
+        sp = ScaledPoly.from_rational_terms(2, terms)
         assert sp.poly == MultiPoly(2, {(2, 0): 1, (0, 2): 2})
-        assert sp.scale == PiScalar(Fraction(-4, 3), 2)
+        assert sp.scale == Fraction(-4, 3)
 
     def test_zero(self):
-        sp = ScaledPoly.from_rational_terms(2, {}, 2)
+        sp = ScaledPoly.from_rational_terms(2, {})
         assert sp.is_zero
         assert str(sp) == "0"
 
@@ -160,9 +157,9 @@ class TestScaledPoly:
 
     def test_rejects_inconsistent_zero(self):
         with pytest.raises(ValueError):
-            ScaledPoly(PiScalar(Fraction(0)), MultiPoly(2, {(1, 0): 1}))
+            ScaledPoly(Fraction(0), MultiPoly(2, {(1, 0): 1}))
         with pytest.raises(ValueError):
-            ScaledPoly(PiScalar(Fraction(1), 2), MultiPoly.zero(2))
+            ScaledPoly(Fraction(1), MultiPoly.zero(2))
 
 
 class TestKernelValidation:

@@ -109,7 +109,7 @@ class TestHierarchicalPhi:
     def test_scalar_prefactor_is_discarded(self):
         # whatever the condensate scale, the normalized state is unchanged
         cond = condense(CondensateKernel(2, 2))
-        assert cond.scale.rational != 1
+        assert cond.scale != 1
         v = hierarchical_phi(2, 1)
         assert sum(a.magnitude_sq for _, a in v.items()) == 1
 
@@ -368,3 +368,16 @@ class TestKMatrix:
             KMatrix(((1, 2), (3, 1)))
         with pytest.raises(ValueError):
             KMatrix(((1, 1), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "entries,charge",
+        [
+            (((1.5, 1), (1, 2)), (1, 0)),
+            (((2, 1), (1, 3)), (1, Fraction(1, 2))),
+            (((2, 1), (1, 3)), (1,)),
+            (((2, 1), (1, 3)), (1, 0, 0)),
+        ],
+    )
+    def test_rejects_non_integer_entries_and_bad_charge(self, entries, charge):
+        with pytest.raises(ValueError):
+            KMatrix(entries, charge=charge)
