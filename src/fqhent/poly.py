@@ -11,12 +11,10 @@ monomial determinants det(z_i^{lam_j}) over strictly decreasing exponent
 tuples lam_1 > lam_2 > ... > lam_N >= 0.  :func:`slater_project` converts to
 that basis and :meth:`SlaterExpansion.expand` converts back, both losslessly.
 :func:`vandermonde_expansion` builds prod (z_j - z_k)^m in that basis by the
-squeezing (Jack) recursion, never holding the N!-fold redundant expansion
-that :func:`slater_project` starts from, and
-:meth:`SlaterExpansion.times_elementary` multiplies by an elementary
-symmetric polynomial by the Pieri rule.  :meth:`SlaterExpansion.times_symmetric`
-multiplies by any symmetric polynomial without leaving the basis; it is the
-general route the two fast ones are checked against.
+squeezing (Jack) recursion, at O(N^2) work per determinant and never
+holding the N!-fold redundant expansion that :func:`slater_project` starts
+from.  :meth:`SlaterExpansion.times_symmetric` multiplies by any symmetric
+polynomial without leaving the basis.
 """
 
 from __future__ import annotations
@@ -304,6 +302,14 @@ class SlaterExpansion:
         object.__setattr__(self, "_nvars", nvars)
         object.__setattr__(self, "_terms", store)
 
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict[Exponents, int]) -> "SlaterExpansion":
+        """Adopt terms this module built: strictly decreasing keys, nonzero coefficients."""
+        expansion = cls.__new__(cls)
+        object.__setattr__(expansion, "_nvars", nvars)
+        object.__setattr__(expansion, "_terms", terms)
+        return expansion
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SlaterExpansion is immutable")
 
@@ -394,36 +400,7 @@ class SlaterExpansion:
             if sum(alpha[i] < alpha[j] for i, j in pairs) % 2:
                 coeff = -coeff
             out[key] = out.get(key, 0) + coeff
-        return SlaterExpansion(n, out)
-
-    def times_elementary(self, r: int) -> "SlaterExpansion":
-        """The product with e_r(z_1 .. z_N), by the Pieri rule.
-
-        det(z_i^{lam_j}) * e_r is the sum of det(z_i^{(lam + 1_S)_j}) over the
-        r-subsets S of positions (Macdonald, ch. I).  Adding one to some
-        entries of a strictly decreasing lam leaves it non-increasing, so no
-        sign ever changes; a result with a repeated entry drops out.
-
-        The entry at position i collides exactly when i is in S, i - 1 is
-        not, and lam_{i-1} = lam_i + 1.  With S and those adjacent positions
-        as bit sets over positions, that is a nonzero S & ~(S << 1) & adjacent.
-        """
-        n = self._nvars
-        if not 0 <= r <= n:
-            raise ValueError(f"r={r} out of range 0..{n}")
-        steps = []  # (positions that can collide, the 0/1 step added to lam)
-        for chosen in itertools.combinations(range(n), r):
-            bits = sum(1 << i for i in chosen)
-            steps.append((bits & ~(bits << 1), tuple(int(i in chosen) for i in range(n))))
-        out: dict[Exponents, int] = {}
-        get = out.get
-        for lam, coeff in self._terms.items():
-            adjacent = sum(1 << i for i in range(1, n) if lam[i - 1] == lam[i] + 1)
-            for leading, step in steps:
-                if not leading & adjacent:
-                    key = tuple(map(operator.add, lam, step))
-                    out[key] = get(key, 0) + coeff
-        return SlaterExpansion(n, out)
+        return SlaterExpansion._from_terms(n, {key: c for key, c in out.items() if c})
 
     def __repr__(self) -> str:
         return f"SlaterExpansion({self._nvars}, {dict(self.items())!r})"
@@ -464,9 +441,20 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
 
     where theta is mu with mu_i + l and mu_j - l, s(theta) the sign of
     sorting it descending, and a theta with a repeated entry drops out.
-    Every theta dominates mu, so its coefficient is already known, and the
-    sort sign counts the occupied orbitals the two moved entries pass over.
-    Only theta that lam0 dominates can have a coefficient, which bounds l.
+
+    The sum over l is kept as running pair sums.  With a = mu_i, b = mu_j
+    and R the rest of mu, every theta is R with two entries x > y added,
+    x + y = a + b and x - y > a - b, and its sort sign is
+    (-1)^(j-i-1) (-1)^(q-p-1) for x, y at positions p < q of sorted theta.
+    So the l sum is (-1)^(j-i-1) A[R, a+b], where A[R, s] adds up
+    (-1)^(q-p-1) (theta_p - theta_q) c_theta over every theta visited so
+    far and each of its pairs p < q that sums to s and leaves R.  A wider
+    pair with the same R and s makes a lexicographically larger theta,
+    visited before mu, and a narrower one a smaller theta, visited after
+    it; so A[R, a+b] is exactly the l sum when mu is reached, and once c_mu
+    is known mu adds its own N(N-1)/2 pairs to A.  That is O(N^2) work per
+    determinant, whatever m.
+
     The mirror image of mu, (top - mu_{N-1}, ..., top - mu_0) with
     top = (N-1)m, has the same coefficient: z_i -> 1/z_i, times
     prod_i z_i^top, maps the state to (-1)^(m N(N-1)/2) times itself and
@@ -475,8 +463,9 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
 
     Coefficients are keyed by sum_i 3^mu_i, which is unique like a bit
     mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61 orbitals.
-    Everything stays an exact integer; a division that leaves a remainder,
-    or by zero, raises ArithmeticError.
+    A[R, s] is keyed by R's digits plus s 3^(top+1).  Everything stays an
+    exact integer; a division that leaves a remainder, or by zero, raises
+    ArithmeticError.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
@@ -490,54 +479,42 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
         return sum(x * (x - 1 + k * i) for i, x in enumerate(lam))
 
     rho_root = rho(root)
-    bounds = list(itertools.accumulate(root))
     digit = [3**x for x in range(top + 1)]
+    shift = [s * 3 ** (top + 1) for s in range(2 * top)]
+    # (i, j, parity of j - i - 1) for every position pair
+    pairs = [(i, j, (j - i - 1) & 1) for i, j in itertools.combinations(range(nvars), 2)]
     coeffs: dict[int, int] = {}
-    get = coeffs.get
+    sums: dict[int, int] = {}
     out: dict[Exponents, int] = {}
     for mu in _dominated(root):
         key = sum(digit[x] for x in mu)
-        if mu == root:
-            coeffs[key] = out[mu] = 1
-            continue
+        classes = [
+            (key - digit[mu[i]] - digit[mu[j]] + shift[mu[i] + mu[j]], mu[i] - mu[j], odd)
+            for i, j, odd in pairs
+        ]
         mirror = tuple(top - x for x in reversed(mu))
-        if mirror > mu:
-            c = get(sum(digit[x] for x in mirror))
-            if c:
-                coeffs[key] = out[mu] = c
-            continue
-        # theta adds l to the sums of its largest t + 1 entries for i <= t < j,
-        # so it is dominated only if l is at most each of those slacks
-        slack = [r - s for r, s in zip(bounds, itertools.accumulate(mu))]
-        occupied = bytearray(top + 1)
-        for x in mu:
-            occupied[x] = 1
-        total = 0
-        for i in range(nvars - 1):
-            a = mu[i]
-            room = top - a
-            for j in range(i + 1, nvars):
-                room = min(room, slack[j - 1])
-                b = mu[j]
-                base = key - digit[a] - digit[b]
-                passed = 0  # occupied orbitals strictly inside (a, a + l) and (b - l, b)
-                for l in range(1, min(room, b) + 1):
-                    up, down = occupied[a + l], occupied[b - l]
-                    if not (up or down):
-                        c = get(base + digit[a + l] + digit[b - l])
-                        if c:
-                            c *= a - b + 2 * l
-                            total += -c if passed & 1 else c
-                    passed += up + down
-        denominator = rho_root - rho(mu)
-        if not denominator:
-            raise ArithmeticError(f"squeezing recursion has a zero denominator at {mu}")
-        coeff, remainder = divmod(-k * total, denominator)
-        if remainder:
-            raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
+        if mu == root:
+            coeff = 1
+        elif mirror > mu:
+            coeff = coeffs.get(sum(digit[x] for x in mirror), 0)
+        else:
+            total = 0
+            for pair_key, _, odd in classes:
+                partial = sums.get(pair_key)
+                if partial:
+                    total += -partial if odd else partial
+            denominator = rho_root - rho(mu)
+            if not denominator:
+                raise ArithmeticError(f"squeezing recursion has a zero denominator at {mu}")
+            coeff, remainder = divmod(-k * total, denominator)
+            if remainder:
+                raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
         if coeff:
             coeffs[key] = out[mu] = coeff
-    return SlaterExpansion(nvars, out)
+            for pair_key, width, odd in classes:
+                term = width * coeff
+                sums[pair_key] = sums.get(pair_key, 0) + (-term if odd else term)
+    return SlaterExpansion._from_terms(nvars, out)
 
 
 def _dominated(root: Exponents) -> Iterator[Exponents]:

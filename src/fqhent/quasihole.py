@@ -20,7 +20,10 @@ keeps only ξ₁^{p−j} ξ₂^j from the j-th binomial term, so that
 over max(0, p−N) ≤ j ≤ min(N, p): an exact symmetric polynomial in
 z_1..z_N times a rational multiple of π².  The zero polynomial is a
 legitimate outcome and is what makes some hierarchical construction
-attempts collapse.
+attempts collapse.  Up to its scalar, a nonzero I(z) is the single
+symmetric polynomial e_{N−p/2}(z_1², …, z_N²) (condensate_factor), which is
+what the state constructors multiply by; condense stays the independent
+route that checks it.
 
 Every π here is a fixed power that cancels once a state is normalized, so
 no π is carried: gaussian_moment returns the moment over π and a
@@ -136,26 +139,22 @@ def condense(kernel: CondensateKernel) -> ScaledPoly:
     return ScaledPoly.from_rational_terms(n, result)
 
 
-def condensate_terms(kernel: CondensateKernel) -> tuple[tuple[int, int, int], ...]:
-    """condense(kernel).poly as integer terms (w, r, s), meaning sum w e_r(z) e_s(z).
+def condensate_factor(kernel: CondensateKernel) -> MultiPoly:
+    """condense(kernel).poly in closed form: e_{N−p/2}(z_1², …, z_N²).
 
     C(p, j) M(p−j) M(j) = p! α^{−(p+2)} for every j, so the integral is
-    π² (−1)^p p! α^{−(p+2)} Σ_j (−1)^j e_{N−p+j} e_{N−j}.  For even p its
-    lexicographically largest monomial, the squares of N − p/2 variables,
-    comes only from j = p/2, with coefficient (−1)^{p/2}; condense's
-    primitive polynomial with positive leading term is therefore
-    Σ_j (−1)^{j−p/2} e_{N−p+j} e_{N−j}.  The terms j and p − j are the same
-    product, so j < p/2 is returned once with weight 2(−1)^{j−p/2}.  Empty
-    when the integral vanishes.
+    π² (−1)^p p! α^{−(p+2)} Σ_j (−1)^j e_{N−p+j} e_{N−j}.  Comparing powers
+    of t in Π_i (1 + t z_i)(1 − t z_i) = Π_i (1 − t² z_i²) gives
+    Σ_b (−1)^b e_b e_{2k−b} = (−1)^k e_k(z²), and with k = N − p/2 and
+    b = N − j that sum is ± e_k(z²): primitive, with positive leading term,
+    so it is condense's polynomial exactly.  The zero polynomial when the
+    integral vanishes.
     """
     n, p = kernel.n_electrons, kernel.p
     if vanishes(n, p):
-        return ()
-    half = p // 2
-    return tuple(
-        ((1 if j == half else 2) * (-1) ** (j + half), n - p + j, n - j)
-        for j in range(max(0, p - n), half + 1)
-    )
+        return MultiPoly.zero(n)
+    squarefree = elementary_symmetric(n, n - p // 2)
+    return MultiPoly(n, {tuple(2 * e for e in key): 1 for key in squarefree.terms})
 
 
 def vanishes(n_electrons: int, p: int) -> bool:

@@ -10,12 +10,12 @@ turned into a normalized lowest-Landau-level Fock vector:
 The constructors build each state directly in the determinant basis
 (:func:`family_expansion`), with no polynomial multiplication.  The
 Vandermonde power comes from the exact integer squeezing (Jack) recursion
-from its root ((N-1)m, ..., m, 0), and the condensate, a sum of products
-e_r e_s of elementary symmetric polynomials, is multiplied in by Pieri
-steps.  Two slower routes are kept as independent checks for tests and
-``verify``: the full polynomial (:func:`family_polynomial`) followed by
-:func:`fqhent.poly.slater_project`, which holds N! times as many terms, and
-:meth:`fqhent.poly.SlaterExpansion.times_symmetric` by the expanded factors.
+from its root ((N-1)m, ..., m, 0), and the condensate, which is
+e_{N-p/2}(z_1^2, ..., z_N^2), is multiplied in by one determinant-basis
+product.  The slower route is kept as an independent check for tests and
+``verify``: the full polynomial (:func:`family_polynomial`), with the
+condensate from its Gaussian integral, followed by
+:func:`fqhent.poly.slater_project`, which holds N! times as many terms.
 
 The condensate scalar prefactor is discarded before multiplication since
 every entanglement quantity is invariant under global scaling; the verify
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lll import FockVector, to_fock
-from .poly import Exponents, MultiPoly, SlaterExpansion, vandermonde_expansion, vandermonde_power
-from .quasihole import CondensateKernel, condensate_terms, condense, vanishes
+from .poly import MultiPoly, SlaterExpansion, vandermonde_expansion, vandermonde_power
+from .quasihole import CondensateKernel, condensate_factor, condense, vanishes
 
 MAX_ELECTRONS = 7
 """Upper limit on N for family constructors; guards combinatorial blowup."""
@@ -162,9 +162,8 @@ def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
 
     The Vandermonde power comes from the squeezing recursion
     (:func:`fqhent.poly.vandermonde_expansion`) and the condensate, when the
-    family has one, from Pieri steps: its terms w e_r e_s
-    (:func:`fqhent.quasihole.condensate_terms`) are applied as two
-    :meth:`~fqhent.poly.SlaterExpansion.times_elementary` products each.
+    family has one, in closed form (:func:`fqhent.quasihole.condensate_factor`),
+    multiplied in by :meth:`~fqhent.poly.SlaterExpansion.times_symmetric`.
     Equal, term for term, to slater_project(family_polynomial(family,
     n_electrons, m)); raises as that does.
     """
@@ -172,11 +171,7 @@ def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
     expansion = vandermonde_expansion(n_electrons, power)
     if p is None:
         return expansion
-    total: dict[Exponents, int] = {}
-    for weight, r, s in condensate_terms(CondensateKernel(n_electrons, p=p)):
-        for lam, coeff in expansion.times_elementary(r).times_elementary(s).terms.items():
-            total[lam] = total.get(lam, 0) + weight * coeff
-    return SlaterExpansion(n_electrons, total)
+    return expansion.times_symmetric(condensate_factor(CondensateKernel(n_electrons, p=p)))
 
 
 def laughlin(n_electrons: int, m: int) -> FockVector:

@@ -74,7 +74,7 @@ def check_binomial_amplitude_pattern(m_max: int) -> CheckResult:
 def check_hierarchical_n2_lowest() -> CheckResult:
     """hierarchical_phi(2,1) squared amplitudes are 3/4 on {0,3}, 1/4 on {1,2}."""
     state = hierarchical_phi(2, 1)
-    got = {c: a.magnitude_sq for c, a in state.terms.items()}
+    got = {c: a.magnitude_sq for c, a in state.items()}
     expected = {(0, 3): Fraction(3, 4), (1, 2): Fraction(1, 4)}
     return _result("hierarchical-n2-lowest", got == expected, f"amplitudes {got}")
 

@@ -1,16 +1,29 @@
 """Byte-for-byte golden outputs of the figure presets and the JSON rows.
 
 The CSV and SVG goldens are the committed demo outputs; the JSON goldens
-were recorded from the CLI and keep zero-wavefunction points as null.
+were recorded from the CLI and keep zero-wavefunction points as null.  The
+family digests are sha256 sums of the exact determinant-basis terms of
+three of the largest states, recorded from a build that summed the
+squeezing recursion's l terms one at a time and multiplied the condensate
+in by Pieri steps.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from fqhent import figure_points, figure_spec, figure_title, render_svg, rows_to_csv
+from fqhent import (
+    family_expansion,
+    figure_points,
+    figure_spec,
+    figure_title,
+    render_svg,
+    rows_to_csv,
+)
 from fqhent.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +54,20 @@ def test_figure_csv_and_svg(fig_id):
 def test_cli_json(capsys, argv, golden):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def _digest(family: str, n: int, m: int) -> str:
+    # one line "lam_1,...,lam_N:coefficient" per determinant, largest lam first
+    digest = hashlib.sha256()
+    for lam, coeff in family_expansion(family, n, m).items():
+        digest.update(f"{','.join(map(str, lam))}:{coeff}\n".encode())
+    return digest.hexdigest()
+
+
+FAMILY_DIGESTS = json.loads((GOLDEN / "family_digests.json").read_text())
+
+
+@pytest.mark.parametrize("point", FAMILY_DIGESTS)
+def test_family_expansion_digest(point):
+    family, n, m = point.split()
+    assert _digest(family, int(n), int(m)) == FAMILY_DIGESTS[point]

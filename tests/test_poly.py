@@ -216,7 +216,10 @@ class TestVandermondeExpansion:
         # (3, 41) reaches orbital 82, past the 61 at which a bit mask's
         # hash would start to repeat
         expected = slater_project(vandermonde_power(nvars, power))
-        assert vandermonde_expansion(nvars, power) == expected
+        expansion = vandermonde_expansion(nvars, power)
+        assert expansion == expected
+        # built without the public constructor's checks, it passes them
+        assert SlaterExpansion(nvars, expansion.terms) == expansion
 
     def test_rejects_bad_arguments(self):
         for nvars, power in ((0, 3), (3, 0), (3, 2), (3, -1)):
@@ -298,7 +301,15 @@ class TestTimesSymmetric:
     def test_matches_projection_of_the_product(self, data):
         expansion = data.draw(slater_expansions(max_nvars=5, max_orbital=20))
         sym = symmetrize(data.draw(multi_polys(nvars=expansion.nvars, max_exp=20, max_terms=3)))
-        assert expansion.times_symmetric(sym) == slater_project(expansion.expand() * sym)
+        product = expansion.times_symmetric(sym)
+        assert product == slater_project(expansion.expand() * sym)
+        assert SlaterExpansion(product.nvars, product.terms) == product
+
+    def test_cancelled_terms_drop_out(self):
+        # a(3,0) p_2 = a(5,0) + a(3,2) and a(2,1) p_2 = a(4,1) - a(3,2)
+        expansion = SlaterExpansion(2, {(3, 0): 1, (2, 1): 1})
+        product = expansion.times_symmetric(z(2, 0) ** 2 + z(2, 1) ** 2)
+        assert dict(product.terms) == {(5, 0): 1, (4, 1): 1}
 
     def test_zero_operands_give_the_zero_expansion(self):
         zero = SlaterExpansion(3)
@@ -331,24 +342,3 @@ class TestTimesSymmetric:
     def test_rejects_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             SlaterExpansion(2, {(1, 0): 1}).times_symmetric(MultiPoly.one(3))
-
-
-class TestTimesElementary:
-    """The Pieri step against the general product with e_r."""
-
-    @given(st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_times_symmetric(self, data):
-        expansion = data.draw(slater_expansions(max_nvars=7, max_orbital=12))
-        r = data.draw(st.integers(0, expansion.nvars))
-        expected = expansion.times_symmetric(elementary_symmetric(expansion.nvars, r))
-        assert expansion.times_elementary(r) == expected
-
-    def test_collision_drops_out(self):
-        # (1, 0) * e_1: raising the 0 would repeat the 1
-        assert dict(SlaterExpansion(2, {(1, 0): 3}).times_elementary(1).terms) == {(2, 0): 3}
-
-    def test_rejects_r_out_of_range(self):
-        for r in (-1, 3):
-            with pytest.raises(ValueError):
-                SlaterExpansion(2, {(1, 0): 1}).times_elementary(r)

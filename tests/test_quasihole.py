@@ -13,11 +13,10 @@ from fqhent import (
     MultiPoly,
     ScaledPoly,
     condense,
-    elementary_symmetric,
     gaussian_moment,
     vanishes,
 )
-from fqhent.quasihole import condensate_terms
+from fqhent.quasihole import condensate_factor
 
 THIRD = Fraction(1, 3)
 
@@ -109,15 +108,16 @@ class TestCondense:
 
 
 class TestCondensateTerms:
+    """condensate_factor, the closed form e_{N-p/2}(z^2), against condense."""
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reproduce_the_condensate_polynomial_exactly(self, n):
         # same content and sign as condense, not just proportional to it
         for p in range(2 * n + 3):
             kernel = CondensateKernel(n, p)
-            poly = MultiPoly.zero(n)
-            for weight, r, s in condensate_terms(kernel):
-                poly = poly + weight * (elementary_symmetric(n, r) * elementary_symmetric(n, s))
-            assert poly == condense(kernel).poly, (n, p)
+            factor = condensate_factor(kernel)
+            assert factor == condense(kernel).poly, (n, p)
+            assert factor.is_zero == vanishes(n, p), (n, p)
 
 
 class TestVanishes:
