@@ -93,19 +93,22 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
     removing mu leaves, so rho_{mu nu} sums the signed amplitude products of
     the configurations that leave the same hole when mu and nu are removed.
     Configurations are therefore grouped by hole and paired only within a
-    group.  In a homogeneous state two configurations sharing a hole would
-    differ in total angular momentum, so no group has two members and rho
-    comes out exactly diagonal.  Everything is summed in the state's integer
-    weights; each diagonal entry takes one division, by N times their total.
+    group.  Configurations sharing a hole differ in total angular momentum by
+    mu - nu != 0, so a homogeneous state builds no holes and rho is exactly
+    diagonal.  Everything is summed in the state's integer weights; each
+    diagonal entry takes one division, by N times their total.
     """
     n, total = v.n_particles, v.total
     occupied = [0] * v.dim
     holes: dict[FockConfig, list[tuple[int, int]]] = {}
+    momentum = sum(next(iter(v.weights)))
+    pairs = any(sum(config) != momentum for config in v.weights)
     for config, weight in v.weights.items():
         for i, mode in enumerate(config):
             occupied[mode] += abs(weight)
-            hole = config[:i] + config[i + 1 :]
-            holes.setdefault(hole, []).append((mode, -weight if i % 2 else weight))
+            if pairs:
+                hole = config[:i] + config[i + 1 :]
+                holes.setdefault(hole, []).append((mode, -weight if i % 2 else weight))
     sums: dict[tuple[int, int], Entry] = {}
     for group in holes.values():
         for k, (mu, w_mu) in enumerate(group):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -79,6 +81,21 @@ def _cleared(terms: Mapping[FockConfig, tuple[int, Fraction]]) -> tuple[dict, in
     return {c: s * mag.numerator * (lcm // mag.denominator) for c, (s, mag) in terms.items()}, lcm
 
 
+def _checked(n_particles: int, dim: int, weights: dict[FockConfig, int]) -> dict[FockConfig, int]:
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    if dim < n_particles:
+        raise ValueError("dim must be at least the particle count")
+    for config in weights:
+        if len(config) != n_particles:
+            raise ValueError(f"config {config} does not have {n_particles} orbitals")
+        if any(config[i] >= config[i + 1] for i in range(len(config) - 1)):
+            raise ValueError(f"config {config} is not strictly increasing")
+        if config[0] < 0 or config[-1] >= dim:
+            raise ValueError(f"config {config} has orbitals outside 0..{dim - 1}")
+    return weights
+
+
 class FockVector:
     """A normalized N-fermion state over dim lowest-Landau-level orbitals.
 
@@ -98,26 +115,16 @@ class FockVector:
         total = sum(map(abs, weights.values()))
         if total != denom:
             raise ValueError(f"squared magnitudes sum to {Fraction(total, denom)}, not 1")
-        self._store(n_particles, dim, weights)
+        self._store(n_particles, dim, _checked(n_particles, dim, weights))
 
     @classmethod
     def _from_weights(cls, n_particles: int, dim: int, weights: Mapping[FockConfig, int]):
+        """Adopt weights whose configurations were checked or built valid."""
         state = cls.__new__(cls)
         state._store(n_particles, dim, weights)
         return state
 
     def _store(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
-        if n_particles < 1:
-            raise ValueError("need at least one particle")
-        if dim < n_particles:
-            raise ValueError("dim must be at least the particle count")
-        for config in weights:
-            if len(config) != n_particles:
-                raise ValueError(f"config {config} does not have {n_particles} orbitals")
-            if any(config[i] >= config[i + 1] for i in range(len(config) - 1)):
-                raise ValueError(f"config {config} is not strictly increasing")
-            if config[0] < 0 or config[-1] >= dim:
-                raise ValueError(f"config {config} has orbitals outside 0..{dim - 1}")
         common = math.gcd(*weights.values())
         if common == 0:
             raise ZeroStateError("all squared magnitudes are zero")
@@ -141,7 +148,7 @@ class FockVector:
         for config, (sign, mag) in terms.items():
             if sign not in (1, -1) or not isinstance(mag, (int, Fraction)) or mag < 0:
                 raise ValueError(f"config {config}: need sign +1 or -1, int or Fraction >= 0")
-        return cls._from_weights(n_particles, dim, _cleared(terms)[0])
+        return cls._from_weights(n_particles, dim, _checked(n_particles, dim, _cleared(terms)[0]))
 
     @classmethod
     def from_rational_amplitudes(
@@ -225,20 +232,28 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
     c_lam * sigma * sqrt(prod_j 2^{mu_j+1} mu_j!), where sigma is the parity
     of the sorting reversal (a global sign, kept for convention fidelity) and
     the pi^{N/2} common to all terms has been dropped.  Its integer weight is
-    that amplitude's sign times its square, c_lam^2 prod_j orbital_norm_sq(mu_j).
+    that amplitude's sign times its square, c_lam^2 prod_j orbital_norm_sq(mu_j),
+    which is c_lam^2 prod_j (mu_j! / f_j!) 2^(|mu| - min |mu|) times a factor
+    2^(min |mu| + N) prod_j f_j! shared by every configuration, with f_j the
+    smallest mu_j of any configuration and |mu| = sum_j mu_j.  Only the first
+    part is computed: the gcd reduction gives the same weights either way.
     """
     if expansion.is_zero:
         raise ZeroStateError("zero polynomial has no Fock expansion")
     n = expansion.nvars
     reversal_sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    floors = [min(column) for column in zip(*expansion.terms)][::-1]
+    lowest = min(map(sum, expansion.terms))
     dim = 1 + max(lam[0] for lam in expansion.terms)
-    norm_sq = [orbital_norm_sq(mu) for mu in range(dim)]
+    # ratios[j][mu] = mu! / f_j! for f_j <= mu < dim; no mu_j is below f_j
+    ratios = [[0] * f + list(accumulate(range(f + 1, dim), mul, initial=1)) for f in floors]
     weights: dict[FockConfig, int] = {}
     for lam, coeff in expansion.terms.items():
-        config = tuple(reversed(lam))
+        config = lam[::-1]
         weight = coeff * coeff
-        for mu in config:
-            weight *= norm_sq[mu]
+        for ratio, mu in zip(ratios, config):
+            weight *= ratio[mu]
+        weight <<= sum(lam) - lowest
         weights[config] = weight if reversal_sign * coeff > 0 else -weight
     return FockVector._from_weights(n, dim, weights)
 

@@ -524,23 +524,26 @@ def _dominated(root: Exponents) -> Iterator[Exponents]:
     read from the largest entry, is at most root's.
     """
     n = len(root)
+    if n == 1:
+        return iter((root,))
     bounds = list(itertools.accumulate(root))
-    prefix = [0] * n
 
-    def extend(i: int, below: int, partial: int) -> Iterator[Exponents]:
-        if i == n:
-            yield tuple(prefix)
-            return
+    def extend(head: Exponents, below: int, partial: int) -> Iterator[Exponents]:
+        i = len(head)
         rest = bounds[-1] - partial  # sum of the n - i entries still to choose
         left = n - i - 1
         # the other `left` entries are distinct and below x, at least 0 .. left - 1
         highest = min(below - 1, bounds[i] - partial, rest - left * (left - 1) // 2)
         lowest = -(-(rest + left * (left + 1) // 2) // (left + 1))
-        for x in range(highest, lowest - 1, -1):
-            prefix[i] = x
-            yield from extend(i + 1, x, partial + x)
+        if left == 1:
+            # the sum fixes the last entry, rest - x: x >= lowest keeps it below x
+            for x in range(highest, lowest - 1, -1):
+                yield head + (x, rest - x)
+        else:
+            for x in range(highest, lowest - 1, -1):
+                yield from extend(head + (x,), x, partial + x)
 
-    return extend(0, bounds[0] + 1, 0)
+    return extend((), bounds[0] + 1, 0)
 
 
 def _pair_power(nvars: int, j: int, k: int, power: int) -> MultiPoly:

@@ -48,11 +48,11 @@ MAX_DETERMINANTS = 40_000
 
 MAX_ORBITALS = 512
 """Upper limit on the orbitals a family state can occupy.  to_fock weighs
-orbital mu by the exact integer orbital_norm_sq(mu) = 2^(mu+1) mu!, whose
-size grows with mu, so this bounds its cost where the determinant limit does
-not: at N = 2 a state has only (m + 1) / 2 determinants but m + 1 orbitals,
-and to_fock alone takes about 0.4 s at m = 2001 and 2.8 s at m = 4001
-(Python 3.11, 2-core VM)."""
+orbital mu by an exact integer factorial ratio whose size grows with mu, so
+this bounds its cost where the determinant limit does not: at N = 2 a state
+has only (m + 1) / 2 determinants but m + 1 orbitals, and to_fock alone
+takes about 0.12 s at m = 2001 and 0.9 s at m = 4001 (Python 3.11, 2-core
+VM)."""
 
 # name -> (Vandermonde power, condensate exponent p or None), each as a
 # function of m.  The condensate factor multiplies the Vandermonde power.
@@ -146,11 +146,14 @@ def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
     """The antisymmetric polynomial part of a family wavefunction, fully expanded.
 
     This is the slow, independent route: :func:`family_expansion` builds
-    the same state in the determinant basis without it.  Raises
-    ZeroWavefunctionError when the condensate vanishes (for chi, m > 2N+1)
-    and ValueError for unknown families or bad parameters.
+    the same state in the determinant basis without it.  With up to N! times
+    as many terms, it is limited to N <= 5, where the tests and ``verify``
+    compare the two.  Raises ZeroWavefunctionError when the condensate
+    vanishes (for chi, m > 2N+1), ValueError above N = 5 or for bad parameters.
     """
     power, p = family_factors(family, n_electrons, m)
+    if n_electrons > 5:
+        raise ValueError(f"the full expansion is limited to N <= 5, got N={n_electrons}")
     if p is None:
         return vandermonde_power(n_electrons, power)
     cond = condense(CondensateKernel(n_electrons, p=p))

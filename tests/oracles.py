@@ -175,6 +175,30 @@ def raising(terms: Terms, n_phi: int) -> Terms:
     return _shift_determinants(terms, 1, lambda lam, j: lam[j] - n_phi)
 
 
+def fock_weights_by_orbital_norms(
+    nvars: int, terms: Terms
+) -> tuple[Terms, int, int]:
+    """(weights, total, dim) of the Fock vector of a determinant expansion.
+
+    Takes the defining formula whole: each determinant c det(z_i^{lam_j})
+    weighs c^2 prod_j 2^(lam_j + 1) lam_j!, signed by c times the parity
+    (-1)^(N(N-1)/2) of reversing lam, and the weights are then divided by
+    their gcd.  No factor common to every configuration is left out.
+    """
+    dim = 1 + max(max(lam) for lam in terms)
+    norms = [2 ** (mu + 1) * math.factorial(mu) for mu in range(dim)]
+    reversal = -1 if nvars * (nvars - 1) // 2 % 2 else 1
+    weights: Terms = {}
+    for lam, coeff in terms.items():
+        weight = coeff * coeff
+        for mu in lam:
+            weight *= norms[mu]
+        weights[tuple(sorted(lam))] = weight if reversal * coeff > 0 else -weight
+    common = math.gcd(*weights.values())
+    weights = {config: w // common for config, w in weights.items()}
+    return weights, sum(map(abs, weights.values())), dim
+
+
 def density_by_partial_trace(v) -> list[list[float]]:
     """One-body density matrix with unit trace, first-quantised.
 

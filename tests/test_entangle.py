@@ -48,6 +48,14 @@ def rational_state(dim: int, amps: dict) -> FockVector:
     return FockVector.from_rational_amplitudes(2, dim, {k: Fraction(v) for k, v in amps.items()})
 
 
+def assert_matches_partial_trace(rho: OneBodyDensityMatrix, v: FockVector) -> None:
+    dense = rho.as_numpy()
+    expected = oracles.density_by_partial_trace(v)
+    for i in range(v.dim):
+        for j in range(v.dim):
+            assert dense[i][j] == pytest.approx(expected[i][j], abs=1e-12)
+
+
 class TestOneBodyDensity:
     def test_laughlin_2_3_diagonal(self):
         rho = one_body_density(laughlin(2, 3))
@@ -74,6 +82,39 @@ class TestOneBodyDensity:
         assert sum(rho.diagonal()) == 1
         assert all(isinstance(p, Fraction) for p in rho.diagonal())
 
+    @pytest.mark.parametrize(
+        "state",
+        [laughlin(4, 5), hierarchical_phi(3, 9), laughlin(3, 13)],
+        ids=["laughlin45", "phi39", "laughlin313"],
+    )
+    def test_homogeneous_states_with_many_configs_match_partial_trace(self, state):
+        assert len(state) > 20
+        rho = one_body_density(state)
+        assert rho.is_diagonal()
+        assert_matches_partial_trace(rho, state)
+
+    def test_several_configs_of_one_total_are_diagonal(self):
+        # every configuration of three fermions with total angular momentum 6,
+        # with mixed signs and magnitudes that are not perfect squares
+        terms = {(0, 1, 5): (1, 3), (0, 2, 4): (-1, 7), (1, 2, 3): (1, 2)}
+        v = FockVector.from_unnormalized(3, 6, terms)
+        rho = one_body_density(v)
+        assert rho.is_diagonal()
+        assert rho.diagonal() == tuple(
+            Fraction(sum(abs(w) for c, w in v.weights.items() if mode in c), 3 * v.total)
+            for mode in range(6)
+        )
+        assert_matches_partial_trace(rho, v)
+
+    def test_shared_hole_after_configs_of_one_total_keeps_off_diagonals(self):
+        # (0, 3) and (1, 2) have total 3; (0, 2), of total 2, shares the hole
+        # (0,) with (0, 3) and the hole (2,) with (1, 2)
+        v = FockVector.from_rational_amplitudes(2, 4, {(0, 3): 1, (1, 2): 2, (0, 2): 2})
+        rho = one_body_density(v)
+        assert set(rho.off_diagonal) == {(0, 1), (2, 3)}
+        assert rho.off_diagonal[(2, 3)] == Fraction(1, 9)
+        assert_matches_partial_trace(rho, v)
+
     def test_rotated_determinant_off_diagonals(self):
         v = rational_state(3, {(0, 1): 1, (0, 2): 1})
         rho = one_body_density(v)
@@ -85,11 +126,7 @@ class TestOneBodyDensity:
     @given(dim4_two_fermion_states())
     @settings(max_examples=60, deadline=None)
     def test_matches_annihilation_oracle(self, v):
-        dense = one_body_density(v).as_numpy()
-        expected = oracles.density_by_partial_trace(v)
-        for i in range(v.dim):
-            for j in range(v.dim):
-                assert dense[i][j] == pytest.approx(expected[i][j], abs=1e-12)
+        assert_matches_partial_trace(one_body_density(v), v)
 
     @given(dim4_two_fermion_states())
     @settings(max_examples=40, deadline=None)
@@ -137,23 +174,17 @@ class TestOneBodyDensity:
         # float amplitude products once summed in different orders for
         # rho[mu][nu] and rho[nu][mu] and failed the symmetry check
         v = FockVector.from_unnormalized(2, 5, IRRATIONAL_MIXED_STATE)
-        dense = one_body_density(v).as_numpy()
-        expected = oracles.density_by_partial_trace(v)
+        rho = one_body_density(v)
+        dense = rho.as_numpy()
         assert (dense == dense.T).all()
-        for i in range(v.dim):
-            for j in range(v.dim):
-                assert dense[i][j] == pytest.approx(expected[i][j], abs=1e-12)
+        assert_matches_partial_trace(rho, v)
 
     @given(irrational_mixed_states())
     @settings(max_examples=60, deadline=None)
     def test_irrational_states_match_annihilation_oracle(self, v):
         rho = one_body_density(v)
-        dense = rho.as_numpy()
-        expected = oracles.density_by_partial_trace(v)
-        for i in range(v.dim):
-            for j in range(v.dim):
-                assert dense[i][j] == pytest.approx(expected[i][j], abs=1e-12)
-        spectrum = np.linalg.eigvalsh(np.array(expected))
+        assert_matches_partial_trace(rho, v)
+        spectrum = np.linalg.eigvalsh(np.array(oracles.density_by_partial_trace(v)))
         assert von_neumann(rho) == pytest.approx(
             oracles.entropy_of(max(lam, 0.0) for lam in spectrum), abs=1e-9
         )

@@ -5,7 +5,9 @@ were recorded from the CLI and keep zero-wavefunction points as null.  The
 family digests are sha256 sums of the exact determinant-basis terms of
 three of the largest states, recorded from a build that summed the
 squeezing recursion's l terms one at a time and multiplied the condensate
-in by Pieri steps.
+in by Pieri steps.  The Fock digests are sha256 sums of the same states'
+gcd-reduced Fock weights and their total, recorded from a to_fock that
+multiplied every orbital's full weight 2^(mu+1) mu! in.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fqhent import (
     figure_title,
     render_svg,
     rows_to_csv,
+    to_fock,
 )
 from fqhent.cli import EXIT_OK, main
 
@@ -71,3 +74,22 @@ FAMILY_DIGESTS = json.loads((GOLDEN / "family_digests.json").read_text())
 def test_family_expansion_digest(point):
     family, n, m = point.split()
     assert _digest(family, int(n), int(m)) == FAMILY_DIGESTS[point]
+
+
+def _fock_digest(family: str, n: int, m: int) -> str:
+    # one line "mu_1,...,mu_N:weight" per configuration in ascending order, then the total
+    state = to_fock(family_expansion(family, n, m))
+    digest = hashlib.sha256()
+    for config, weight in sorted(state.weights.items()):
+        digest.update(f"{','.join(map(str, config))}:{weight}\n".encode())
+    digest.update(f"total:{state.total}\n".encode())
+    return digest.hexdigest()
+
+
+FOCK_DIGESTS = json.loads((GOLDEN / "fock_digests.json").read_text())
+
+
+@pytest.mark.parametrize("point", FOCK_DIGESTS)
+def test_fock_weight_digest(point):
+    family, n, m = point.split()
+    assert _fock_digest(family, int(n), int(m)) == FOCK_DIGESTS[point]

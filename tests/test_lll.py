@@ -16,7 +16,9 @@ from fqhent import (
     MultiPoly,
     SlaterExpansion,
     ZeroStateError,
+    ZeroWavefunctionError,
     amplitude_pattern,
+    family_expansion,
     laughlin,
     one_body_density,
     orbital_norm_sq,
@@ -118,6 +120,54 @@ class TestToFock:
         degree = power * nvars * (nvars - 1) // 2
         assert v.is_homogeneous()
         assert {sum(c) for c in v.terms} == {degree}
+
+
+def assert_matches_orbital_norm_formula(expansion: SlaterExpansion) -> None:
+    weights, total, dim = oracles.fock_weights_by_orbital_norms(
+        expansion.nvars, dict(expansion.terms)
+    )
+    v = to_fock(expansion)
+    assert dict(v.weights) == weights
+    assert (v.total, v.dim) == (total, dim)
+
+
+class TestToFockOracle:
+    """to_fock leaves out factors every configuration shares; the oracle keeps them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["laughlin", "hierarchical_phi", "chi"])
+    def test_every_family_state_to_n5_m13(self, family, n):
+        for m in range(1, 14, 2):
+            try:
+                expansion = family_expansion(family, n, m)
+            except ZeroWavefunctionError:
+                continue
+            assert_matches_orbital_norm_formula(expansion)
+
+    @pytest.mark.parametrize("point", [("laughlin", 3, 255), ("hierarchical_phi", 4, 37)])
+    def test_largest_states(self, point):
+        assert_matches_orbital_norm_formula(family_expansion(*point))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # total angular momenta 5, 4 and 7: the least is not first
+            {(5, 0): 3, (3, 1): -2, (6, 1): 1},
+            # totals 10, 11, 8 and 5: the least comes last
+            {(7, 3, 0): 1, (6, 4, 1): -4, (5, 2, 1): 6, (3, 2, 0): 5},
+            # totals 15, 15 and 11
+            {(9, 4, 2, 0): -2, (8, 6, 1, 0): 7, (5, 3, 2, 1): 3},
+        ],
+    )
+    def test_non_homogeneous_expansions(self, terms):
+        expansion = SlaterExpansion(len(next(iter(terms))), terms)
+        assert len({sum(lam) for lam in terms}) > 1
+        assert_matches_orbital_norm_formula(expansion)
+
+    @given(slater_expansions(max_nvars=4, max_orbital=12))
+    @settings(max_examples=80, deadline=None)
+    def test_random_expansions(self, expansion):
+        assert_matches_orbital_norm_formula(expansion)
 
 
 class TestFockVectorValidation:

@@ -175,6 +175,17 @@ class TestFamilyPolynomials:
         with pytest.raises(ValueError):
             family_polynomial("unknown", 2, 3)
 
+    def test_refuses_above_n5_at_once(self):
+        # laughlin(7, 3) is within every state limit, but its full expansion
+        # was still running after 60 s
+        family_factors("laughlin", 7, 3)
+        start = time.perf_counter()
+        for n in (6, 7):
+            with pytest.raises(ValueError, match="N <= 5"):
+                family_polynomial("laughlin", n, 3)
+        assert time.perf_counter() - start < 1
+        assert len(family_expansion("laughlin", 7, 3)) == 1111
+
 
 class TestFamilyExpansion:
     """The determinant-basis construction against the full-expansion route."""
