@@ -170,14 +170,14 @@ def modified_measure(
 ) -> EntanglementReport:
     """Entropy of the one-body density matrix minus ln N.
 
-    Values within 1e-12 below zero are floating-point residue on separable
-    states and are clamped to exactly 0.
+    Values within 1e-12 of zero, on either side, are floating-point residue
+    on separable states and are clamped to exactly 0.
     """
     if v.n_particles < 2:
         raise ValueError("entanglement needs at least two particles")
     entropy = von_neumann(one_body_density(v))
     measure = entropy - math.log(v.n_particles)
-    if -1e-12 <= measure < 0:
+    if abs(measure) <= 1e-12:
         measure = 0.0
     return EntanglementReport(
         n_particles=v.n_particles,

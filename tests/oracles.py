@@ -13,9 +13,12 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 Terms = dict[tuple[int, ...], int]
+
+PRIME = 2**61 - 1
+"""Modulus of the point evaluations: a Mersenne prime."""
 
 
 def dict_multiply(a: Terms, b: Terms) -> Terms:
@@ -245,3 +248,73 @@ def entropy_of(probabilities) -> float:
         if p > 0:
             total -= p * math.log(p)
     return total
+
+
+def _det_mod(rows: list[list[int]]) -> int:
+    """Determinant modulo PRIME by Gaussian elimination; consumes rows."""
+    n = len(rows)
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        head = rows[col]
+        det = det * head[col] % PRIME
+        inverse = pow(head[col], -1, PRIME)
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inverse % PRIME
+            if factor:
+                rows[r] = [(a - factor * b) % PRIME for a, b in zip(rows[r], head)]
+    return det % PRIME
+
+
+def determinants_at_point(terms: Terms, z: Sequence[int]) -> int:
+    """sum_lam c_lam det(z_i^{lam_j}) modulo PRIME, one elimination per determinant."""
+    top = max(lam[0] for lam in terms)
+    powers = []
+    for x in z:
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % PRIME)
+        powers.append(row)
+    total = 0
+    for lam, coeff in terms.items():
+        total += coeff * _det_mod([[row[e] for e in lam] for row in powers])
+    return total % PRIME
+
+
+def family_at_point(z: Sequence[int], power: int, p: int | None, scale: Fraction) -> int:
+    """prod_{i<j} (z_i - z_j)^power times the condensate over scale, modulo PRIME.
+
+    The condensate is the Gaussian-integral sum, sans pi^2,
+
+        sum_j C(p, j) (-1)^(p+j) M(p-j) M(j) e_{N-p+j}(z) e_{N-j}(z),
+
+    M(k) = k! alpha^{-(k+1)} = k! 3^(k+1) at alpha = 1/3, over j in
+    [max(0, p-N), min(N, p)], with each e_k(z) read off prod_i (1 + t z_i)
+    at the point; p None means no condensate.  Nothing here is expanded
+    into monomials.
+    """
+    n = len(z)
+    value = 1
+    for i, j in itertools.combinations(range(n), 2):
+        value = value * pow(z[i] - z[j], power, PRIME) % PRIME
+    if p is None:
+        return value
+    e = [1] + [0] * n
+    for x in z:
+        for k in range(n, 0, -1):
+            e[k] = (e[k] + x * e[k - 1]) % PRIME
+
+    def moment(k: int) -> int:
+        return math.factorial(k) * 3 ** (k + 1)
+
+    condensate = 0
+    for j in range(max(0, p - n), min(n, p) + 1):
+        weight = math.comb(p, j) * (-1) ** (p + j) * moment(p - j) * moment(j)
+        condensate += weight * e[n - p + j] * e[n - j]
+    scale = Fraction(scale)
+    return value * condensate * scale.denominator * pow(scale.numerator, -1, PRIME) % PRIME

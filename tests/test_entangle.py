@@ -209,6 +209,17 @@ class TestModifiedMeasure:
     def test_separable_exactly_zero(self):
         assert modified_measure(laughlin(2, 1)).measure_nats == 0.0
 
+    @pytest.mark.parametrize("family,n,m", [(laughlin, 5, 1), (chi, 5, 1), (chi, 5, 11)])
+    def test_single_determinant_families_exactly_zero(self, family, n, m):
+        # ln N - entropy leaves a residue of about 2e-16 above zero here
+        report = modified_measure(family(n, m))
+        assert report.measure_nats == 0.0
+        assert report.measure_bits == 0.0
+
+    def test_hand_built_determinant_exactly_zero(self):
+        v = FockVector.from_rational_amplitudes(12, 12, {tuple(range(12)): Fraction(1)})
+        assert modified_measure(v).measure_nats == 0.0
+
     def test_laughlin_2_3_value(self):
         report = modified_measure(laughlin(2, 3))
         expected = 2 * LN2 - 0.75 * math.log(3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -29,12 +30,7 @@ from fqhent import (
     vanishes,
 )
 from fqhent import poly, states
-from fqhent.states import (
-    MAX_DETERMINANTS,
-    MAX_ORBITALS,
-    determinant_bound,
-    family_factors,
-)
+from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
 
 FAMILIES = ("laughlin", "hierarchical_phi", "chi")
 ODD_M = tuple(range(1, 14, 2))
@@ -267,48 +263,101 @@ class TestLaughlinInvariants:
         assert oracles.lowering(dict(family_expansion(family, 3, 3).terms))
 
 
-def _brute_force_bound(n: int, degree: int, largest: int) -> int:
-    return sum(
-        1
-        for lam in itertools.combinations(range(largest + 1), n)
-        if sum(lam) == degree
+class TestPointEvaluation:
+    """The expansion at a random point mod 2^61 - 1 against the product form.
+
+    By Schwartz-Zippel a wrong expansion agrees at a random point with
+    probability at most its degree over the prime.  The condensate comes from
+    its Gaussian-integral sum, so no code is shared with condensate_factor or
+    times_symmetric.
+    """
+
+    @staticmethod
+    def _values(family, n, m, terms):
+        power, p = family_factors(family, n, m)
+        scale = 1 if p is None else condense(CondensateKernel(n, p=p)).scale
+        rng = random.Random(f"{family} {n} {m}")
+        z = [rng.randrange(1, oracles.PRIME) for _ in range(n)]
+        return oracles.determinants_at_point(terms, z), oracles.family_at_point(z, power, p, scale)
+
+    @pytest.mark.parametrize(
+        "family,n,m",
+        [("hierarchical_phi", 6, 3), ("hierarchical_phi", 7, 3), ("laughlin", 7, 3)]
+        + [("chi", n, m) for n in (6, 7) for m in range(1, 2 * n + 2, 2)],
     )
+    def test_matches_product_form(self, family, n, m):
+        got, expected = self._values(family, n, m, dict(family_expansion(family, n, m).terms))
+        assert got == expected
+
+    def test_perturbed_expansion_fails(self):
+        terms = dict(family_expansion("hierarchical_phi", 6, 3).terms)
+        lam = max(terms)
+        for changed in (terms[lam] + 1, -terms[lam]):
+            got, expected = self._values("hierarchical_phi", 6, 3, {**terms, lam: changed})
+            assert got != expected
+
+
+def _product_root(family: str, n: int, m: int) -> tuple[int, ...]:
+    """The Vandermonde root, plus 2 on the first N - p/2 entries with a condensate."""
+    power, p = family_factors(family, n, m)
+    k = 0 if p is None else n - p // 2
+    return tuple(power * (n - 1 - i) + (2 if i < k else 0) for i in range(n))
+
+
+def _is_dominated(mu: tuple[int, ...], root: tuple[int, ...]) -> bool:
+    partial = list(itertools.accumulate(mu))
+    bounds = list(itertools.accumulate(root))
+    return partial[-1] == bounds[-1] and all(a <= b for a, b in zip(partial, bounds))
 
 
 class TestSizeLimits:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bound_matches_enumeration(self, n):
-        for largest in range(12):
-            for degree in range(n * largest + 1):
-                assert determinant_bound(n, degree, largest, 10**6) == _brute_force_bound(
-                    n, degree, largest
-                ), (n, degree, largest)
+        # every strictly decreasing root with entries up to 9, against all
+        # strictly decreasing tuples of its entries' range, in the same order
+        for root in itertools.combinations(range(9, -1, -1), n):
+            expected = [
+                mu
+                for mu in itertools.combinations(range(root[0], -1, -1), n)
+                if _is_dominated(mu, root)
+            ]
+            assert list(poly._dominated(root)) == expected, root
 
     @pytest.mark.parametrize(
         "n,m,expected",
-        [(4, 13, 1588), (5, 5, 649), (5, 9, 7483), (4, 41, 51071)],
+        [(4, 13, 1406), (5, 5, 521), (5, 9, 6033), (5, 13, 27289), (7, 5, 32923), (4, 41, 45331)],
     )
     def test_laughlin_bounds(self, n, m, expected):
-        # degree m N(N-1)/2, largest exponent m (N-1)
-        assert determinant_bound(n, m * n * (n - 1) // 2, m * (n - 1), 10**6) == expected
+        # the tuples the root ((N-1) m, ..., m, 0) dominates
+        root = tuple(range(m * (n - 1), -1, -m))
+        assert sum(1 for _ in poly._dominated(root)) == expected
 
-    @pytest.mark.parametrize(
-        "family,n,m", [("laughlin", 4, 7), ("hierarchical_phi", 3, 11), ("chi", 4, 3)]
-    )
-    def test_bound_covers_the_state(self, family, n, m):
-        expansion = family_expansion(family, n, m)
-        (degree,) = {sum(lam) for lam in expansion.terms}
-        largest = max(lam[0] for lam in expansion.terms)
-        assert len(expansion) <= determinant_bound(n, degree, largest, 10**6)
+    @pytest.mark.parametrize("family,n", [(f, n) for f in FAMILIES for n in range(2, 8)])
+    def test_bound_covers_the_state(self, family, n):
+        # every allowed state with at most 5,000 determinants; at N <= 3,
+        # where there are hundreds, every fourth odd m
+        for m in range(1, MAX_ORBITALS, 8 if n <= 3 else 2):
+            try:
+                root = _product_root(family, n, m)
+            except ValueError:
+                break
+            count = sum(1 for _ in itertools.islice(poly._dominated(root), 5001))
+            if count > 5000:
+                break
+            expansion = family_expansion(family, n, m)
+            assert all(_is_dominated(lam, root) for lam in expansion.terms), (n, m)
+            assert len(expansion) <= count
 
     def test_count_stops_past_limit(self):
+        # both roots dominate far more than MAX_DETERMINANTS + 1 tuples
         start = time.perf_counter()
-        assert determinant_bound(5, 10**9, 10**9 // 2, 100) > 100
-        assert determinant_bound(2, 10**9, 10**9, 100) > 100
+        for family, n, m in [("laughlin", 7, 85), ("hierarchical_phi", 7, 83)]:
+            with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+                family_factors(family, n, m)
         assert time.perf_counter() - start < 0.5
 
     def test_rejects_over_determinant_budget(self):
-        # laughlin(5, 15) has 60,459 candidate determinants
+        # the roots of laughlin(4, 41) and (5, 15) dominate 45,331 and 48,931 tuples
         assert MAX_DETERMINANTS == 40_000
         with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
             family_expansion("laughlin", 4, 41)
@@ -327,15 +376,23 @@ class TestSizeLimits:
             ("laughlin", 5, 13),
             ("hierarchical_phi", 5, 13),
             ("laughlin", 6, 7),
-            ("hierarchical_phi", 6, 5),
-            ("laughlin", 7, 3),
+            ("hierarchical_phi", 6, 7),
+            ("laughlin", 7, 5),
             ("hierarchical_phi", 7, 3),
-            ("laughlin", 4, 37),
+            ("laughlin", 4, 39),
         ]:
             family_factors(family, n, m)
-        for family, n, m in [("laughlin", 5, 15), ("laughlin", 7, 5), ("laughlin", 4, 39)]:
+        for family, n, m in [
+            ("laughlin", 4, 41),
+            ("laughlin", 5, 15),
+            ("laughlin", 7, 7),
+            ("hierarchical_phi", 4, 39),
+            ("hierarchical_phi", 6, 9),
+        ]:
+            start = time.perf_counter()
             with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
                 family_factors(family, n, m)
+            assert time.perf_counter() - start < 0.1, (family, n, m)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_allows_every_point_in_use(self, family):
