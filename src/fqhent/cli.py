@@ -34,7 +34,7 @@ from .figures import (
     rows_to_json,
     sweep,
 )
-from .states import FAMILIES, ZeroWavefunctionError
+from .states import FAMILIES, ZeroWavefunctionError, family_factors
 from .verify import all_passed, format_report, run_verification
 
 EXIT_OK = 0
@@ -170,15 +170,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, ("family", "n", "m_max", "format", "out", "jobs"))
+    m_top = opts["m_max"] if opts["m_max"] % 2 else opts["m_max"] - 1
+    if m_top < 1:
+        raise UsageError(f"no odd m in 1..{opts['m_max']}")
     try:
-        requests = [
-            (opts["family"], opts["n"], m) for m in range(1, opts["m_max"] + 1, 2)
-        ]
-        if not requests:
-            raise UsageError(f"no odd m in 1..{opts['m_max']}")
+        # The largest m is the largest state: refuse an over-budget table
+        # before its request list, which grows with --m-max, exists.
+        try:
+            family_factors(opts["family"], opts["n"], m_top)
+        except ZeroWavefunctionError:
+            pass  # chi's zero points are rows of the output
+        requests = [(opts["family"], opts["n"], m) for m in range(1, m_top + 1, 2)]
         points = sweep(requests, jobs=opts["jobs"])
-    except UsageError:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,7 @@ annotated in the SVG.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -92,14 +93,25 @@ def _sorted_points(points: Iterable[SweepPoint]) -> list[SweepPoint]:
     return sorted(points, key=lambda p: (p.family, p.n_electrons, p.m))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _measured_point(family: str, n_electrons: int, m: int) -> SweepPoint:
+    report = modified_measure(FAMILIES[family](n_electrons, m), family=family, m=m)
+    return SweepPoint(family, n_electrons, m, report.measure_bits)
+
+
 def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:
-    """Build one state and measure it; zero wavefunctions yield value None."""
+    """Build one state and measure it; zero wavefunctions yield value None.
+
+    Measured points are memoized per process with typed keys: a repeated
+    (family, N, m) returns the same frozen SweepPoint and builds nothing.
+    Only states within the size budget are kept, so the memo needs no bound.
+    Refusals raise and are not kept; nor are zero points, which cost one
+    parameter check and would otherwise grow a chi table's memory with m.
+    """
     try:
-        state = FAMILIES[family](n_electrons, m)
+        return _measured_point(family, n_electrons, m)
     except ZeroWavefunctionError:
         return SweepPoint(family, n_electrons, m, None)
-    report = modified_measure(state, family=family, m=m)
-    return SweepPoint(family, n_electrons, m, report.measure_bits)
 
 
 def _evaluate_tuple(args: tuple[str, int, int]) -> SweepPoint:
@@ -113,9 +125,12 @@ def sweep(
 
     Every request is checked against the family limits before any is
     evaluated, so a sweep with a request over the size budget raises
-    ValueError at once.  The result order follows the request order
-    regardless of jobs, so downstream sorting is the only ordering that
-    matters.  At most min(jobs, len(requests), cpu count) worker processes
+    ValueError at once.  That check, :func:`~fqhent.states.family_factors`,
+    and :func:`evaluate_point` are memoized, so a process counts and
+    measures each distinct nonzero (family, N, m) once; the workers of a
+    parallel sweep keep their own memos.  The result order follows the
+    request order regardless of jobs, so downstream sorting is the only
+    ordering that matters.  At most min(jobs, len(requests), cpu count) worker processes
     are started.
     """
     if jobs < 1:

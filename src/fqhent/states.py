@@ -31,6 +31,7 @@ MAX_ORBITALS or MAX_DETERMINANTS the request is refused with ValueError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -72,12 +73,15 @@ class ZeroWavefunctionError(ValueError):
     """The requested construction is identically zero, not a state."""
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | None]:
     """Validated (Vandermonde power, condensate exponent p or None) of a family state.
 
     Raises ValueError for bad parameters, an unknown family or a state over
     MAX_ORBITALS or MAX_DETERMINANTS, and ZeroWavefunctionError when the
-    condensate vanishes (for chi, m > 2N+1).
+    condensate vanishes (for chi, m > 2N+1).  Memoized per process with
+    typed keys, so a sweep's up-front check and the build after it count
+    the determinants once; refusals raise and are not kept.
     """
     if n_electrons < 2:
         raise ValueError("need at least two electrons")

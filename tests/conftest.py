@@ -1,12 +1,28 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared fixtures and hypothesis strategies for the test suite."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from fqhent import FockVector, MultiPoly, SlaterExpansion
+from fqhent import figures, states
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Start and end every test with empty point and budget memos.
+
+    A test then computes what it checks, whatever ran before it in the
+    same process, and a forked worker inherits no measured point.
+    """
+    figures._measured_point.cache_clear()
+    states.family_factors.cache_clear()
+    yield
+    figures._measured_point.cache_clear()
+    states.family_factors.cache_clear()
 
 
 @st.composite

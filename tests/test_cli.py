@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fqhent
+from fqhent import figures
 from fqhent.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -21,6 +22,9 @@ from fqhent.cli import (
     load_config,
     main,
 )
+
+
+PACKAGE_ROOT = Path(fqhent.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -95,6 +99,27 @@ class TestCompute:
         assert "MAX_DETERMINANTS" in err
         assert out == ""
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_table_refused_before_its_requests_exist(self):
+        # the request list grows by about 100 MB per 10**6 odd m; m = 513 is
+        # over the orbital budget, so the table is refused before building it
+        def exit_code_and_peak_kib(m_max):
+            argv = ["table", "--family", "laughlin", "--n", "2", "--m-max", str(m_max)]
+            with subprocess.Popen(
+                [sys.executable, "-m", "fqhent.cli", *argv],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+            ) as proc:
+                _, status, usage = os.wait4(proc.pid, 0)
+                proc.returncode = os.waitstatus_to_exitcode(status)
+            return proc.returncode, usage.ru_maxrss
+
+        small_code, small_kib = exit_code_and_peak_kib(13)
+        large_code, large_kib = exit_code_and_peak_kib(2_000_001)
+        assert (small_code, large_code) == (EXIT_OK, EXIT_USAGE)
+        assert large_kib - small_kib < 15 * 1024
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--family", "hierarchical_phi", "--n", "2",
@@ -148,13 +173,15 @@ class TestTable:
     def test_parallel_matches_serial(self, capsys, tmp_path):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        run(
-            capsys, "table", "--family", "hierarchical_phi", "--n", "2",
-            "--m-max", "9", "--out", str(serial),
-        )
+        # parallel first, so the workers fork from an empty point memo
         run(
             capsys, "table", "--family", "hierarchical_phi", "--n", "2",
             "--m-max", "9", "--jobs", "2", "--out", str(parallel),
+        )
+        assert figures._measured_point.cache_info().currsize == 0
+        run(
+            capsys, "table", "--family", "hierarchical_phi", "--n", "2",
+            "--m-max", "9", "--out", str(serial),
         )
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -352,14 +379,13 @@ class TestJobs:
 
 
 def _loaded_by_cli_import(module: str) -> bool:
-    package_root = Path(fqhent.__file__).resolve().parent.parent
     probe = f"import sys, fqhent.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": str(package_root)},
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
     )
     return result.stdout.strip() == "True"
 

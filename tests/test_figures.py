@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from fqhent import (
 )
 from fqhent import figures
 from fqhent.figures import SweepPoint, figure_title
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestPresets:
@@ -63,7 +66,11 @@ class TestEvaluateAndSweep:
         requests = [("laughlin", 2, m) for m in (1, 3, 5)] + [
             ("chi", 2, m) for m in (1, 3, 5, 7)
         ]
-        assert sweep(requests, jobs=1) == sweep(requests, jobs=2)
+        # parallel first: the workers fork from an empty memo and measure
+        # every point themselves, and the serial run measures them again
+        parallel = sweep(requests, jobs=2)
+        assert figures._measured_point.cache_info().currsize == 0
+        assert sweep(requests, jobs=1) == parallel
 
     @pytest.mark.parametrize(
         "jobs,n_requests,cpus,expected",
@@ -92,6 +99,59 @@ class TestEvaluateAndSweep:
         points = figures.sweep(requests, jobs=jobs)
         assert len(points) == n_requests
         assert started == ([] if expected is None else [expected])
+
+
+class TestPointMemo:
+    memo = figures._measured_point
+
+    def test_repeat_returns_same_point_and_builds_once(self, monkeypatch):
+        calls = []
+        build = figures.FAMILIES["laughlin"]
+
+        def counting(n, m):
+            calls.append((n, m))
+            return build(n, m)
+
+        monkeypatch.setitem(figures.FAMILIES, "laughlin", counting)
+        first = evaluate_point("laughlin", 2, 3)
+        assert evaluate_point("laughlin", 2, 3) is first
+        assert sweep([("laughlin", 2, 3)])[0] is first
+        assert calls == [(2, 3)]
+
+    def test_refusal_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+                evaluate_point("laughlin", 4, 41)
+        assert self.memo.cache_info().currsize == 0
+
+    def test_zero_point_is_not_kept(self):
+        # a chi table's zero rows grow with --m-max; each costs one check
+        points = [evaluate_point("chi", 2, 7) for _ in range(2)]
+        assert points[0] == points[1] == SweepPoint("chi", 2, 7, None)
+        assert self.memo.cache_info().currsize == 0
+
+    def test_float_m_still_raises_after_int_m(self):
+        evaluate_point("laughlin", 2, 3)
+        with pytest.raises(TypeError):
+            evaluate_point("laughlin", 2, 3.0)
+
+    def test_all_presets_in_one_process_match_fresh_runs(self):
+        # the five presets at t <= 6 ask for 63 points, 35 of them distinct
+        # and 2 of those zero (chi N=4 at m = 11, 13)
+        csv, svg = {}, {}
+        for fig_id in (3, 1, 5, 2, 4):
+            points = figure_points(figure_spec(fig_id))
+            csv[fig_id] = rows_to_csv(points)
+            svg[fig_id] = render_svg(points, figure_title(fig_id))
+        info = self.memo.cache_info()
+        assert (info.hits, info.currsize) == (28, 33)
+        for fig_id in (1, 5):
+            golden = REPO / "demos" / "output" / f"figure{fig_id}"
+            assert csv[fig_id].encode() == golden.with_suffix(".csv").read_bytes()
+            assert svg[fig_id].encode() == golden.with_suffix(".svg").read_bytes()
+        for fig_id, text in csv.items():
+            self.memo.cache_clear()
+            assert rows_to_csv(figure_points(figure_spec(fig_id))) == text
 
 
 class TestCsv:

@@ -26,6 +26,7 @@ from fqhent import (
     laughlin,
     modified_measure,
     slater_project,
+    sweep,
     vandermonde_power,
     vanishes,
 )
@@ -406,6 +407,20 @@ class TestSizeLimits:
                 family_factors(family, n, m)
             except ZeroWavefunctionError:
                 pass
+
+    def test_sweep_counts_each_budget_once(self, monkeypatch):
+        # the sweep's up-front check and the build after it share one count
+        roots = []
+
+        def counting(root):
+            roots.append(root)
+            return poly._dominated(root)
+
+        monkeypatch.setattr(states, "_dominated", counting)
+        sweep([("laughlin", 3, 5), ("hierarchical_phi", 3, 5)])
+        assert len(roots) == 2
+        family_expansion("laughlin", 3, 5)
+        assert len(roots) == 2
 
 
 class TestKMatrix:
