@@ -5,6 +5,8 @@ the Jastrow power, project onto Slater determinants, then normalize in
 the lowest Landau level basis.  Every number printed here is exact.
 """
 
+from fractions import Fraction
+
 from fqhent import (
     MultiPoly,
     amplitude_pattern,
@@ -28,8 +30,9 @@ def main() -> None:
 
     state = to_fock(expansion)
     print("\nnormalized Fock amplitudes (squared magnitudes are exact):")
-    for config, amp in state.items():
-        print(f"  |c{config}|^2 = {amp.magnitude_sq}   sign {amp.sign:+d}")
+    for config, weight in sorted(state.weights.items()):
+        magnitude_sq = Fraction(abs(weight), state.total)
+        print(f"  |c{config}|^2 = {magnitude_sq}   sign {1 if weight > 0 else -1:+d}")
     print(f"integer pattern: {amplitude_pattern(state)}")
 
     print("\n== three electrons, m=3 ==")

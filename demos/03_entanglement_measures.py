@@ -7,7 +7,6 @@ Also shows the two-fermion Schliemann measure and where it vanishes.
 """
 
 import math
-from fractions import Fraction
 
 from fqhent import (
     FockVector,
@@ -51,7 +50,7 @@ def main() -> None:
         print(f"  orbitals ({a_idx},{b_idx}) with weight {weight:.6f}")
 
     print("\n== Schliemann measure for two fermions in four orbitals ==")
-    single = FockVector.from_rational_amplitudes(2, 4, {(0, 1): Fraction(1)})
+    single = FockVector(2, 4, {(0, 1): 1})
     print(f"  laughlin(2,3):      eta = {schliemann_eta(laughlin(2, 3)):.6f}")
     print(f"  single determinant: eta = {schliemann_eta(single):.6f}")
     print("  eta = 0 exactly on single Slater determinants, 1 at maximal")

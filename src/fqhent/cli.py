@@ -139,6 +139,23 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _largest_m(series: Sequence[tuple[str, int]], m_max: int) -> int:
+    """The largest odd m up to m_max, checked against the size budget.
+
+    It is the largest state of every series, so an over-budget sweep is
+    refused before its request list, which grows with m_max, exists.
+    """
+    m_top = m_max if m_max % 2 else m_max - 1
+    if m_top < 1:
+        raise UsageError(f"no odd m in 1..{m_max}")
+    for family, n in series:
+        try:
+            family_factors(family, n, m_top)
+        except ZeroWavefunctionError:
+            pass  # chi's zero points are rows of the output
+    return m_top
+
+
 # -- subcommands -----------------------------------------------------------
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -170,16 +187,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, ("family", "n", "m_max", "format", "out", "jobs"))
-    m_top = opts["m_max"] if opts["m_max"] % 2 else opts["m_max"] - 1
-    if m_top < 1:
-        raise UsageError(f"no odd m in 1..{opts['m_max']}")
     try:
-        # The largest m is the largest state: refuse an over-budget table
-        # before its request list, which grows with --m-max, exists.
-        try:
-            family_factors(opts["family"], opts["n"], m_top)
-        except ZeroWavefunctionError:
-            pass  # chi's zero points are rows of the output
+        m_top = _largest_m([(opts["family"], opts["n"])], opts["m_max"])
         requests = [(opts["family"], opts["n"], m) for m in range(1, m_top + 1, 2)]
         points = sweep(requests, jobs=opts["jobs"])
     except ValueError as exc:
@@ -196,9 +205,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     opts = _resolve(args, ("m_max", "format", "out", "jobs"))
-    t_max = (opts["m_max"] - 1) // 2
     try:
-        spec = figure_spec(args.id, t_max=t_max)
+        m_top = _largest_m(PRESETS[args.id][1], opts["m_max"])
+        spec = figure_spec(args.id, t_max=(m_top - 1) // 2)
         points = figure_points(spec, jobs=opts["jobs"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -282,7 +291,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument(
         "level", nargs="?", default="fast", choices=("fast", "full"),
-        help="fast: m <= 9, N <= 3; full: m <= 13, N <= 4",
+        help="fast: m <= 9, N <= 3 (N <= 4 in the L-/L+ check); "
+        "full: m <= 13, N <= 4 (N <= 7 in the L-/L+ check)",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .lll import Amplitude, FockConfig, FockVector, amplitude_product
+from .lll import FockConfig, FockVector, amplitude_product
 
 Entry = Fraction | float
 
@@ -317,10 +317,5 @@ def two_qubit_consistency(alpha_sq: Fraction | int) -> float:
     alpha_sq = Fraction(alpha_sq)
     if not 0 <= alpha_sq <= 1:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
-    terms: dict[FockConfig, Amplitude] = {}
-    if alpha_sq:
-        terms[(0, 1)] = Amplitude(1, alpha_sq)
-    if alpha_sq != 1:
-        terms[(2, 3)] = Amplitude(1, 1 - alpha_sq)
-    state = FockVector(2, 4, terms)
-    return modified_measure(state).measure_nats
+    a, b = alpha_sq.numerator, alpha_sq.denominator
+    return modified_measure(FockVector(2, 4, {(0, 1): a, (2, 3): b - a})).measure_nats

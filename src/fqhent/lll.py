@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, repeat
+from operator import lt, mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .poly import SlaterExpansion
 
@@ -43,18 +43,10 @@ def orbital_norm_sq(i: int) -> int:
 
 @dataclass(frozen=True)
 class Amplitude:
-    """A real amplitude stored as sign times the exact squared magnitude."""
+    """One entry of FockVector.terms: a sign and the exact squared magnitude."""
 
     sign: int
     magnitude_sq: Fraction
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        magnitude_sq = Fraction(self.magnitude_sq)
-        if magnitude_sq < 0:
-            raise ValueError("squared magnitude must be non-negative")
-        object.__setattr__(self, "magnitude_sq", magnitude_sq)
 
     @property
     def as_float(self) -> float:
@@ -64,8 +56,8 @@ class Amplitude:
 def amplitude_product(w: int, x: int, total: int) -> Fraction | float:
     """Product sign(w x) sqrt(|w x|) / total of the amplitudes with weights w and x.
 
-    A Fraction when |w x| is a perfect square (always the case for states
-    built from rational amplitudes), otherwise a float.
+    A Fraction when |w x| is a perfect square (always the case when both
+    amplitudes are rational), otherwise a float.
     """
     magnitude = abs(w * x)
     sign = 1 if (w < 0) == (x < 0) else -1
@@ -73,12 +65,6 @@ def amplitude_product(w: int, x: int, total: int) -> Fraction | float:
     if root * root == magnitude:
         return Fraction(sign * root, total)
     return sign * math.sqrt(magnitude / (total * total))
-
-
-def _cleared(terms: Mapping[FockConfig, tuple[int, Fraction]]) -> tuple[dict, int]:
-    """Signed squared magnitudes times the lcm of their denominators, and that lcm."""
-    lcm = math.lcm(*(mag.denominator for _, mag in terms.values()))
-    return {c: s * mag.numerator * (lcm // mag.denominator) for c, (s, mag) in terms.items()}, lcm
 
 
 def _checked(n_particles: int, dim: int, weights: dict[FockConfig, int]) -> dict[FockConfig, int]:
@@ -89,7 +75,9 @@ def _checked(n_particles: int, dim: int, weights: dict[FockConfig, int]) -> dict
     for config in weights:
         if len(config) != n_particles:
             raise ValueError(f"config {config} does not have {n_particles} orbitals")
-        if any(config[i] >= config[i + 1] for i in range(len(config) - 1)):
+        if not all(map(isinstance, config, repeat(int))):
+            raise ValueError(f"config {config} has an orbital that is not an integer")
+        if not all(map(lt, config, config[1:])):
             raise ValueError(f"config {config} is not strictly increasing")
         if config[0] < 0 or config[-1] >= dim:
             raise ValueError(f"config {config} has orbitals outside 0..{dim - 1}")
@@ -102,19 +90,17 @@ class FockVector:
     Each occupied configuration c (a strictly increasing orbital tuple)
     carries a signed integer weight w_c, the weights sharing no common
     factor; its amplitude is sign(w_c) sqrt(|w_c| / total), where total is
-    the sum of the |w_c|.  terms and items() show the same exact values as
+    the sum of the |w_c|.  It is built from any signed integer weights, which
+    are reduced on the way in; terms shows the same exact values as
     Amplitudes.
     """
 
     __slots__ = ("_n_particles", "_dim", "_weights", "_total")
 
-    def __init__(
-        self, n_particles: int, dim: int, terms: Mapping[FockConfig, Amplitude]
-    ) -> None:
-        weights, denom = _cleared({c: (a.sign, a.magnitude_sq) for c, a in terms.items()})
-        total = sum(map(abs, weights.values()))
-        if total != denom:
-            raise ValueError(f"squared magnitudes sum to {Fraction(total, denom)}, not 1")
+    def __init__(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
+        for config, weight in weights.items():
+            if not isinstance(weight, int):
+                raise ValueError(f"config {config}: weight {weight!r} is not an integer")
         self._store(n_particles, dim, _checked(n_particles, dim, weights))
 
     @classmethod
@@ -127,7 +113,7 @@ class FockVector:
     def _store(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
         common = math.gcd(*weights.values())
         if common == 0:
-            raise ZeroStateError("all squared magnitudes are zero")
+            raise ZeroStateError("all weights are zero")
         store = {tuple(c): w // common for c, w in weights.items() if w}
         object.__setattr__(self, "_n_particles", n_particles)
         object.__setattr__(self, "_dim", dim)
@@ -146,21 +132,13 @@ class FockVector:
     ) -> "FockVector":
         """Normalize a map config -> (sign, int or Fraction squared magnitude) exactly."""
         for config, (sign, mag) in terms.items():
-            if sign not in (1, -1) or not isinstance(mag, (int, Fraction)) or mag < 0:
+            bad_sign = not isinstance(sign, int) or sign not in (1, -1)
+            if bad_sign or not isinstance(mag, (int, Fraction)) or mag < 0:
                 raise ValueError(f"config {config}: need sign +1 or -1, int or Fraction >= 0")
-        return cls._from_weights(n_particles, dim, _checked(n_particles, dim, _cleared(terms)[0]))
-
-    @classmethod
-    def from_rational_amplitudes(
-        cls, n_particles: int, dim: int, amplitudes: Mapping[FockConfig, Fraction | int]
-    ) -> "FockVector":
-        """Build a state from exact rational amplitudes, normalizing exactly."""
-        terms: dict[FockConfig, tuple[int, Fraction]] = {}
-        for config, amp in amplitudes.items():
-            amp = Fraction(amp)
-            if amp:
-                terms[tuple(config)] = (1 if amp > 0 else -1, amp * amp)
-        return cls.from_unnormalized(n_particles, dim, terms)
+        # signed squared magnitudes times the lcm of their denominators
+        lcm = math.lcm(*(mag.denominator for _, mag in terms.values()))
+        weights = {c: s * mag.numerator * (lcm // mag.denominator) for c, (s, mag) in terms.items()}
+        return cls._from_weights(n_particles, dim, _checked(n_particles, dim, weights))
 
     # -- queries -----------------------------------------------------------
 
@@ -192,10 +170,6 @@ class FockVector:
     def __len__(self) -> int:
         return len(self._weights)
 
-    def items(self) -> Iterator[tuple[FockConfig, Amplitude]]:
-        """Terms in canonical (ascending lexicographic) config order."""
-        return iter(sorted(self.terms.items()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
@@ -220,8 +194,8 @@ class FockVector:
         return {mode: Fraction(s, self._total) for mode, s in enumerate(sums)}
 
     def __repr__(self) -> str:
-        body = {c: (a.sign, a.magnitude_sq) for c, a in self.items()}
-        return f"FockVector(N={self._n_particles}, dim={self._dim}, terms={body!r})"
+        body = dict(sorted(self._weights.items()))
+        return f"FockVector({self._n_particles}, {self._dim}, {body!r})"
 
 
 def to_fock(expansion: SlaterExpansion) -> FockVector:

@@ -4,8 +4,9 @@ Each check recomputes a quantity from scratch and compares it against either
 an exact expected value or an independent computation route.  Checks report
 pass/fail; purely informational items (quantities that are reported but
 deliberately not asserted, such as the curve ordering between families) are
-marked info.  The fast level keeps m <= 9 and N <= 3; full extends to
-m <= 13 and N <= 4.  The family constructors build states directly in the
+marked info.  The fast level keeps m <= 9 and N <= 3, except N = 4 in the
+L-/L+ check; full extends to m <= 13 and N <= 4, and the L-/L+ check to
+N = 5..7 at smaller m.  The family constructors build states directly in the
 determinant basis; basis-route-equivalence keeps the full-expansion route
 (family_polynomial, then slater_project) as their independent check, and
 laughlin-translation-highest-weight checks Laughlin states by two exact
@@ -74,7 +75,7 @@ def check_binomial_amplitude_pattern(m_max: int) -> CheckResult:
 def check_hierarchical_n2_lowest() -> CheckResult:
     """hierarchical_phi(2,1) squared amplitudes are 3/4 on {0,3}, 1/4 on {1,2}."""
     state = hierarchical_phi(2, 1)
-    got = {c: a.magnitude_sq for c, a in state.items()}
+    got = {c: Fraction(abs(w), state.total) for c, w in sorted(state.weights.items())}
     expected = {(0, 3): Fraction(3, 4), (1, 2): Fraction(1, 4)}
     return _result("hierarchical-n2-lowest", got == expected, f"amplitudes {got}")
 

@@ -25,6 +25,11 @@ def empty_memos():
     states.family_factors.cache_clear()
 
 
+def squared_magnitudes(v: FockVector) -> dict:
+    """Each configuration's exact squared amplitude |w_c| / total."""
+    return {c: Fraction(abs(w), v.total) for c, w in v.weights.items()}
+
+
 @st.composite
 def multi_polys(
     draw,
@@ -81,7 +86,7 @@ def slater_expansions(draw, max_nvars: int = 3, max_orbital: int = 7):
 
 @st.composite
 def dim4_two_fermion_states(draw):
-    """Random two-fermion states over four orbitals with rational amplitudes."""
+    """Random two-fermion states over four orbitals with integer amplitudes."""
     configs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     picked = draw(
         st.lists(st.sampled_from(configs), min_size=1, max_size=6, unique=True)
@@ -93,8 +98,7 @@ def dim4_two_fermion_states(draw):
             max_size=len(picked),
         )
     )
-    amps = {c: Fraction(v) for c, v in zip(picked, numerators)}
-    return FockVector.from_rational_amplitudes(2, 4, amps)
+    return FockVector(2, 4, {c: v * abs(v) for c, v in zip(picked, numerators)})
 
 
 @st.composite

@@ -215,10 +215,11 @@ def density_by_partial_trace(v) -> list[list[float]]:
     n = v.n_particles
     scale = 1 / math.sqrt(math.factorial(n))
     by_first: defaultdict[int, dict[tuple[int, ...], float]] = defaultdict(dict)
-    for config, amp in v.terms.items():
+    for config, weight in v.weights.items():
+        amp = math.copysign(math.sqrt(abs(weight) / v.total), weight)
         for perm in itertools.permutations(range(n)):
             ordered = tuple(config[p] for p in perm)
-            by_first[ordered[0]][ordered[1:]] = _cycle_sign(perm) * amp.as_float * scale
+            by_first[ordered[0]][ordered[1:]] = _cycle_sign(perm) * amp * scale
     rho = [[0.0] * v.dim for _ in range(v.dim)]
     for mu, left in by_first.items():
         for nu, right in by_first.items():

@@ -102,9 +102,10 @@ class TestCompute:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_table_refused_before_its_requests_exist(self):
         # the request list grows by about 100 MB per 10**6 odd m; m = 513 is
-        # over the orbital budget, so the table is refused before building it
-        def exit_code_and_peak_kib(m_max):
-            argv = ["table", "--family", "laughlin", "--n", "2", "--m-max", str(m_max)]
+        # over the orbital budget, so a table or figure is refused before
+        # building it
+        def exit_code_and_peak_kib(command, m_max):
+            argv = [*command, "--m-max", str(m_max)]
             with subprocess.Popen(
                 [sys.executable, "-m", "fqhent.cli", *argv],
                 stdout=subprocess.DEVNULL,
@@ -115,10 +116,11 @@ class TestCompute:
                 proc.returncode = os.waitstatus_to_exitcode(status)
             return proc.returncode, usage.ru_maxrss
 
-        small_code, small_kib = exit_code_and_peak_kib(13)
-        large_code, large_kib = exit_code_and_peak_kib(2_000_001)
-        assert (small_code, large_code) == (EXIT_OK, EXIT_USAGE)
-        assert large_kib - small_kib < 15 * 1024
+        for command in (["table", "--family", "laughlin", "--n", "2"], ["figure", "1"]):
+            small_code, small_kib = exit_code_and_peak_kib(command, 13)
+            large_code, large_kib = exit_code_and_peak_kib(command, 2_000_001)
+            assert (small_code, large_code) == (EXIT_OK, EXIT_USAGE), command
+            assert large_kib - small_kib < 15 * 1024, command
 
     def test_json_format(self, capsys):
         code, out, _ = run(

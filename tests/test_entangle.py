@@ -12,7 +12,6 @@ from hypothesis import given, settings
 import oracles
 from conftest import dim4_two_fermion_states, irrational_mixed_states
 from fqhent import (
-    Amplitude,
     DimensionNotFourError,
     FockVector,
     NotTwoFermionError,
@@ -45,7 +44,8 @@ IRRATIONAL_MIXED_STATE = {
 
 
 def rational_state(dim: int, amps: dict) -> FockVector:
-    return FockVector.from_rational_amplitudes(2, dim, {k: Fraction(v) for k, v in amps.items()})
+    """The two-fermion state with these integer amplitudes, normalized."""
+    return FockVector(2, dim, {c: a * abs(a) for c, a in amps.items()})
 
 
 def assert_matches_partial_trace(rho: OneBodyDensityMatrix, v: FockVector) -> None:
@@ -109,7 +109,7 @@ class TestOneBodyDensity:
     def test_shared_hole_after_configs_of_one_total_keeps_off_diagonals(self):
         # (0, 3) and (1, 2) have total 3; (0, 2), of total 2, shares the hole
         # (0,) with (0, 3) and the hole (2,) with (1, 2)
-        v = FockVector.from_rational_amplitudes(2, 4, {(0, 3): 1, (1, 2): 2, (0, 2): 2})
+        v = rational_state(4, {(0, 3): 1, (1, 2): 2, (0, 2): 2})
         rho = one_body_density(v)
         assert set(rho.off_diagonal) == {(0, 1), (2, 3)}
         assert rho.off_diagonal[(2, 3)] == Fraction(1, 9)
@@ -217,7 +217,7 @@ class TestModifiedMeasure:
         assert report.measure_bits == 0.0
 
     def test_hand_built_determinant_exactly_zero(self):
-        v = FockVector.from_rational_amplitudes(12, 12, {tuple(range(12)): Fraction(1)})
+        v = FockVector(12, 12, {tuple(range(12)): 1})
         assert modified_measure(v).measure_nats == 0.0
 
     def test_laughlin_2_3_value(self):
@@ -359,14 +359,7 @@ class TestSchliemannEta:
         assert schliemann_eta(v) == pytest.approx(1.0, abs=1e-14)
 
     def test_quarter_three_quarter(self):
-        v = FockVector(
-            2,
-            4,
-            {
-                (0, 1): Amplitude(1, Fraction(1, 4)),
-                (2, 3): Amplitude(1, Fraction(3, 4)),
-            },
-        )
+        v = FockVector(2, 4, {(0, 1): 1, (2, 3): 3})
         assert schliemann_eta(v) == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
 
     def test_laughlin_2_3(self):

@@ -7,13 +7,19 @@ three of the largest states, recorded from a build that summed the
 squeezing recursion's l terms one at a time and multiplied the condensate
 in by Pieri steps.  The Fock digests are sha256 sums of the same states'
 gcd-reduced Fock weights and their total, recorded from a to_fock that
-multiplied every orbital's full weight 2^(mu+1) mu! in.
+multiplied every orbital's full weight 2^(mu+1) mu! in.  The stdout
+goldens are the printed text of four demos and of `verify full`, recorded
+before FockVector lost its Amplitude-map and rational-amplitude
+constructors; demo 04 is left out because it prints the paths it writes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +99,22 @@ FOCK_DIGESTS = json.loads((GOLDEN / "fock_digests.json").read_text())
 def test_fock_weight_digest(point):
     family, n, m = point.split()
     assert _fock_digest(family, int(n), int(m)) == FOCK_DIGESTS[point]
+
+
+PRINTED = {
+    "demo01_stdout.txt": ["demos/01_polynomials_and_fock.py"],
+    "demo02_stdout.txt": ["demos/02_quasihole_condensation.py"],
+    "demo03_stdout.txt": ["demos/03_entanglement_measures.py"],
+    "demo05_stdout.txt": ["demos/05_k_matrix_filling.py"],
+    "verify_full_stdout.txt": ["-m", "fqhent.cli", "verify", "full"],
+}
+
+
+@pytest.mark.parametrize("golden", PRINTED)
+def test_printed_text(golden):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, *PRINTED[golden]], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / golden).read_text()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import slater_expansions, unnormalized_terms
+from conftest import slater_expansions, squared_magnitudes, unnormalized_terms
 from fqhent import (
     Amplitude,
     FockVector,
@@ -46,12 +46,6 @@ class TestOrbitalNorm:
 
 
 class TestAmplitude:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Amplitude(0, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            Amplitude(1, Fraction(-1, 2))
-
     def test_product_exact_when_square(self):
         # amplitudes +sqrt(1/4) and -sqrt(9/4) as weights over the total 4
         got = amplitude_product(1, -9, 4)
@@ -72,7 +66,7 @@ class TestToFock:
     def test_cube(self):
         s = slater_project(vandermonde_power(2, 3))
         v = to_fock(s)
-        assert {c: a.magnitude_sq for c, a in v.items()} == {
+        assert squared_magnitudes(v) == {
             (0, 3): Fraction(1, 4),
             (1, 2): Fraction(3, 4),
         }
@@ -83,7 +77,7 @@ class TestToFock:
         # orbitals {0,5}, {1,4}, {2,3}
         s = SlaterExpansion(2, {(5, 0): 1, (4, 1): -3, (3, 2): 4})
         v = to_fock(s)
-        assert {c: a.magnitude_sq for c, a in v.items()} == {
+        assert squared_magnitudes(v) == {
             (0, 5): Fraction(5, 22),
             (1, 4): Fraction(9, 22),
             (2, 3): Fraction(4, 11),
@@ -91,7 +85,7 @@ class TestToFock:
 
     def test_single_determinant(self):
         v = to_fock(slater_project(vandermonde_power(2, 1)))
-        assert {c: a.magnitude_sq for c, a in v.items()} == {(0, 1): Fraction(1)}
+        assert squared_magnitudes(v) == {(0, 1): Fraction(1)}
 
     def test_zero_raises(self):
         with pytest.raises(ZeroStateError):
@@ -101,8 +95,8 @@ class TestToFock:
     @settings(max_examples=50, deadline=None)
     def test_exact_normalization_and_dim(self, expansion):
         v = to_fock(expansion)
-        assert sum(a.magnitude_sq for _, a in v.items()) == 1
-        max_orbital = max(c[-1] for c in v.terms)
+        assert sum(squared_magnitudes(v).values()) == 1
+        max_orbital = max(c[-1] for c in v.weights)
         assert v.dim == max_orbital + 1
 
     @pytest.mark.parametrize("m", [1, 3, 5, 7, 9, 11, 13, 101, 255, 511])
@@ -112,14 +106,14 @@ class TestToFock:
             (k, m - k): Fraction(math.comb(m, k), 2 ** (m - 1))
             for k in range((m - 1) // 2 + 1)
         }
-        assert {c: a.magnitude_sq for c, a in v.items()} == expected
+        assert squared_magnitudes(v) == expected
 
     @pytest.mark.parametrize("nvars,power", [(2, 3), (3, 3), (2, 5), (4, 3)])
     def test_homogeneity_carries_over(self, nvars, power):
         v = to_fock(slater_project(vandermonde_power(nvars, power)))
         degree = power * nvars * (nvars - 1) // 2
         assert v.is_homogeneous()
-        assert {sum(c) for c in v.terms} == {degree}
+        assert {sum(c) for c in v.weights} == {degree}
 
 
 def assert_matches_orbital_norm_formula(expansion: SlaterExpansion) -> None:
@@ -171,27 +165,31 @@ class TestToFockOracle:
 
 
 class TestFockVectorValidation:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            FockVector(2, 4, {(0, 1): Amplitude(1, Fraction(1, 2))})
+    @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(3), 0.5, 1.0, "1"])
+    def test_rejects_non_integer_weights(self, weight):
+        with pytest.raises(ValueError, match="not an integer"):
+            FockVector(2, 4, {(0, 1): 1, (2, 3): weight})
 
     def test_rejects_bad_configs(self):
-        amp = Amplitude(1, Fraction(1))
         with pytest.raises(ValueError):
-            FockVector(2, 4, {(1, 0): amp})
+            FockVector(2, 4, {(1, 0): 1})
         with pytest.raises(ValueError):
-            FockVector(2, 4, {(0, 4): amp})
+            FockVector(2, 4, {(0, 4): 1})
         with pytest.raises(ValueError):
-            FockVector(2, 4, {(0, 1, 2): amp})
+            FockVector(2, 4, {(0, 1, 2): 1})
+        with pytest.raises(ValueError):
+            FockVector(2, 4, {(0.5, 2): 1})
+        with pytest.raises(ValueError):
+            FockVector.from_unnormalized(2, 4, {(1.0, 2): (1, 1)})
 
-    def test_from_rational_amplitudes(self):
-        v = FockVector.from_rational_amplitudes(
-            2, 4, {(0, 1): Fraction(3), (2, 3): Fraction(-4)}
-        )
-        assert v.terms[(0, 1)].magnitude_sq == Fraction(9, 25)
-        assert v.terms[(2, 3)].sign == -1
-        with pytest.raises(ZeroStateError):
-            FockVector.from_rational_amplitudes(2, 4, {(0, 1): Fraction(0)})
+    def test_reduces_weights_and_rejects_zero(self):
+        v = FockVector(2, 4, {(0, 1): 18, (1, 2): 0, (2, 3): -32})
+        assert dict(v.weights) == {(0, 1): 9, (2, 3): -16}
+        assert v.total == 25
+        assert v.terms[(2, 3)] == Amplitude(-1, Fraction(16, 25))
+        for zero in ({(0, 1): 0, (2, 3): 0}, {}):
+            with pytest.raises(ZeroStateError):
+                FockVector(2, 4, zero)
 
     @pytest.mark.parametrize(
         "terms",
@@ -203,6 +201,7 @@ class TestFockVectorValidation:
             {(0, 1): (2, 1)},
             {(0, 1): (-2, 1), (2, 3): (1, 1)},
             {(0, 1): (1, 0.5), (2, 3): (1, 1)},
+            {(0, 1): (1.0, 1)},
         ],
     )
     def test_from_unnormalized_rejects_bad_signs_and_magnitudes(self, terms):
@@ -232,13 +231,14 @@ class TestIntegerWeights:
         expected = oracles.occupations_from_unnormalized(dim, terms)
         assert list(v.occupations().values()) == expected
         assert one_body_density(v).diag == tuple(p / n for p in expected)
-        assert FockVector(n, dim, v.terms) == v
+        assert FockVector(n, dim, v.weights) == v
 
     @given(slater_expansions())
     @settings(max_examples=50, deadline=None)
     def test_terms_rebuild_the_state(self, expansion):
         v = to_fock(expansion)
-        assert FockVector(v.n_particles, v.dim, v.terms) == v
+        rebuilt = {c: a.sign * int(a.magnitude_sq * v.total) for c, a in v.terms.items()}
+        assert FockVector(v.n_particles, v.dim, rebuilt) == v
         assert sum(map(abs, v.weights.values())) == v.total
 
 
