@@ -142,8 +142,11 @@ def _write_text(path: str, text: str) -> None:
 def _largest_m(series: Sequence[tuple[str, int]], m_max: int) -> int:
     """The largest odd m up to m_max, checked against the size budget.
 
-    It is the largest state of every series, so an over-budget sweep is
-    refused before its request list, which grows with m_max, exists.
+    It is the largest state of a laughlin or hierarchical_phi series, so an
+    over-budget sweep is refused before its request list, which grows with
+    m_max, exists.  A chi series' condensate subset count C(N, p/2) peaks at
+    p/2 = N/2 instead; sweep's up-front check of every point still refuses
+    such a sweep before it computes anything.
     """
     m_top = m_max if m_max % 2 else m_max - 1
     if m_top < 1:

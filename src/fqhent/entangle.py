@@ -101,8 +101,7 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
     n, total = v.n_particles, v.total
     occupied = [0] * v.dim
     holes: dict[FockConfig, list[tuple[int, int]]] = {}
-    momentum = sum(next(iter(v.weights)))
-    pairs = any(sum(config) != momentum for config in v.weights)
+    pairs = not v.is_homogeneous()
     for config, weight in v.weights.items():
         for i, mode in enumerate(config):
             occupied[mode] += abs(weight)

@@ -182,7 +182,9 @@ class FockVector:
 
     def is_homogeneous(self) -> bool:
         """True iff every config carries the same total angular momentum."""
-        return len({sum(config) for config in self._weights}) <= 1
+        configs = iter(self._weights)
+        momentum = sum(next(configs, ()))
+        return not any(sum(config) != momentum for config in configs)
 
     def occupations(self) -> dict[int, Fraction]:
         """Mean occupation number of each orbital, exactly; values sum to N."""

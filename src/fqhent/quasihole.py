@@ -21,9 +21,10 @@ over max(0, p−N) ≤ j ≤ min(N, p): an exact symmetric polynomial in
 z_1..z_N times a rational multiple of π².  The zero polynomial is a
 legitimate outcome and is what makes some hierarchical construction
 attempts collapse.  Up to its scalar, a nonzero I(z) is the single
-symmetric polynomial e_{N−p/2}(z_1², …, z_N²) (condensate_factor), which is
-what the state constructors multiply by; condense stays the independent
-route that checks it.
+symmetric polynomial e_{N−p/2}(z_1², …, z_N²), which the state
+constructors multiply in by its Pieri rule
+(fqhent.states.family_expansion); condense stays the independent route
+that checks it.
 
 Every π here is a fixed power that cancels once a state is normalized, so
 no π is carried: gaussian_moment returns the moment over π and a
@@ -137,24 +138,6 @@ def condense(kernel: CondensateKernel) -> ScaledPoly:
         for key, coeff in product.terms.items():
             result[key] = result.get(key, Fraction(0)) + weight * coeff
     return ScaledPoly.from_rational_terms(n, result)
-
-
-def condensate_factor(kernel: CondensateKernel) -> MultiPoly:
-    """condense(kernel).poly in closed form: e_{N−p/2}(z_1², …, z_N²).
-
-    C(p, j) M(p−j) M(j) = p! α^{−(p+2)} for every j, so the integral is
-    π² (−1)^p p! α^{−(p+2)} Σ_j (−1)^j e_{N−p+j} e_{N−j}.  Comparing powers
-    of t in Π_i (1 + t z_i)(1 − t z_i) = Π_i (1 − t² z_i²) gives
-    Σ_b (−1)^b e_b e_{2k−b} = (−1)^k e_k(z²), and with k = N − p/2 and
-    b = N − j that sum is ± e_k(z²): primitive, with positive leading term,
-    so it is condense's polynomial exactly.  The zero polynomial when the
-    integral vanishes.
-    """
-    n, p = kernel.n_electrons, kernel.p
-    if vanishes(n, p):
-        return MultiPoly.zero(n)
-    squarefree = elementary_symmetric(n, n - p // 2)
-    return MultiPoly(n, {tuple(2 * e for e in key): 1 for key in squarefree.terms})
 
 
 def vanishes(n_electrons: int, p: int) -> bool:

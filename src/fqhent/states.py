@@ -11,11 +11,12 @@ The constructors build each state directly in the determinant basis
 (:func:`family_expansion`), with no polynomial multiplication.  The
 Vandermonde power comes from the exact integer squeezing (Jack) recursion
 from its root ((N-1)m, ..., m, 0), and the condensate, which is
-e_{N-p/2}(z_1^2, ..., z_N^2), is multiplied in by one determinant-basis
-product.  The slower route is kept as an independent check for tests and
-``verify``: the full polynomial (:func:`family_polynomial`), with the
-condensate from its Gaussian integral, followed by
-:func:`fqhent.poly.slater_project`, which holds N! times as many terms.
+e_{N-p/2}(z_1^2, ..., z_N^2), is multiplied in by its Pieri rule, which
+shifts p/2 or N - p/2 entries of each determinant by 2.  The slower route
+is kept as an independent check for tests and ``verify``: the full
+polynomial (:func:`family_polynomial`), with the condensate from its
+Gaussian integral, followed by :func:`fqhent.poly.slater_project`, which
+holds N! times as many terms.
 
 The condensate scalar prefactor is discarded before multiplication since
 every entanglement quantity is invariant under global scaling; the verify
@@ -24,33 +25,30 @@ of the Vandermonde factor would break fermionic antisymmetry.
 
 The chi construction collapses when the condensate integral vanishes
 (m > 2N+1), which is reported as ZeroWavefunctionError rather than a state.
-Before anything is built, the orbitals the state spans and the determinants
-its build visits, the tuples its root dominates, are counted; above
-MAX_ORBITALS or MAX_DETERMINANTS the request is refused with ValueError.
+Before anything is built, the orbitals the state spans, the C(N, p/2)
+subsets the Pieri rule tries per determinant and the determinants its build
+visits, the tuples its root dominates, are counted; above MAX_ORBITALS or
+MAX_DETERMINANTS the request is refused with ValueError.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lll import FockVector, to_fock
 from .poly import MultiPoly, SlaterExpansion, _dominated, vandermonde_expansion, vandermonde_power
-from .quasihole import CondensateKernel, condensate_factor, condense, vanishes
-
-MAX_ELECTRONS = 7
-"""Upper limit on N for family constructors.  The condensate factor
-e_{N-p/2}(z_1^2, ..., z_N^2) has C(N, p/2) terms however few determinants
-the state keeps: chi(283, 5) has 3 determinants, but building its
-39,903-term factor took 9.9 s and 348 MB (Python 3.11, 2-core VM)."""
+from .quasihole import CondensateKernel, condense, vanishes
 
 MAX_DETERMINANTS = 40_000
 """Upper limit on the determinants a family state's build visits: the
 strictly decreasing tuples its root dominates, counted before anything is
-built.  Bounds the size of a construction for every m."""
+built, and on the C(N, p/2) subsets the condensate's Pieri rule tries per
+determinant.  Bounds the size of a construction for every N and m."""
 
 MAX_ORBITALS = 512
 """Upper limit on the orbitals a family state can occupy.  to_fock weighs
@@ -79,14 +77,13 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
 
     Raises ValueError for bad parameters, an unknown family or a state over
     MAX_ORBITALS or MAX_DETERMINANTS, and ZeroWavefunctionError when the
-    condensate vanishes (for chi, m > 2N+1).  Memoized per process with
-    typed keys, so a sweep's up-front check and the build after it count
-    the determinants once; refusals raise and are not kept.
+    condensate vanishes (for chi, m > 2N+1).  The orbitals are checked
+    first, which bounds N before anything of size N is made.  Memoized per
+    process with typed keys, so a sweep's up-front check and the build
+    after it count the determinants once; refusals raise and are not kept.
     """
     if n_electrons < 2:
         raise ValueError("need at least two electrons")
-    if n_electrons > MAX_ELECTRONS:
-        raise ValueError(f"N={n_electrons} exceeds the supported limit {MAX_ELECTRONS}")
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be a positive odd integer, got {m}")
     if family not in _FAMILY_TABLE:
@@ -98,17 +95,24 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
         raise ZeroWavefunctionError(
             f"zero wavefunction: m > 2N+1 (family {family}, N={n_electrons}, m={m})"
         )
+    k = 0 if p is None else n_electrons - p // 2
+    name = f"family {family}, N={n_electrons}, m={m}"
+    orbitals = power * (n_electrons - 1) + 2 * (k > 0) + 1
+    if orbitals > MAX_ORBITALS:
+        raise ValueError(
+            f"{name} spans {orbitals:,} orbitals, more than MAX_ORBITALS = {MAX_ORBITALS}"
+        )
+    subsets = 1 if p is None else math.comb(n_electrons, p // 2)
+    if subsets > MAX_DETERMINANTS:
+        raise ValueError(
+            f"{name} tries {subsets:,} condensate subsets per determinant,"
+            f" more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,}"
+        )
     # The build visits only tuples this root dominates: the squeezing
     # recursion those of ((N-1) power, ..., power, 0), and the product by
     # e_k(z_1^2, ..., z_N^2), k = N - p/2, those of that root plus 2 on its
     # first k entries, since sort(lam + nu) is dominated by lam + sort(nu).
-    k = 0 if p is None else n_electrons - p // 2
     root = tuple(power * (n_electrons - 1 - i) + 2 * (i < k) for i in range(n_electrons))
-    name = f"family {family}, N={n_electrons}, m={m}"
-    if root[0] + 1 > MAX_ORBITALS:
-        raise ValueError(
-            f"{name} spans {root[0] + 1:,} orbitals, more than MAX_ORBITALS = {MAX_ORBITALS}"
-        )
     visited = itertools.islice(_dominated(root), MAX_DETERMINANTS + 1)
     if sum(1 for _ in visited) > MAX_DETERMINANTS:
         raise ValueError(
@@ -139,17 +143,25 @@ def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
     """A family wavefunction built directly in the determinant basis.
 
     The Vandermonde power comes from the squeezing recursion
-    (:func:`fqhent.poly.vandermonde_expansion`) and the condensate, when the
-    family has one, in closed form (:func:`fqhent.quasihole.condensate_factor`),
-    multiplied in by :meth:`~fqhent.poly.SlaterExpansion.times_symmetric`.
-    Equal, term for term, to slater_project(family_polynomial(family,
-    n_electrons, m)); raises as that does.
+    (:func:`fqhent.poly.vandermonde_expansion`).  The condensate, when the
+    family has one, is multiplied in by
+    :meth:`~fqhent.poly.SlaterExpansion.times_elementary_squares` with
+    k = N - p/2, because condense's polynomial is e_k(z_1^2, ..., z_N^2):
+    with M(a) = a! alpha^-(a+1), C(p, j) M(p-j) M(j) = p! alpha^-(p+2) for
+    every j, so the integral is pi^2 (-1)^p p! alpha^-(p+2) sum_j (-1)^j
+    e_{N-p+j} e_{N-j}.  Comparing powers of t in
+    prod_i (1 + t z_i)(1 - t z_i) = prod_i (1 - t^2 z_i^2) gives
+    sum_b (-1)^b e_b e_{2k-b} = (-1)^k e_k(z^2), and with b = N - j that
+    sum is +-e_k(z^2): primitive, with positive leading term, so it is
+    condense's polynomial exactly.  Equal, term for term, to
+    slater_project(family_polynomial(family, n_electrons, m)); raises as
+    that does.
     """
     power, p = family_factors(family, n_electrons, m)
     expansion = vandermonde_expansion(n_electrons, power)
     if p is None:
         return expansion
-    return expansion.times_symmetric(condensate_factor(CondensateKernel(n_electrons, p=p)))
+    return expansion.times_elementary_squares(n_electrons - p // 2)
 
 
 def laughlin(n_electrons: int, m: int) -> FockVector:

@@ -287,6 +287,20 @@ def determinants_at_point(terms: Terms, z: Sequence[int]) -> int:
     return total % PRIME
 
 
+def condensate_scale(p: int) -> Fraction:
+    """The condensate integral's coefficient of z_1^2 ... z_k^2, k = N - p/2, sans pi^2.
+
+    Of the terms C(p, j) (-1)^(p+j) M(p-j) M(j) e_{N-p+j}(z) e_{N-j}(z) of
+    the Gaussian-integral sum, only j = p/2 holds that monomial, once, so
+    this is that term's weight, with M(k) = k! 3^(k+1) at alpha = 1/3.  It
+    does not depend on N.  For even p it is the scale of a nonzero
+    condensate, whose polynomial e_k(z^2) leads with coefficient 1.
+    """
+    half = p // 2
+    moment = math.factorial(half) * 3 ** (half + 1)
+    return Fraction(math.comb(p, half) * (-1) ** (p + half) * moment**2)
+
+
 def family_at_point(z: Sequence[int], power: int, p: int | None, scale: Fraction) -> int:
     """prod_{i<j} (z_i - z_j)^power times the condensate over scale, modulo PRIME.
 

@@ -99,6 +99,22 @@ class TestCompute:
         assert "MAX_DETERMINANTS" in err
         assert out == ""
 
+    def test_chi_table_over_subset_budget_exit_64_before_computing(self, capsys, monkeypatch):
+        # chi(18, 37) is allowed, but chi(18, 17) tries C(18, 8) = 43,758
+        # condensate subsets per determinant: the sweep's check refuses it
+        def refuse(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(figures, "evaluate_point", refuse)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "table", "--family", "chi", "--n", "18", "--m-max", "37"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "43,758 condensate subsets" in err
+        assert out == ""
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_table_refused_before_its_requests_exist(self):
         # the request list grows by about 100 MB per 10**6 odd m; m = 513 is

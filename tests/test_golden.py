@@ -7,7 +7,9 @@ three of the largest states, recorded from a build that summed the
 squeezing recursion's l terms one at a time and multiplied the condensate
 in by Pieri steps.  The Fock digests are sha256 sums of the same states'
 gcd-reduced Fock weights and their total, recorded from a to_fock that
-multiplied every orbital's full weight 2^(mu+1) mu! in.  The stdout
+multiplied every orbital's full weight 2^(mu+1) mu! in, and of
+laughlin(8, 3)'s, recorded from the build that still capped N at 7, with
+the cap raised.  The stdout
 goldens are the printed text of four demos and of `verify full`, recorded
 before FockVector lost its Amplitude-map and rational-amplitude
 constructors; demo 04 is left out because it prints the paths it writes.

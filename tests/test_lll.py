@@ -115,6 +115,12 @@ class TestToFock:
         assert v.is_homogeneous()
         assert {sum(c) for c in v.weights} == {degree}
 
+    def test_homogeneity_looks_at_every_config(self):
+        assert FockVector(2, 5, {(1, 2): 1}).is_homogeneous()
+        assert FockVector(2, 5, {(0, 3): 1, (1, 2): -2}).is_homogeneous()
+        assert not FockVector(2, 5, {(0, 3): 1, (1, 2): -2, (0, 4): 1}).is_homogeneous()
+        assert not FockVector(2, 5, {(0, 4): 1, (0, 3): 1, (1, 2): -2}).is_homogeneous()
+
 
 def assert_matches_orbital_norm_formula(expansion: SlaterExpansion) -> None:
     weights, total, dim = oracles.fock_weights_by_orbital_norms(

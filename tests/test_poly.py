@@ -139,7 +139,6 @@ class TestMultiPoly:
         p = (z(2, 0) - z(2, 1)) ** 3
         assert p.is_homogeneous()
         assert p.total_degree() == 3
-        assert p.max_single_degree() == 3
         q = p + MultiPoly.one(2)
         assert not q.is_homogeneous()
         assert q.degrees() == {0, 3}
@@ -290,55 +289,73 @@ class TestSlaterProjection:
         assert dict(expansion.expand().terms) == expected
 
 
+def squares(nvars: int, k: int) -> MultiPoly:
+    """e_k(z_1^2, ..., z_N^2), by doubling the exponents of e_k(z)."""
+    return MultiPoly(
+        nvars, {tuple(2 * e for e in key): 1 for key in elementary_symmetric(nvars, k).terms}
+    )
+
+
 class TestTimesSymmetric:
+    """The product with the symmetric factor e_k(z_1^2, ..., z_N^2)."""
+
     def test_known_product(self):
-        # (z1 - z2)(z1 + z2) = z1^2 - z2^2
-        product = SlaterExpansion(2, {(1, 0): 1}).times_symmetric(z(2, 0) + z(2, 1))
-        assert dict(product.terms) == {(2, 0): 1}
+        # (z1 - z2)(z1^2 + z2^2) = (z1^3 - z2^3) - (z1^2 z2 - z1 z2^2)
+        product = SlaterExpansion(2, {(1, 0): 1}).times_elementary_squares(1)
+        assert dict(product.terms) == {(3, 0): 1, (2, 1): -1}
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_projection_of_the_product(self, data):
-        expansion = data.draw(slater_expansions(max_nvars=5, max_orbital=20))
-        sym = symmetrize(data.draw(multi_polys(nvars=expansion.nvars, max_exp=20, max_terms=3)))
-        product = expansion.times_symmetric(sym)
-        assert product == slater_project(expansion.expand() * sym)
-        assert SlaterExpansion(product.nvars, product.terms) == product
+        expansion = data.draw(slater_expansions(max_nvars=5, max_orbital=12))
+        n = expansion.nvars
+        for k in range(n + 1):
+            product = expansion.times_elementary_squares(k)
+            assert product == slater_project(expansion.expand() * squares(n, k)), k
+            assert SlaterExpansion(n, product.terms) == product
 
     def test_cancelled_terms_drop_out(self):
         # a(3,0) p_2 = a(5,0) + a(3,2) and a(2,1) p_2 = a(4,1) - a(3,2)
         expansion = SlaterExpansion(2, {(3, 0): 1, (2, 1): 1})
-        product = expansion.times_symmetric(z(2, 0) ** 2 + z(2, 1) ** 2)
+        product = expansion.times_elementary_squares(1)
         assert dict(product.terms) == {(5, 0): 1, (4, 1): 1}
 
     def test_zero_operands_give_the_zero_expansion(self):
         zero = SlaterExpansion(3)
-        assert zero.times_symmetric(elementary_symmetric(3, 2)) == zero
-        assert zero.times_symmetric(MultiPoly.zero(3)) == zero
-        assert SlaterExpansion(3, {(4, 2, 0): 5}).times_symmetric(MultiPoly.zero(3)) == zero
+        for k in range(4):
+            assert zero.times_elementary_squares(k) == zero
+
+    def test_k0_is_the_identity_and_kn_shifts_every_entry(self):
+        expansion = SlaterExpansion(3, {(6, 3, 0): 2, (5, 4, 0): -3, (4, 3, 2): 5})
+        assert expansion.times_elementary_squares(0) == expansion
+        shifted = {tuple(x + 2 for x in lam): c for lam, c in expansion.terms.items()}
+        assert dict(expansion.times_elementary_squares(3).terms) == shifted
+
+    def test_passing_a_neighbour_flips_the_sign_and_landing_on_one_drops(self):
+        # lam = (4, 3, 1): at k = 1, 3 -> 5 passes 4 and 1 -> 3 lands on 3; at
+        # k = 2 (the complement: all + 2, one entry - 2), 6 -> 4 passes 5 and
+        # 5 -> 3 lands on 3
+        expansion = SlaterExpansion(3, {(4, 3, 1): 1})
+        once = expansion.times_elementary_squares(1)
+        assert dict(once.terms) == {(6, 3, 1): 1, (5, 4, 1): -1}
+        twice = expansion.times_elementary_squares(2)
+        assert dict(twice.terms) == {(6, 5, 1): 1, (5, 4, 3): -1}
+        for k, product in ((1, once), (2, twice)):
+            assert product == slater_project(expansion.expand() * squares(3, k))
 
     @pytest.mark.parametrize("nvars", [2, 3, 5])
     @pytest.mark.parametrize("top", [7, 8, 15, 16, 31, 32])
     def test_largest_exponent_at_a_power_of_two_boundary(self, nvars, top):
-        # a_delta times the power sum p_r, whose largest exponent is exactly
-        # top: 2^w - 1 fills a w-bit slot, 2^w needs one bit more
-        delta = tuple(range(nvars - 1, -1, -1))
-        expansion = SlaterExpansion(nvars, {delta: 1, (delta[0] + 1, *delta[1:]): -2})
-        r = top - delta[0] - 1
-        power_sum = MultiPoly(
-            nvars, {tuple(r if i == j else 0 for i in range(nvars)): 1 for j in range(nvars)}
-        )
-        product = expansion.times_symmetric(power_sum)
+        # the product reaches exponent top, at and just past 2^w - 1, where a
+        # product packing exponents into w-bit slots would overflow one
+        rest = tuple(range(nvars - 2, -1, -1))
+        expansion = SlaterExpansion(nvars, {(top - 2, *rest): 1, (top - 3, *rest): -2})
+        product = expansion.times_elementary_squares(1)
         assert max(lam[0] for lam in product.terms) == top
-        assert product == slater_project(expansion.expand() * power_sum)
+        assert product == slater_project(expansion.expand() * squares(nvars, 1))
 
-    def test_rejects_non_symmetric_factor(self):
+    def test_rejects_bad_k(self):
         expansion = SlaterExpansion(3, {(2, 1, 0): 1})
-        with pytest.raises(ValueError, match="not a symmetric"):
-            expansion.times_symmetric(z(3, 0))
-        with pytest.raises(ValueError, match="not a symmetric"):
-            expansion.times_symmetric((z(3, 0) + z(3, 1)) * z(3, 2))
-
-    def test_rejects_variable_count_mismatch(self):
-        with pytest.raises(ValueError):
-            SlaterExpansion(2, {(1, 0): 1}).times_symmetric(MultiPoly.one(3))
+        for k in (-1, 4, 1.0, "1", None):
+            with pytest.raises(ValueError, match="k must be an integer in 0..3"):
+                expansion.times_elementary_squares(k)

@@ -13,10 +13,10 @@ from fqhent import (
     MultiPoly,
     ScaledPoly,
     condense,
+    elementary_symmetric,
     gaussian_moment,
     vanishes,
 )
-from fqhent.quasihole import condensate_factor
 
 THIRD = Fraction(1, 3)
 
@@ -108,16 +108,20 @@ class TestCondense:
 
 
 class TestCondensateTerms:
-    """condensate_factor, the closed form e_{N-p/2}(z^2), against condense."""
+    """The closed form e_{N-p/2}(z^2) that the state builds multiply in, against condense."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reproduce_the_condensate_polynomial_exactly(self, n):
         # same content and sign as condense, not just proportional to it
         for p in range(2 * n + 3):
             kernel = CondensateKernel(n, p)
-            factor = condensate_factor(kernel)
-            assert factor == condense(kernel).poly, (n, p)
-            assert factor.is_zero == vanishes(n, p), (n, p)
+            if vanishes(n, p):
+                assert condense(kernel).is_zero, (n, p)
+                continue
+            squarefree = elementary_symmetric(n, n - p // 2)
+            factor = MultiPoly(n, {tuple(2 * e for e in key): 1 for key in squarefree.terms})
+            assert condense(kernel).poly == factor, (n, p)
+            assert condense(kernel).scale == oracles.condensate_scale(p), (n, p)
 
 
 class TestVanishes:

@@ -66,10 +66,22 @@ class TestLaughlin:
             laughlin(2, 2)
 
     def test_rejects_small_and_large_n(self):
+        # past N = 7 a state is refused as soon as one of its counts is over:
+        # chi(284, 5) tries C(284, 2) subsets per determinant and chi(18, 19)
+        # C(18, 9), laughlin(10, 3) visits more than 40,000 determinants and
+        # laughlin(513, 1) spans 513 orbitals
         with pytest.raises(ValueError):
             laughlin(1, 3)
-        with pytest.raises(ValueError, match="exceeds the supported limit 7"):
-            laughlin(8, 3)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="40,186 condensate subsets"):
+            chi(284, 5)
+        with pytest.raises(ValueError, match="48,620 condensate subsets"):
+            chi(18, 19)
+        with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+            laughlin(10, 3)
+        with pytest.raises(ValueError, match="MAX_ORBITALS"):
+            laughlin(513, 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestHierarchicalPhi:
@@ -204,16 +216,6 @@ class TestFamilyExpansion:
             return
         assert family_expansion(family, n, m) == expected
 
-    @pytest.mark.parametrize("family,n,m", [("hierarchical_phi", 6, 3), ("chi", 7, 3)])
-    def test_matches_laughlin_times_condensate_past_n5(self, family, n, m):
-        # at N >= 6 the full expansion is out of reach: multiply the Laughlin
-        # part by the expanded condensate polynomial instead
-        power, p = family_factors(family, n, m)
-        expected = family_expansion("laughlin", n, power).times_symmetric(
-            condense(CondensateKernel(n, p)).poly
-        )
-        assert family_expansion(family, n, m) == expected
-
     def test_builds_without_polynomial_products(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the polynomial route was used")
@@ -246,7 +248,7 @@ class TestLaughlinInvariants:
         "n,m",
         [(n, m) for n in (2, 3, 4) for m in ODD_M]
         + [(5, m) for m in (1, 3, 5, 7, 9)]
-        + [(6, 1), (6, 3), (6, 5), (7, 1), (7, 3)]
+        + [(6, 1), (6, 3), (6, 5), (7, 1), (7, 3), (8, 3)]
         + [(3, 101), (3, 255), (2, 511)],
     )
     def test_laughlin_is_annihilated(self, n, m):
@@ -270,14 +272,14 @@ class TestPointEvaluation:
 
     By Schwartz-Zippel a wrong expansion agrees at a random point with
     probability at most its degree over the prime.  The condensate comes from
-    its Gaussian-integral sum, so no code is shared with condensate_factor or
-    times_symmetric.
+    its Gaussian-integral sum and its scale from that sum's leading term, so
+    no code is shared with times_elementary_squares or condense.
     """
 
     @staticmethod
     def _values(family, n, m, terms):
         power, p = family_factors(family, n, m)
-        scale = 1 if p is None else condense(CondensateKernel(n, p=p)).scale
+        scale = 1 if p is None else oracles.condensate_scale(p)
         rng = random.Random(f"{family} {n} {m}")
         z = [rng.randrange(1, oracles.PRIME) for _ in range(n)]
         return oracles.determinants_at_point(terms, z), oracles.family_at_point(z, power, p, scale)
@@ -285,7 +287,8 @@ class TestPointEvaluation:
     @pytest.mark.parametrize(
         "family,n,m",
         [("hierarchical_phi", 6, 3), ("hierarchical_phi", 7, 3), ("laughlin", 7, 3)]
-        + [("chi", n, m) for n in (6, 7) for m in range(1, 2 * n + 2, 2)],
+        + [("chi", n, m) for n in (6, 7) for m in range(1, 2 * n + 2, 2)]
+        + [("laughlin", 8, 3), ("hierarchical_phi", 8, 3), ("chi", 16, 17)],
     )
     def test_matches_product_form(self, family, n, m):
         got, expected = self._values(family, n, m, dict(family_expansion(family, n, m).terms))
@@ -372,6 +375,13 @@ class TestSizeLimits:
         assert len(family_expansion("laughlin", 2, 511)) == 256
         with pytest.raises(ValueError, match="MAX_ORBITALS"):
             laughlin(2, 513)
+
+    def test_builds_and_measures_at_the_orbital_limit(self):
+        # N = 512 at m = 1 and N = 510 in chi at m = 3 each span 512 orbitals
+        assert modified_measure(laughlin(512, 1)).measure_nats == 0
+        state = chi(510, 3)
+        assert len(state) == 2 and state.dim == MAX_ORBITALS
+        assert modified_measure(state).measure_nats > 0
 
     def test_limits_reach_n5_to_m13_and_n7_at_low_m(self):
         for family, n, m in [
