@@ -15,6 +15,13 @@ squeezing (Jack) recursion, at O(N^2) work per determinant and never
 holding the N!-fold redundant expansion that :func:`slater_project` starts
 from.  :meth:`SlaterExpansion.times_elementary_squares` multiplies by
 e_k(z_1^2, ..., z_N^2), the condensate factor, without leaving the basis.
+
+:class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
+map.  Input from outside goes through the checking constructor, which
+coerces with operator.index, checks every key, sums repeated keys in their
+first position and drops zero sums.  A map this module builds from
+checked instances is adopted unchecked with ``_from_terms`` once its zero
+sums are dropped.
 """
 
 from __future__ import annotations
@@ -44,8 +51,12 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class MultiPoly:
-    """Immutable sparse multivariate polynomial with integer coefficients."""
+class _TermMap:
+    """Immutable map from exponent tuples to nonzero integer coefficients.
+
+    A subclass gives its key rule as ``_check_key(key)``, which raises
+    ValueError, and instances equal only instances of their own class.
+    """
 
     __slots__ = ("_nvars", "_terms")
 
@@ -59,18 +70,64 @@ class MultiPoly:
             key = tuple(operator.index(e) for e in exponents)
             if len(key) != nvars:
                 raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            coeff = operator.index(coeff)
-            if coeff:
-                store[key] = store.get(key, 0) + coeff
-                if not store[key]:
-                    del store[key]
+            self._check_key(key)
+            store[key] = store.get(key, 0) + operator.index(coeff)
         object.__setattr__(self, "_nvars", nvars)
-        object.__setattr__(self, "_terms", store)
+        object.__setattr__(self, "_terms", {key: c for key, c in store.items() if c})
+
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict[Exponents, int]):
+        """Adopt terms this module built: valid keys, nonzero coefficients, unchecked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_nvars", nvars)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def nvars(self) -> int:
+        return self._nvars
+
+    @property
+    def terms(self) -> Mapping[Exponents, int]:
+        """Read-only view of the term map."""
+        return MappingProxyType(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def items(self) -> Iterator[tuple[Exponents, int]]:
+        """Terms in canonical order: lexicographically descending exponents."""
+        for key in sorted(self._terms, reverse=True):
+            yield key, self._terms[key]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._nvars == other._nvars and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._nvars, frozenset(self._terms.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._nvars}, {dict(self.items())!r})"
+
+
+class MultiPoly(_TermMap):
+    """Immutable sparse multivariate polynomial with integer coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(key: Exponents) -> None:
+        if any(e < 0 for e in key):
+            raise ValueError(f"negative exponent in {key}")
 
     # -- constructors ------------------------------------------------------
 
@@ -93,30 +150,6 @@ class MultiPoly:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def nvars(self) -> int:
-        return self._nvars
-
-    @property
-    def terms(self) -> Mapping[Exponents, int]:
-        """Read-only view of the term map."""
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def items(self) -> Iterator[tuple[Exponents, int]]:
-        """Terms in canonical order: lexicographically descending exponents."""
-        for key in sorted(self._terms, reverse=True):
-            yield key, self._terms[key]
-
     def coefficient(self, exponents: Sequence[int]) -> int:
         return self._terms.get(tuple(exponents), 0)
 
@@ -133,23 +166,15 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._nvars == other._nvars and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._nvars, frozenset(self._terms.items())))
-
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self._nvars, {k: -c for k, c in self._terms.items()})
+        return MultiPoly._from_terms(self._nvars, {k: -c for k, c in self._terms.items()})
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             out[key] = out.get(key, 0) + coeff
-        return MultiPoly(self._nvars, out)
+        return MultiPoly._from_terms(self._nvars, {k: c for k, c in out.items() if c})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -163,7 +188,7 @@ class MultiPoly:
             for kb, cb in other._terms.items():
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly(self._nvars, out)
+        return MultiPoly._from_terms(self._nvars, {k: c for k, c in out.items() if c})
 
     def __rmul__(self, other: int) -> "MultiPoly":
         return self * other
@@ -188,7 +213,7 @@ class MultiPoly:
         """Relabel variables: the result's exponent of z_i is the source's of z_{perm[i]}."""
         if sorted(perm) != list(range(self._nvars)):
             raise ValueError(f"{perm} is not a permutation of 0..{self._nvars - 1}")
-        return MultiPoly(
+        return MultiPoly._from_terms(
             self._nvars,
             {tuple(key[p] for p in perm): coeff for key, coeff in self._terms.items()},
         )
@@ -264,11 +289,8 @@ class MultiPoly:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"MultiPoly({self._nvars}, {dict(self.items())!r})"
 
-
-class SlaterExpansion:
+class SlaterExpansion(_TermMap):
     """An antisymmetric polynomial in the monomial-determinant basis.
 
     Terms map a strictly decreasing exponent tuple lam to the integer
@@ -276,65 +298,12 @@ class SlaterExpansion:
     computed; no canonicalization is applied.
     """
 
-    __slots__ = ("_nvars", "_terms")
+    __slots__ = ()
 
-    def __init__(self, nvars: int, terms: TermsLike = ()) -> None:
-        nvars = operator.index(nvars)
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        store: dict[Exponents, int] = {}
-        for exponents, coeff in items:
-            key = tuple(operator.index(e) for e in exponents)
-            if len(key) != nvars:
-                raise ValueError(f"tuple {key} does not have {nvars} entries")
-            if any(key[i] <= key[i + 1] for i in range(len(key) - 1)) or key[-1] < 0:
-                raise ValueError(f"{key} is not strictly decreasing and non-negative")
-            coeff = operator.index(coeff)
-            if key in store:
-                coeff += store.pop(key)
-            if coeff:
-                store[key] = coeff
-        object.__setattr__(self, "_nvars", nvars)
-        object.__setattr__(self, "_terms", store)
-
-    @classmethod
-    def _from_terms(cls, nvars: int, terms: dict[Exponents, int]) -> "SlaterExpansion":
-        """Adopt terms this module built: strictly decreasing keys, nonzero coefficients."""
-        expansion = cls.__new__(cls)
-        object.__setattr__(expansion, "_nvars", nvars)
-        object.__setattr__(expansion, "_terms", terms)
-        return expansion
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SlaterExpansion is immutable")
-
-    @property
-    def nvars(self) -> int:
-        return self._nvars
-
-    @property
-    def terms(self) -> Mapping[Exponents, int]:
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def items(self) -> Iterator[tuple[Exponents, int]]:
-        for key in sorted(self._terms, reverse=True):
-            yield key, self._terms[key]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SlaterExpansion):
-            return NotImplemented
-        return self._nvars == other._nvars and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._nvars, frozenset(self._terms.items())))
+    @staticmethod
+    def _check_key(key: Exponents) -> None:
+        if any(key[i] <= key[i + 1] for i in range(len(key) - 1)) or key[-1] < 0:
+            raise ValueError(f"{key} is not strictly decreasing and non-negative")
 
     def expand(self) -> MultiPoly:
         """Reconstruct the source polynomial as sum_lam c_lam det(z_i^{lam_j})."""
@@ -344,7 +313,7 @@ class SlaterExpansion:
             for perm in itertools.permutations(range(n)):
                 key = tuple(lam[p] for p in perm)
                 out[key] = out.get(key, 0) + coeff * _perm_sign(perm)
-        return MultiPoly(n, out)
+        return MultiPoly._from_terms(n, out)
 
     def times_elementary_squares(self, k: int) -> "SlaterExpansion":
         """The product with e_k(z_1^2, ..., z_N^2), in the determinant basis.
@@ -392,9 +361,6 @@ class SlaterExpansion:
                     key = tuple(alpha)
                     out[key] = out.get(key, 0) + term
         return SlaterExpansion._from_terms(n, {key: c for key, c in out.items() if c})
-
-    def __repr__(self) -> str:
-        return f"SlaterExpansion({self._nvars}, {dict(self.items())!r})"
 
 
 def vandermonde_power(nvars: int, power: int) -> MultiPoly:
@@ -578,4 +544,4 @@ def slater_project(poly: MultiPoly) -> SlaterExpansion:
         for key, coeff in poly.terms.items()
         if all(key[i] > key[i + 1] for i in range(len(key) - 1))
     }
-    return SlaterExpansion(poly.nvars, decreasing)
+    return SlaterExpansion._from_terms(poly.nvars, decreasing)

@@ -7,6 +7,9 @@ turned into a normalized lowest-Landau-level Fock vector:
   hierarchical_phi  Vandermonde^m times the p=2 quasihole condensate
   chi               Vandermonde^1 times the p=m-1 quasihole condensate
 
+The two condensate families are defined by their K-matrices,
+((power, 1), (1, -p)) (:func:`hierarchical_phi_k`, :func:`chi_k`).
+
 The constructors build each state directly in the determinant basis
 (:func:`family_expansion`), with no polynomial multiplication.  The
 Vandermonde power comes from the exact integer squeezing (Jack) recursion
@@ -58,13 +61,55 @@ has only (m + 1) / 2 determinants but m + 1 orbitals, and to_fock alone
 takes about 0.12 s at m = 2001 and 0.9 s at m = 4001 (Python 3.11, 2-core
 VM)."""
 
-# name -> (Vandermonde power, condensate exponent p or None), each as a
-# function of m.  The condensate factor multiplies the Vandermonde power.
-_FAMILY_TABLE = {
-    "laughlin": (lambda m: m, None),
-    "hierarchical_phi": (lambda m: m, lambda m: 2),
-    "chi": (lambda m: 1, lambda m: m - 1),
-}
+
+@dataclass(frozen=True)
+class KMatrix:
+    """A symmetric integer 2x2 matrix with a charge vector, default (1, 0)."""
+
+    entries: tuple[tuple[int, int], tuple[int, int]]
+    charge: tuple[int, int] = (1, 0)
+
+    def __post_init__(self) -> None:
+        (a, b), (c, d) = self.entries
+        if len(self.charge) != 2:
+            raise ValueError(f"charge must have 2 entries, got {len(self.charge)}")
+        for value in (a, b, c, d, *self.charge):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"entries and charge must be integers, got {value!r}") from None
+        if b != c:
+            raise ValueError("matrix must be symmetric")
+        if a * d - b * c == 0:
+            raise ValueError("matrix must be invertible")
+
+    @property
+    def determinant(self) -> int:
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
+
+
+def filling_fraction(k: KMatrix) -> Fraction:
+    """charge^T K^{-1} charge, exactly, via the explicit 2x2 inverse."""
+    (a, b), (c, d) = k.entries
+    q0, q1 = k.charge
+    return Fraction(d * q0 * q0 - (b + c) * q0 * q1 + a * q1 * q1, k.determinant)
+
+
+def hierarchical_phi_k(m: int) -> KMatrix:
+    """K-matrix of the hierarchical_phi family: ((m, 1), (1, -2))."""
+    return KMatrix(((m, 1), (1, -2)))
+
+
+def chi_k(m: int) -> KMatrix:
+    """K-matrix of the chi family: ((1, 1), (1, -(m-1)))."""
+    return KMatrix(((1, 1), (1, -(m - 1))))
+
+
+# name -> the family's K-matrix as a function of m, or None for laughlin,
+# Vandermonde^m alone.  K = ((power, 1), (1, -p)) gives the Vandermonde
+# power and the exponent p of the condensate factor that multiplies it.
+_FAMILY_TABLE = {"laughlin": None, "hierarchical_phi": hierarchical_phi_k, "chi": chi_k}
 
 
 class ZeroWavefunctionError(ValueError):
@@ -88,9 +133,12 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
         raise ValueError(f"m must be a positive odd integer, got {m}")
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILY_TABLE)}")
-    power_of, exponent_of = _FAMILY_TABLE[family]
-    power = power_of(m)
-    p = None if exponent_of is None else exponent_of(m)
+    k_matrix = _FAMILY_TABLE[family]
+    if k_matrix is None:
+        power, p = m, None
+    else:
+        (power, _), (_, minus_p) = k_matrix(m).entries
+        p = -minus_p
     if p is not None and vanishes(n_electrons, p):
         raise ZeroWavefunctionError(
             f"zero wavefunction: m > 2N+1 (family {family}, N={n_electrons}, m={m})"
@@ -183,47 +231,3 @@ def chi(n_electrons: int, m: int) -> FockVector:
 
 
 FAMILIES = {f.__name__: f for f in (laughlin, hierarchical_phi, chi)}
-
-
-@dataclass(frozen=True)
-class KMatrix:
-    """A symmetric integer 2x2 matrix with a charge vector, default (1, 0)."""
-
-    entries: tuple[tuple[int, int], tuple[int, int]]
-    charge: tuple[int, int] = (1, 0)
-
-    def __post_init__(self) -> None:
-        (a, b), (c, d) = self.entries
-        if len(self.charge) != 2:
-            raise ValueError(f"charge must have 2 entries, got {len(self.charge)}")
-        for value in (a, b, c, d, *self.charge):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"entries and charge must be integers, got {value!r}") from None
-        if b != c:
-            raise ValueError("matrix must be symmetric")
-        if a * d - b * c == 0:
-            raise ValueError("matrix must be invertible")
-
-    @property
-    def determinant(self) -> int:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
-
-def filling_fraction(k: KMatrix) -> Fraction:
-    """charge^T K^{-1} charge, exactly, via the explicit 2x2 inverse."""
-    (a, b), (c, d) = k.entries
-    q0, q1 = k.charge
-    return Fraction(d * q0 * q0 - (b + c) * q0 * q1 + a * q1 * q1, k.determinant)
-
-
-def hierarchical_phi_k(m: int) -> KMatrix:
-    """K-matrix of the hierarchical_phi family: ((m, 1), (1, -2))."""
-    return KMatrix(((m, 1), (1, -2)))
-
-
-def chi_k(m: int) -> KMatrix:
-    """K-matrix of the chi family: ((1, 1), (1, -(m-1)))."""
-    return KMatrix(((1, 1), (1, -(m - 1))))

@@ -329,6 +329,19 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert "config" in err
 
+    def test_undecodable_file_exit_64_without_traceback(self, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_bytes(b"n = 2\n\xff = 3\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "fqhent.cli", "compute", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+        )
+        assert result.returncode == EXIT_USAGE
+        assert "cannot read config file" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
     def test_bad_value_exit_64(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = two\n")

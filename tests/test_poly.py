@@ -152,6 +152,54 @@ class TestMultiPoly:
             p.permute([0, 0, 1])
 
 
+def checked(poly):
+    """poly rebuilt from its terms by the checking constructor."""
+    return type(poly)(poly.nvars, poly.terms)
+
+
+class TestTermMap:
+    """The immutable term map MultiPoly and SlaterExpansion share."""
+
+    @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
+    def test_setting_an_attribute_raises(self, cls):
+        value = cls(2, {(1, 0): 1})
+        for name in ("_terms", "_nvars", "nvars", "other"):
+            with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+                setattr(value, name, {})
+        assert dict(value.terms) == {(1, 0): 1}
+
+    def test_a_polynomial_never_equals_an_expansion_with_the_same_terms(self):
+        for terms in ({(1, 0): 1}, {(3, 1): -2, (2, 0): 5}, {}):
+            poly, expansion = MultiPoly(2, terms), SlaterExpansion(2, terms)
+            assert poly.terms == expansion.terms
+            assert poly != expansion and expansion != poly
+            assert not poly == expansion
+
+    def test_repeated_keys_keep_their_first_position(self):
+        pairs = [((2, 0), 2), ((1, 0), 5), ((2, 0), 3)]
+        for cls in (MultiPoly, SlaterExpansion):
+            assert list(cls(2, pairs).terms) == [(2, 0), (1, 0)]
+
+    def test_truthiness_follows_the_term_count(self):
+        assert not MultiPoly.zero(2) and not SlaterExpansion(2)
+        assert MultiPoly.one(2) and SlaterExpansion(2, {(1, 0): 1})
+
+    @given(poly_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_adopted_results_match_the_checked_construction(self, pair):
+        p, q = pair
+        for result in (p * q, p + q, -p, p - q, p.permute(range(p.nvars)[::-1])):
+            assert result == checked(result)
+            assert 0 not in result.terms.values()
+
+    @given(slater_expansions())
+    @settings(max_examples=40, deadline=None)
+    def test_adopted_expansions_match_the_checked_construction(self, expansion):
+        for result in (expansion.expand(), slater_project(expansion.expand())):
+            assert result == checked(result)
+            assert 0 not in result.terms.values()
+
+
 class TestAntisymmetry:
     def test_difference_is_antisymmetric(self):
         assert (z(2, 0) - z(2, 1)).is_antisymmetric()

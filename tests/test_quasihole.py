@@ -76,13 +76,19 @@ class TestCondense:
 
     def test_builds_no_polynomial_in_the_quasihole_coordinates(self, monkeypatch):
         widths = []
-        init = MultiPoly.__init__
+        init, adopt = MultiPoly.__init__, MultiPoly._from_terms
 
         def recording_init(self, nvars, terms=()):
             widths.append(nvars)
             init(self, nvars, terms)
 
+        def recording_adopt(cls, nvars, terms):
+            # products and sums are adopted without passing through __init__
+            widths.append(nvars)
+            return adopt(nvars, terms)
+
         monkeypatch.setattr(MultiPoly, "__init__", recording_init)
+        monkeypatch.setattr(MultiPoly, "_from_terms", classmethod(recording_adopt))
         condense(CondensateKernel(4, 2))
         assert widths and max(widths) == 4
 

@@ -452,6 +452,17 @@ class TestKMatrix:
     def test_chi_closed_form(self, m):
         assert filling_fraction(chi_k(m)) == Fraction(m - 1, m)
 
+    @pytest.mark.parametrize("m", ODD_M)
+    def test_defines_the_family_factors(self, m):
+        # (Vandermonde power, condensate p): K11 and -K22 of the family's matrix
+        assert family_factors("laughlin", 3, m) == (m, None)
+        assert family_factors("hierarchical_phi", 3, m) == (m, 2)
+        if m <= 2 * 3 + 1:
+            assert family_factors("chi", 3, m) == (1, m - 1)
+        else:
+            with pytest.raises(ZeroWavefunctionError):
+                family_factors("chi", 3, m)
+
     def test_charge_vector(self):
         k = KMatrix(((2, 1), (1, 3)), charge=(1, 1))
         # q^T K^{-1} q = (3 - 2 + 2)/5
