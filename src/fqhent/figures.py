@@ -107,6 +107,8 @@ def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:
     Only states within the size budget are kept, so the memo needs no bound.
     Refusals raise and are not kept; nor are zero points, which cost one
     parameter check and would otherwise grow a chi table's memory with m.
+    A sweep answers its zero points from its own check and never calls this
+    for them.
     """
     try:
         return _measured_point(family, n_electrons, m)
@@ -125,29 +127,37 @@ def sweep(
 
     Every request is checked against the family limits before any is
     evaluated, so a sweep with a request over the size budget raises
-    ValueError at once.  That check, :func:`~fqhent.states.family_factors`,
-    and :func:`evaluate_point` are memoized, so a process counts and
-    measures each distinct nonzero (family, N, m) once; the workers of a
-    parallel sweep keep their own memos.  The result order follows the
-    request order regardless of jobs, so downstream sorting is the only
-    ordering that matters.  At most min(jobs, len(requests), cpu count) worker processes
-    are started.
+    ValueError at once.  A request that the check finds zero becomes a point
+    with value None there and is never evaluated.  That check,
+    :func:`~fqhent.states.family_factors`, and :func:`evaluate_point` are
+    memoized, so a process counts and measures each distinct nonzero
+    (family, N, m) once; the workers of a parallel sweep keep their own
+    memos.  The result order follows the request order regardless of jobs,
+    so downstream sorting is the only ordering that matters.  At most
+    min(jobs, nonzero requests, cpu count) worker processes are started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    for request in requests:
+    zero = [False] * len(requests)
+    for i, request in enumerate(requests):
         try:
             family_factors(*request)
         except ZeroWavefunctionError:
-            pass
-    workers = min(jobs, len(requests), os.cpu_count() or 1)
+            zero[i] = True
+    live = [req for req, is_zero in zip(requests, zero) if not is_zero]
+    workers = min(jobs, len(live), os.cpu_count() or 1)
     if workers <= 1:
-        return [evaluate_point(*req) for req in requests]
-    # Imported here so that start-up and serial sweeps never load multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+        measured = (evaluate_point(*req) for req in live)
+    else:
+        # Imported here so that start-up and serial sweeps never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_tuple, requests))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            measured = iter(list(pool.map(_evaluate_tuple, live)))
+    return [
+        SweepPoint(*req, None) if is_zero else next(measured)
+        for req, is_zero in zip(requests, zero)
+    ]
 
 
 def figure_points(spec: FigureSpec, jobs: int = 1) -> list[SweepPoint]:

@@ -186,15 +186,6 @@ class FockVector:
         momentum = sum(next(configs, ()))
         return not any(sum(config) != momentum for config in configs)
 
-    def occupations(self) -> dict[int, Fraction]:
-        """Mean occupation number of each orbital, exactly; values sum to N."""
-        sums = [0] * self._dim
-        for config, weight in self._weights.items():
-            weight = abs(weight)
-            for mode in config:
-                sums[mode] += weight
-        return {mode: Fraction(s, self._total) for mode, s in enumerate(sums)}
-
     def __repr__(self) -> str:
         body = dict(sorted(self._weights.items()))
         return f"FockVector({self._n_particles}, {self._dim}, {body!r})"

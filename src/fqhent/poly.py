@@ -5,6 +5,9 @@ integer coefficients: in two variables, {(3, 0): 1, (2, 1): -3} stands for
 z1^3 - 3*z1^2*z2.  All arithmetic is exact, zero coefficients are never
 stored, and the canonical term order is lexicographically descending in the
 exponent tuple, which makes iteration and printing deterministic.
+:class:`MultiPoly`, the reference container that the slow route, ``verify``
+and the tests build with, offers construction, arithmetic, ``permute`` and
+the antisymmetry test.
 
 Antisymmetric polynomials admit a second exact representation: a sum of
 monomial determinants det(z_i^{lam_j}) over strictly decreasing exponent
@@ -29,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -139,31 +141,6 @@ class MultiPoly(_TermMap):
     def one(cls, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: 1})
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        """The polynomial z_{index+1} (0-based index)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
-
-    # -- basic queries -----------------------------------------------------
-
-    def coefficient(self, exponents: Sequence[int]) -> int:
-        return self._terms.get(tuple(exponents), 0)
-
-    def degrees(self) -> set[int]:
-        """Set of total degrees present (empty for the zero polynomial)."""
-        return {sum(key) for key in self._terms}
-
-    def total_degree(self) -> int:
-        """Largest total degree; 0 for the zero polynomial."""
-        return max((sum(key) for key in self._terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "MultiPoly":
@@ -207,7 +184,7 @@ class MultiPoly(_TermMap):
         if self._nvars != other._nvars:
             raise ValueError(f"variable count mismatch: {self._nvars} vs {other._nvars}")
 
-    # -- variable permutations and symmetry --------------------------------
+    # -- variable permutations and antisymmetry ----------------------------
 
     def permute(self, perm: Sequence[int]) -> "MultiPoly":
         """Relabel variables: the result's exponent of z_i is the source's of z_{perm[i]}."""
@@ -218,26 +195,14 @@ class MultiPoly(_TermMap):
             {tuple(key[p] for p in perm): coeff for key, coeff in self._terms.items()},
         )
 
-    def swap(self, i: int, j: int) -> "MultiPoly":
-        perm = list(range(self._nvars))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permute(perm)
-
     def is_antisymmetric(self) -> bool:
-        """True iff swapping any pair of variables negates the polynomial exactly."""
-        return self._invariant_under_generators(-1)
-
-    def is_symmetric(self) -> bool:
-        """True iff swapping any pair of variables leaves the polynomial unchanged."""
-        return self._invariant_under_generators(1)
-
-    def _invariant_under_generators(self, sign: int) -> bool:
-        """True iff every permutation of the variables multiplies self by sign^parity.
+        """True iff swapping any pair of variables negates the polynomial exactly.
 
         The swap (0 1) and the cycle (0 1 ... n-1) generate the symmetric
         group, so checking those two suffices; the cycle has parity n - 1.  A
-        permutation p maps self onto (sign^parity) * self exactly when every
-        term's permuted key carries (sign^parity) times its coefficient.
+        permutation p maps self onto (-1)^parity * self exactly when every
+        term's permuted key carries (-1)^parity times its coefficient.  With
+        one variable every polynomial is antisymmetric.
         """
         n = self._nvars
         if n == 1:
@@ -245,26 +210,12 @@ class MultiPoly(_TermMap):
         terms = self._terms
         swap = (1, 0, *range(2, n))
         cycle = (*range(1, n), 0)
-        for perm, factor in ((swap, sign), (cycle, sign ** (n - 1))):
+        for perm, factor in ((swap, -1), (cycle, (-1) ** (n - 1))):
             permuted = operator.itemgetter(*perm)
             for key, coeff in terms.items():
                 if terms.get(permuted(key)) != factor * coeff:
                     return False
         return True
-
-    # -- evaluation and printing -------------------------------------------
-
-    def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
-        if len(values) != self._nvars:
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for key, coeff in self._terms.items():
-            term = Fraction(coeff)
-            for exp, val in zip(key, values):
-                if exp:
-                    term *= Fraction(val) ** exp
-            total += term
-        return total
 
     def __str__(self) -> str:
         if not self._terms:
@@ -416,13 +367,13 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     top = (N-1)m, has the same coefficient: z_i -> 1/z_i, times
     prod_i z_i^top, maps the state to (-1)^(m N(N-1)/2) times itself and
     a_mu to (-1)^(N(N-1)/2) a_mirror, and m is odd.  So a mu whose mirror
-    was visited before it copies that coefficient.
+    was visited before it copies that coefficient from the output, which
+    holds every nonzero one found so far.
 
-    Coefficients are keyed by sum_i 3^mu_i, which is unique like a bit
-    mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61 orbitals.
-    A[R, s] is keyed by R's digits plus s 3^(top+1).  Everything stays an
-    exact integer; a division that leaves a remainder, or by zero, raises
-    ArithmeticError.
+    A[R, s] is keyed by sum_{x in R} 3^x plus s 3^(top+1), which is unique
+    like a bit mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61
+    orbitals.  Everything stays an exact integer; a division that leaves a
+    remainder, or by zero, raises ArithmeticError.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
@@ -440,7 +391,6 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     shift = [s * 3 ** (top + 1) for s in range(2 * top)]
     # (i, j, parity of j - i - 1) for every position pair
     pairs = [(i, j, (j - i - 1) & 1) for i, j in itertools.combinations(range(nvars), 2)]
-    coeffs: dict[int, int] = {}
     sums: dict[int, int] = {}
     out: dict[Exponents, int] = {}
     for mu in _dominated(root):
@@ -453,7 +403,7 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
         if mu == root:
             coeff = 1
         elif mirror > mu:
-            coeff = coeffs.get(sum(digit[x] for x in mirror), 0)
+            coeff = out.get(mirror, 0)
         else:
             total = 0
             for pair_key, _, odd in classes:
@@ -467,7 +417,7 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
             if remainder:
                 raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
         if coeff:
-            coeffs[key] = out[mu] = coeff
+            out[mu] = coeff
             for pair_key, width, odd in classes:
                 term = width * coeff
                 sums[pair_key] = sums.get(pair_key, 0) + (-term if odd else term)

@@ -66,6 +66,21 @@ def _cycle_sign(perm: tuple[int, ...]) -> int:
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
+def invariant_under_all_swaps(poly, sign: int) -> bool:
+    """The all-pairs definition: every transposition multiplies poly by sign.
+
+    Each swap is applied to the exponent tuples of the term map directly.
+    """
+    terms = dict(poly.terms)
+    for i, j in itertools.combinations(range(poly.nvars), 2):
+        for key, coeff in terms.items():
+            swapped = list(key)
+            swapped[i], swapped[j] = key[j], key[i]
+            if terms.get(tuple(swapped)) != sign * coeff:
+                return False
+    return True
+
+
 def permutation_determinant(lam: tuple[int, ...]) -> Terms:
     """det(z_i^{lam_j}) expanded over all permutations."""
     n = len(lam)

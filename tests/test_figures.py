@@ -62,9 +62,35 @@ class TestEvaluateAndSweep:
         with pytest.raises(ValueError, match="jobs"):
             sweep([("laughlin", 2, 1)], jobs=0)
 
+    def test_zero_requests_are_answered_by_the_check(self, monkeypatch):
+        # chi(N, m) is zero for m > 2N + 1: those requests never reach evaluate_point
+        requests = [("chi", 2, m) for m in range(1, 22, 2)] + [
+            ("chi", 4, m) for m in range(1, 42, 2)
+        ]
+        expected = [evaluate_point(*request) for request in requests]
+        assert [p.measure_bits is None for p in expected] == [
+            m > 2 * n + 1 for _, n, m in requests
+        ]
+        evaluate = figures.evaluate_point
+
+        def nonzero_only(family, n, m):
+            assert m <= 2 * n + 1, f"zero point {(family, n, m)} was evaluated"
+            return evaluate(family, n, m)
+
+        monkeypatch.setattr(figures, "evaluate_point", nonzero_only)
+        assert sweep(requests) == expected
+
+    def test_all_zero_sweep_starts_no_worker(self, monkeypatch):
+        def refuse(max_workers):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        points = sweep([("chi", 2, 9), ("chi", 2, 7)], jobs=2)
+        assert points == [SweepPoint("chi", 2, 9, None), SweepPoint("chi", 2, 7, None)]
+
     def test_parallel_equals_serial(self):
         requests = [("laughlin", 2, m) for m in (1, 3, 5)] + [
-            ("chi", 2, m) for m in (1, 3, 5, 7)
+            ("chi", 2, m) for m in (9, 1, 3, 7, 5)
         ]
         # parallel first: the workers fork from an empty memo and measure
         # every point themselves, and the serial run measures them again

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,15 @@ from fqhent.poly import vandermonde_expansion
 
 
 def z(nvars: int, index: int) -> MultiPoly:
-    return MultiPoly.variable(nvars, index)
+    """The polynomial z_{index+1} (0-based index)."""
+    return MultiPoly(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
+
+
+def swap(p: MultiPoly, i: int, j: int) -> MultiPoly:
+    """p with variables i and j exchanged."""
+    perm = list(range(p.nvars))
+    perm[i], perm[j] = perm[j], perm[i]
+    return p.permute(perm)
 
 
 def symmetrize(p: MultiPoly, sign: int = 1) -> MultiPoly:
@@ -39,13 +46,6 @@ def symmetrize(p: MultiPoly, sign: int = 1) -> MultiPoly:
         inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(p.nvars), 2))
         out = out + p.permute(perm) * sign**inversions
     return out
-
-
-def invariant_under_all_swaps(p: MultiPoly, sign: int) -> bool:
-    """The all-pairs definition: every transposition multiplies p by sign."""
-    return all(
-        p.swap(i, j) == p * sign for i, j in itertools.combinations(range(p.nvars), 2)
-    )
 
 
 @st.composite
@@ -58,9 +58,9 @@ def symmetry_candidates(draw):
     if kind == "anti":
         return symmetrize(p, -1)
     if p.nvars > 1 and kind == "swap-sym":
-        return p + p.swap(0, 1)
+        return p + swap(p, 0, 1)
     if p.nvars > 1 and kind == "swap-anti":
-        return p - p.swap(0, 1)
+        return p - swap(p, 0, 1)
     return p
 
 
@@ -81,7 +81,7 @@ class TestMultiPoly:
         import numpy as np
 
         p = MultiPoly(2, {(np.int64(1), np.int64(0)): np.int64(3)})
-        assert p.coefficient((1, 0)) == 3
+        assert dict(p.terms) == {(1, 0): 3}
         assert type(next(iter(p.terms))[0]) is int
 
     def test_canonical_order_is_lex_descending(self):
@@ -125,27 +125,13 @@ class TestMultiPoly:
         assert (p + (-p)).is_zero
         assert p - p == MultiPoly.zero(p.nvars)
 
-    def test_evaluate(self):
-        p = (z(2, 0) - z(2, 1)) ** 3
-        assert p.evaluate([2, 1]) == 1
-        assert p.evaluate([Fraction(1, 2), Fraction(3, 2)]) == -1
-
     def test_str(self):
         p = (z(2, 0) - z(2, 1)) ** 3
         assert str(p) == "z1^3 - 3*z1^2*z2 + 3*z1*z2^2 - z2^3"
         assert str(MultiPoly.zero(2)) == "0"
 
-    def test_homogeneity_queries(self):
-        p = (z(2, 0) - z(2, 1)) ** 3
-        assert p.is_homogeneous()
-        assert p.total_degree() == 3
-        q = p + MultiPoly.one(2)
-        assert not q.is_homogeneous()
-        assert q.degrees() == {0, 3}
-
-    def test_permute_and_swap(self):
+    def test_permute(self):
         p = z(3, 0) ** 2 * z(3, 1)
-        assert p.swap(0, 1) == z(3, 1) ** 2 * z(3, 0)
         # result's exponent of z_i is the source's exponent of z_{perm[i]}
         assert p.permute([1, 2, 0]) == z(3, 0) * z(3, 2) ** 2
         with pytest.raises(ValueError):
@@ -218,15 +204,13 @@ class TestAntisymmetry:
     def test_antisymmetric_under_one_swap_only_is_rejected(self):
         # (z1 - z2) z3 changes sign under (0 1) but not under the other swaps
         p = (z(3, 0) - z(3, 1)) * z(3, 2)
-        assert p.swap(0, 1) == -p
+        assert swap(p, 0, 1) == -p
         assert not p.is_antisymmetric()
-        assert not ((z(3, 0) + z(3, 1)) * z(3, 2)).is_symmetric()
 
     @given(symmetry_candidates())
     @settings(max_examples=120, deadline=None)
     def test_generators_agree_with_all_swaps(self, p):
-        assert p.is_symmetric() == invariant_under_all_swaps(p, 1)
-        assert p.is_antisymmetric() == invariant_under_all_swaps(p, -1)
+        assert p.is_antisymmetric() == oracles.invariant_under_all_swaps(p, -1)
 
 
 class TestVandermonde:
@@ -248,7 +232,7 @@ class TestVandermonde:
     @pytest.mark.parametrize("nvars,power", [(2, 3), (3, 3), (4, 3), (3, 5)])
     def test_homogeneous_of_expected_degree(self, nvars, power):
         p = vandermonde_power(nvars, power)
-        assert p.degrees() == {power * nvars * (nvars - 1) // 2}
+        assert {sum(k) for k in p.terms} == {power * nvars * (nvars - 1) // 2}
 
 
 class TestVandermondeExpansion:
@@ -288,7 +272,7 @@ class TestElementarySymmetric:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_symmetric(self, k):
-        assert elementary_symmetric(3, k).is_symmetric()
+        assert oracles.invariant_under_all_swaps(elementary_symmetric(3, k), 1)
 
 
 class TestSlaterProjection:

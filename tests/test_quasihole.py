@@ -95,12 +95,12 @@ class TestCondense:
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (3, 4), (4, 6)])
     def test_output_is_symmetric(self, n, p):
         poly = condense(CondensateKernel(n, p)).poly
-        assert poly.is_symmetric()
+        assert oracles.invariant_under_all_swaps(poly, 1)
 
     @pytest.mark.parametrize("n,p", [(2, 0), (2, 2), (2, 4), (3, 2), (4, 8)])
     def test_degree_is_2n_minus_p(self, n, p):
         poly = condense(CondensateKernel(n, p)).poly
-        assert poly.degrees() == {2 * n - p}
+        assert {sum(k) for k in poly.terms} == {2 * n - p}
 
     @pytest.mark.parametrize(
         "n,p", [(n, p) for n in range(1, 6) for p in range(2 * n + 3)]
