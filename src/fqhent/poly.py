@@ -370,8 +370,9 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     was visited before it copies that coefficient from the output, which
     holds every nonzero one found so far.
 
-    A[R, s] is keyed by sum_{x in R} 3^x plus s 3^(top+1), which is unique
-    like a bit mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61
+    Every tuple visited has root's sum, so R alone fixes s = |root| - |R|,
+    and A[R, s] is keyed by R alone: sum_{x in R} 3^x, which is unique like
+    a bit mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61
     orbitals.  Everything stays an exact integer; a division that leaves a
     remainder, or by zero, raises ArithmeticError.
     """
@@ -388,7 +389,6 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
 
     rho_root = rho(root)
     digit = [3**x for x in range(top + 1)]
-    shift = [s * 3 ** (top + 1) for s in range(2 * top)]
     # (i, j, parity of j - i - 1) for every position pair
     pairs = [(i, j, (j - i - 1) & 1) for i, j in itertools.combinations(range(nvars), 2)]
     sums: dict[int, int] = {}
@@ -396,7 +396,7 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     for mu in _dominated(root):
         key = sum(digit[x] for x in mu)
         classes = [
-            (key - digit[mu[i]] - digit[mu[j]] + shift[mu[i] + mu[j]], mu[i] - mu[j], odd)
+            (key - digit[mu[i]] - digit[mu[j]], mu[i] - mu[j], odd)
             for i, j, odd in pairs
         ]
         mirror = tuple(top - x for x in reversed(mu))
@@ -429,28 +429,50 @@ def _dominated(root: Exponents) -> Iterator[Exponents]:
 
     mu is dominated when it has root's sum and each partial sum of mu,
     read from the largest entry, is at most root's.
+
+    The walk is flat: ``head`` holds the entries chosen so far and ``lows``
+    the lowest value each may take.  Each tuple is yielded once, straight
+    from this frame, not passed up through one generator per entry of root.
     """
     n = len(root)
     if n == 1:
-        return iter((root,))
+        yield root
+        return
     bounds = list(itertools.accumulate(root))
-
-    def extend(head: Exponents, below: int, partial: int) -> Iterator[Exponents]:
+    head: list[int] = []
+    lows: list[int] = []
+    partial = 0  # sum of head
+    below = bounds[0] + 1  # the next entry is less than this
+    while True:
         i = len(head)
         rest = bounds[-1] - partial  # sum of the n - i entries still to choose
         left = n - i - 1
         # the other `left` entries are distinct and below x, at least 0 .. left - 1
         highest = min(below - 1, bounds[i] - partial, rest - left * (left - 1) // 2)
         lowest = -(-(rest + left * (left + 1) // 2) // (left + 1))
+        if left > 1 and highest >= lowest:
+            head.append(highest)
+            lows.append(lowest)
+            partial += highest
+            below = highest
+            continue
         if left == 1:
             # the sum fixes the last entry, rest - x: x >= lowest keeps it below x
+            prefix = tuple(head)
             for x in range(highest, lowest - 1, -1):
-                yield head + (x, rest - x)
+                yield prefix + (x, rest - x)
+        # lower the last chosen entry that can go lower, dropping those after it
+        while head:
+            x = head.pop()
+            partial -= x
+            if x > lows[-1]:
+                head.append(x - 1)
+                partial += x - 1
+                below = x - 1
+                break
+            lows.pop()
         else:
-            for x in range(highest, lowest - 1, -1):
-                yield from extend(head + (x,), x, partial + x)
-
-    return extend((), bounds[0] + 1, 0)
+            return
 
 
 def _pair_power(nvars: int, j: int, k: int, power: int) -> MultiPoly:

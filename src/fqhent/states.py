@@ -15,11 +15,13 @@ The constructors build each state directly in the determinant basis
 Vandermonde power comes from the exact integer squeezing (Jack) recursion
 from its root ((N-1)m, ..., m, 0), and the condensate, which is
 e_{N-p/2}(z_1^2, ..., z_N^2), is multiplied in by its Pieri rule, which
-shifts p/2 or N - p/2 entries of each determinant by 2.  The slower route
-is kept as an independent check for tests and ``verify``: the full
-polynomial (:func:`family_polynomial`), with the condensate from its
-Gaussian integral, followed by :func:`fqhent.poly.slater_project`, which
-holds N! times as many terms.
+shifts p/2 or N - p/2 entries of each determinant by 2.  A process keeps
+its recent Vandermonde expansions in a memo bounded by MAX_DETERMINANTS,
+so laughlin and hierarchical_phi at the same N and m run the recursion
+once.  The slower route is kept as an independent check for tests and
+``verify``: the full polynomial (:func:`family_polynomial`), with the
+condensate from its Gaussian integral, followed by
+:func:`fqhent.poly.slater_project`, which holds N! times as many terms.
 
 The condensate scalar prefactor is discarded before multiplication since
 every entanglement quantity is invariant under global scaling; the verify
@@ -40,6 +42,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,7 +54,8 @@ MAX_DETERMINANTS = 40_000
 """Upper limit on the determinants a family state's build visits: the
 strictly decreasing tuples its root dominates, counted before anything is
 built, and on the C(N, p/2) subsets the condensate's Pieri rule tries per
-determinant.  Bounds the size of a construction for every N and m."""
+determinant.  Bounds the size of a construction for every N and m, and
+the determinants the memo of Vandermonde expansions holds in all."""
 
 MAX_ORBITALS = 512
 """Upper limit on the orbitals a family state can occupy.  to_fock weighs
@@ -187,11 +191,45 @@ def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
     return vandermonde_power(n_electrons, power) * cond.poly
 
 
+_expansions: dict[tuple[int, int], SlaterExpansion] = {}
+"""Vandermonde expansions by (N, power), least recently used first."""
+_expansions_lock = threading.Lock()
+
+
+def _vandermonde(n_electrons: int, power: int) -> SlaterExpansion:
+    """vandermonde_expansion(n_electrons, power), memoized per process.
+
+    The memo holds at most MAX_DETERMINANTS determinants in all, no more
+    than one state at the size budget: the least recently used expansions
+    make room for a new one, and one that alone exceeds the bound is not
+    kept.  SlaterExpansion is immutable, so callers share one object.  A
+    lock guards the memo, not the build, as lru_cache does.
+    """
+    key = (n_electrons, power)
+    with _expansions_lock:
+        expansion = _expansions.pop(key, None)
+        if expansion is not None:
+            _expansions[key] = expansion
+            return expansion
+    expansion = vandermonde_expansion(n_electrons, power)
+    if len(expansion) <= MAX_DETERMINANTS:
+        with _expansions_lock:
+            _expansions.pop(key, None)
+            _expansions[key] = expansion
+            held = sum(map(len, _expansions.values()))
+            while held > MAX_DETERMINANTS:
+                held -= len(_expansions.pop(next(iter(_expansions))))
+    return expansion
+
+
 def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
     """A family wavefunction built directly in the determinant basis.
 
     The Vandermonde power comes from the squeezing recursion
-    (:func:`fqhent.poly.vandermonde_expansion`).  The condensate, when the
+    (:func:`fqhent.poly.vandermonde_expansion`), taken from a per-process
+    memo keyed by (N, power) and bounded by MAX_DETERMINANTS, so laughlin
+    and hierarchical_phi at the same N and m share one run.  family_factors
+    counts and refuses before the memo is looked up.  The condensate, when the
     family has one, is multiplied in by
     :meth:`~fqhent.poly.SlaterExpansion.times_elementary_squares` with
     k = N - p/2, because condense's polynomial is e_k(z_1^2, ..., z_N^2):
@@ -206,7 +244,7 @@ def family_expansion(family: str, n_electrons: int, m: int) -> SlaterExpansion:
     that does.
     """
     power, p = family_factors(family, n_electrons, m)
-    expansion = vandermonde_expansion(n_electrons, power)
+    expansion = _vandermonde(n_electrons, power)
     if p is None:
         return expansion
     return expansion.times_elementary_squares(n_electrons - p // 2)

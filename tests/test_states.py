@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -241,6 +243,118 @@ class TestFamilyExpansion:
             family_expansion("chi", 2, 7)
 
 
+def _counting_squeezes(monkeypatch) -> list[tuple[int, int]]:
+    """The (N, power) of every squeezing run from now on, in order."""
+    calls = []
+    real = states.vandermonde_expansion
+
+    def counting(nvars, power):
+        calls.append((nvars, power))
+        return real(nvars, power)
+
+    monkeypatch.setattr(states, "vandermonde_expansion", counting)
+    return calls
+
+
+def _held() -> int:
+    return sum(len(e) for e in states._expansions.values())
+
+
+class TestVandermondeMemo:
+    """family_expansion squeezes each (N, power) once, in a bounded LRU memo."""
+
+    def test_laughlin_and_hierarchical_phi_share_one_squeeze(self, monkeypatch):
+        calls = _counting_squeezes(monkeypatch)
+        first = laughlin(3, 13)
+        hierarchical_phi(3, 13)
+        assert laughlin(3, 13) == first
+        assert family_expansion("laughlin", 3, 13) is family_expansion("laughlin", 3, 13)
+        assert family_expansion("hierarchical_phi", 3, 13) == slater_project(
+            family_polynomial("hierarchical_phi", 3, 13)
+        )
+        assert calls == [(3, 13)]
+
+    def test_bounded_and_least_recently_used_out_first(self, monkeypatch):
+        # laughlin(2, m) has (m + 1) / 2 determinants
+        monkeypatch.setattr(states, "MAX_DETERMINANTS", 10)
+        calls = _counting_squeezes(monkeypatch)
+        for m in (7, 5, 3, 7, 1):
+            family_expansion("laughlin", 2, m)
+            assert _held() <= 10
+        assert list(states._expansions) == [(2, 5), (2, 3), (2, 7), (2, 1)]
+        assert _held() == 10
+        family_expansion("laughlin", 2, 9)  # 5 more: (2, 5) and (2, 3) go
+        assert list(states._expansions) == [(2, 7), (2, 1), (2, 9)]
+        assert _held() == 10
+        family_expansion("laughlin", 2, 5)  # 3 more: (2, 7) goes
+        assert list(states._expansions) == [(2, 1), (2, 9), (2, 5)]
+        assert calls == [(2, 7), (2, 5), (2, 3), (2, 1), (2, 9), (2, 5)]
+        for m in range(1, 20, 2):
+            family_expansion("laughlin", 2, m)
+            assert _held() <= 10
+
+    def test_keeps_nothing_that_alone_exceeds_the_bound(self, monkeypatch):
+        family_expansion("laughlin", 2, 3)
+        monkeypatch.setattr(states, "MAX_DETERMINANTS", 4)
+        # family_factors would refuse laughlin(2, 9), so ask the memo directly
+        expansion = states._vandermonde(2, 9)
+        assert len(expansion) == 5
+        assert expansion == poly.vandermonde_expansion(2, 9)
+        assert list(states._expansions) == [(2, 3)]
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # more threads than cores, switching often, over 12 powers of which
+        # any 3 or 4 fill the bound
+        monkeypatch.setattr(states, "MAX_DETERMINANTS", 12)
+        expected = {m: poly.vandermonde_expansion(2, m) for m in range(1, 24, 2)}
+        problems = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    m = rng.choice(list(expected))
+                    if family_expansion("laughlin", 2, m) != expected[m]:
+                        problems.append(m)
+                    with states._expansions_lock:
+                        if _held() > 12:
+                            problems.append(_held())
+            except Exception as exc:  # reported by the assertion below
+                problems.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+
+    @pytest.mark.parametrize(
+        "family,n,m,error",
+        [
+            ("laughlin", 4, 41, ValueError),
+            ("hierarchical_phi", 4, 39, ValueError),
+            ("laughlin", 2, 513, ValueError),
+            ("chi", 2, 7, ZeroWavefunctionError),
+        ],
+    )
+    def test_refused_request_builds_and_keeps_nothing(self, monkeypatch, family, n, m, error):
+        calls = _counting_squeezes(monkeypatch)
+        with pytest.raises(error):
+            family_expansion(family, n, m)
+        with pytest.raises(error):
+            states.FAMILIES[family](n, m)
+        assert calls == []
+        assert states._expansions == {}
+        assert family_factors.cache_info().currsize == 0
+
+
 class TestLaughlinInvariants:
     """Translation invariance, L^- = 0, and sphere highest weight, L^+ = 0."""
 
@@ -327,6 +441,53 @@ class TestSizeLimits:
                 if _is_dominated(mu, root)
             ]
             assert list(poly._dominated(root)) == expected, root
+
+    @pytest.mark.parametrize("root", [(0,), (511,), (1, 0), (511, 0), (300, 17)])
+    def test_short_roots(self, root):
+        # one entry dominates only itself; two entries (x, |root| - x) from
+        # root[0] down to above half the sum
+        if len(root) == 1:
+            expected = [root]
+        else:
+            total = sum(root)
+            expected = [(x, total - x) for x in range(root[0], total // 2, -1)]
+        assert list(poly._dominated(root)) == expected
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 20])
+    def test_170_entries(self, k):
+        # the staircase (169, ..., 1, 0) plus k on its first entry dominates
+        # exactly the staircase plus each partition of k, in the partitions'
+        # lexicographically descending order
+        def partitions(rest, largest):
+            if rest == 0:
+                yield ()
+            for part in range(min(rest, largest), 0, -1):
+                for tail in partitions(rest - part, part):
+                    yield (part, *tail)
+
+        staircase = tuple(range(169, -1, -1))
+        root = (staircase[0] + k, *staircase[1:])
+        expected = [
+            tuple(s + p for s, p in itertools.zip_longest(staircase, lam, fillvalue=0))
+            for lam in partitions(k, k)
+        ]
+        assert list(poly._dominated(root)) == expected
+
+    def test_170_entries_count_quickly(self):
+        # laughlin(170, 3)'s root dominates more than the budget; the count
+        # that refuses it walks MAX_DETERMINANTS + 1 tuples, each made once
+        root = tuple(range(3 * 169, -1, -3))
+        start = time.perf_counter()
+        walked = list(itertools.islice(poly._dominated(root), MAX_DETERMINANTS + 1))
+        assert time.perf_counter() - start < 0.4
+        assert len(walked) == len(set(walked)) == MAX_DETERMINANTS + 1
+        assert walked[0] == root and walked == sorted(walked, reverse=True)
+        assert all(_is_dominated(mu, root) for mu in walked[::97])
+        assert all(a > b for mu in walked[::97] for a, b in zip(mu, mu[1:]))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
+            family_factors("laughlin", 170, 3)
+        assert time.perf_counter() - start < 0.4
 
     @pytest.mark.parametrize(
         "n,m,expected",
