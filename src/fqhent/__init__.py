@@ -3,24 +3,14 @@ for fractional quantum Hall model wavefunctions.
 
 The pipeline is: build a model wavefunction's polynomial part exactly in
 the basis of monomial determinants (poly, states), normalize it into a Fock
-vector over lowest-Landau-level orbitals (lll), and evaluate entanglement
-measures on the result (entangle).  Hierarchical families are produced from
+vector over lowest-Landau-level orbitals (lll), and take the entropy of its
+one-body density matrix (measure).  Hierarchical families are produced from
 two-quasihole condensate integrals (quasihole, states); figures and the CLI
-sit on top (figures, cli, verify).
+sit on top (figures, cli, verify).  The two-fermion diagnostics live in
+entangle, which imports numpy; its names are resolved from here only on
+first use, so importing fqhent does not load numpy.
 """
 
-from .entangle import (
-    DimensionNotFourError,
-    NotTwoFermionError,
-    OneBodyDensityMatrix,
-    closed_form_sf_laughlin2,
-    modified_measure,
-    one_body_density,
-    schliemann_eta,
-    slater_pairing,
-    two_qubit_consistency,
-    von_neumann,
-)
 from .figures import (
     FigureSpec,
     evaluate_point,
@@ -39,6 +29,12 @@ from .lll import (
     orbital_norm_sq,
     slater_coefficient_magnitudes,
     to_fock,
+)
+from .measure import (
+    OneBodyDensityMatrix,
+    modified_measure,
+    one_body_density,
+    von_neumann,
 )
 from .poly import (
     MultiPoly,
@@ -69,6 +65,24 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+_ENTANGLE_NAMES = frozenset({
+    "DimensionNotFourError",
+    "NotTwoFermionError",
+    "closed_form_sf_laughlin2",
+    "schliemann_eta",
+    "slater_pairing",
+    "two_qubit_consistency",
+})
+
+
+def __getattr__(name: str):
+    if name in _ENTANGLE_NAMES:
+        from . import entangle
+
+        return getattr(entangle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Amplitude",

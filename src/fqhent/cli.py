@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .entangle import modified_measure
+from .measure import modified_measure
 from .figures import (
     PRESETS,
     figure_points,
@@ -35,7 +35,6 @@ from .figures import (
     sweep,
 )
 from .states import FAMILIES, ZeroWavefunctionError, family_factors
-from .verify import all_passed, format_report, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -242,6 +241,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # verify imports entangle and so numpy; the other subcommands never do
+    from .verify import all_passed, format_report, run_verification
+
     results = run_verification(args.level)
     print(format_report(results), end="")
     return EXIT_OK if all_passed(results) else EXIT_VERIFY_FAIL

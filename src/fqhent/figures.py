@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .entangle import modified_measure
+from .measure import modified_measure
 from .states import FAMILIES, ZeroWavefunctionError, family_factors
 
 DEFAULT_T_MAX = 6

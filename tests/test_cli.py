@@ -300,6 +300,17 @@ class TestVerify:
         assert "[INFO] filling-fractions" in out
         assert "not asserted" in out
 
+    def test_fresh_process_exit_0(self):
+        # cli imports verify only inside cmd_verify
+        result = subprocess.run(
+            [sys.executable, "-m", "fqhent.cli", "verify", "fast"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "0 failed" in result.stdout
+
 
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -409,8 +420,9 @@ class TestJobs:
         assert "jobs" in err
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    probe = f"import sys, fqhent.cli; print({module!r} in sys.modules)"
+def _loaded_after(code: str, module: str) -> bool:
+    """Whether module is loaded once code has run in a fresh interpreter."""
+    probe = f"{code}\nimport sys; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -421,10 +433,37 @@ def _loaded_by_cli_import(module: str) -> bool:
     return result.stdout.strip() == "True"
 
 
-def test_cli_import_does_not_load_scipy():
-    assert not _loaded_by_cli_import("scipy")
+@pytest.mark.parametrize(
+    "module",
+    # the process pool is imported only when a sweep starts one; entangle,
+    # verify and numpy only by verify and the two-fermion diagnostics
+    ["numpy", "scipy", "multiprocessing", "fqhent.entangle", "fqhent.verify"],
+)
+def test_cli_import_does_not_load(module):
+    assert not _loaded_after("import fqhent.cli", module)
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    # the process pool is imported only when a sweep starts one
-    assert not _loaded_by_cli_import("multiprocessing")
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (["compute", "--family", "laughlin", "--n", "3", "--m", "5"], EXIT_OK),
+        (["compute", "--family", "hierarchical_phi", "--n", "3", "--m", "7", "--format", "json"], EXIT_OK),
+        (["compute", "--family", "chi", "--n", "2", "--m", "7"], EXIT_ZERO_WAVEFUNCTION),
+        (["table", "--family", "chi", "--n", "3"], EXIT_OK),
+        (["figure", "5", "--format", "csv"], EXIT_OK),
+    ],
+    ids=["compute-text", "compute-json", "compute-zero-point", "table-chi", "figure-5"],
+)
+def test_cli_commands_do_not_load_numpy(argv, exit_code):
+    run_main = (
+        "import contextlib, io; from fqhent.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {exit_code}"
+    )
+    assert not _loaded_after(run_main, "numpy")
+
+
+def test_entangle_import_loads_numpy():
+    # eager on purpose: a caller contracting non-diagonal states pays for
+    # numpy at import, not inside its first contraction
+    assert _loaded_after("import fqhent.entangle", "numpy")
