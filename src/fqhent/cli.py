@@ -18,7 +18,6 @@ subcommand's flag type and choices.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -172,6 +171,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     report = modified_measure(state, family=opts["family"], m=opts["m"])
     if opts["format"] == "json":
+        import json
+
         payload = report.as_dict()
         payload["units"] = opts["units"]
         payload["S_f"] = (

@@ -14,11 +14,11 @@ compute, table and figure paths import measure instead and never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import Record
 from .lll import FockVector, amplitude_product
 from .measure import (  # re-exported, one definition each
     EntanglementReport,
@@ -53,8 +53,7 @@ def closed_form_sf_laughlin2(m: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class SlaterPairing:
+class SlaterPairing(Record):
     """Standard-form decomposition of a two-fermion state into mode pairs.
 
     Each entry is (mode a, mode b, weight); weights satisfy sum of squares
@@ -63,11 +62,14 @@ class SlaterPairing:
     basis produced by the spectral path.
     """
 
-    pairs: tuple[tuple[int, int, float], ...]
-    residual: int
-    basis: str
+    __slots__ = ("pairs", "residual", "basis")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, pairs: tuple[tuple[int, int, float], ...], residual: int, basis: str
+    ) -> None:
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "basis", basis)
         if self.basis not in ("orbital", "rotated"):
             raise ValueError("basis must be 'orbital' or 'rotated'")
         total = sum(z * z for _, _, z in self.pairs)

@@ -6,17 +6,18 @@ line endings, 12 significant digits, rows sorted by (family, N, m), and
 byte-identical across runs and across serial/parallel evaluation.  The SVG
 is a self-contained scatter rendering of the same rows; grid points whose
 construction collapses to the zero wavefunction are absent from the CSV and
-annotated in the SVG.
+annotated in the SVG.  The JSON rows are an alternative output that imports
+json only when written; FigureSpec and SweepPoint are immutable slot records
+that pickle by value, which is how a parallel sweep's points come back.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .measure import modified_measure
 from .states import FAMILIES, ZeroWavefunctionError, family_factors
 
@@ -43,15 +44,17 @@ def _check_figure_id(fig_id: int) -> None:
         raise ValueError(f"figure id must be one of {tuple(PRESETS)}, got {fig_id}")
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(Record):
     """One preset figure: numbered id, series list, and t grid."""
 
-    id: int
-    series: tuple[tuple[str, int], ...]
-    t_values: tuple[int, ...]
+    __slots__ = ("id", "series", "t_values")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, id: int, series: tuple[tuple[str, int], ...], t_values: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "t_values", t_values)
         _check_figure_id(self.id)
         if any(t < 0 for t in self.t_values):
             raise ValueError("t values must be non-negative")
@@ -70,14 +73,16 @@ def figure_title(fig_id: int) -> str:
     return f"figure {fig_id}: {PRESETS[fig_id][0]}"
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     """One evaluated grid point; value is None when the state is zero."""
 
-    family: str
-    n_electrons: int
-    m: int
-    measure_bits: float | None
+    __slots__ = ("family", "n_electrons", "m", "measure_bits")
+
+    def __init__(self, family: str, n_electrons: int, m: int, measure_bits: float | None) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n_electrons", n_electrons)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "measure_bits", measure_bits)
 
     @property
     def t(self) -> int:
@@ -186,6 +191,8 @@ def rows_to_csv(points: Iterable[SweepPoint]) -> str:
 
 def rows_to_json(points: Iterable[SweepPoint]) -> str:
     """JSON list of rows in CSV order; zero-wavefunction points carry null."""
+    import json
+
     rows = [dict(zip(ROW_FIELDS, p.row())) for p in _sorted_points(points)]
     return json.dumps(rows, indent=2)
 

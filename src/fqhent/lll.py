@@ -14,13 +14,13 @@ uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import lt, mul
 from types import MappingProxyType
 from typing import Mapping
 
+from ._record import Record
 from .poly import SlaterExpansion
 
 FockConfig = tuple[int, ...]
@@ -41,12 +41,14 @@ def orbital_norm_sq(i: int) -> int:
     return 2 ** (i + 1) * math.factorial(i)
 
 
-@dataclass(frozen=True)
-class Amplitude:
+class Amplitude(Record):
     """One entry of FockVector.terms: a sign and the exact squared magnitude."""
 
-    sign: int
-    magnitude_sq: Fraction
+    __slots__ = ("sign", "magnitude_sq")
+
+    def __init__(self, sign: int, magnitude_sq: Fraction) -> None:
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "magnitude_sq", magnitude_sq)
 
     @property
     def as_float(self) -> float:
@@ -84,7 +86,7 @@ def _checked(n_particles: int, dim: int, weights: dict[FockConfig, int]) -> dict
     return weights
 
 
-class FockVector:
+class FockVector(Record):
     """A normalized N-fermion state over dim lowest-Landau-level orbitals.
 
     Each occupied configuration c (a strictly increasing orbital tuple)
@@ -119,9 +121,6 @@ class FockVector:
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_weights", store)
         object.__setattr__(self, "_total", sum(map(abs, store.values())))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FockVector is immutable")
 
     @classmethod
     def from_unnormalized(
@@ -179,6 +178,9 @@ class FockVector:
 
     def __hash__(self) -> int:
         return hash((self._n_particles, self._dim, frozenset(self._weights.items())))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._n_particles, self._dim, self._weights)
 
     def is_homogeneous(self) -> bool:
         """True iff every config carries the same total angular momentum."""

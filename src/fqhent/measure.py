@@ -9,18 +9,20 @@ the reported measure subtracts it:
 
 which is zero exactly on single-determinant (separable) states.  Everything
 upstream of the final logarithms stays in exact rational arithmetic;
-entropies are reported as floats.  Every family state is homogeneous, so
-its density matrix is exactly diagonal and needs no linear algebra: numpy is
-imported only inside as_numpy and von_neumann's non-diagonal branch.
+entropies are reported as Python floats on both of von_neumann's branches.
+Every family state is homogeneous, so its density matrix is exactly
+diagonal and needs no linear algebra: numpy is imported only inside
+as_numpy and von_neumann's non-diagonal branch.  The matrix and the report
+are immutable slot records, built on fqhent._record.Record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
+from ._record import Record
 from .lll import FockConfig, FockVector, amplitude_product
 
 if TYPE_CHECKING:
@@ -29,8 +31,7 @@ if TYPE_CHECKING:
 Entry = Fraction | float
 
 
-@dataclass(frozen=True)
-class OneBodyDensityMatrix:
+class OneBodyDensityMatrix(Record):
     """Real symmetric density matrix with unit trace, stored sparsely.
 
     diag holds the dim diagonal entries; off_diagonal maps (mu, nu) with
@@ -41,11 +42,17 @@ class OneBodyDensityMatrix:
     always is.
     """
 
-    dim: int
-    diag: tuple[Entry, ...]
-    off_diagonal: dict[tuple[int, int], Entry] = field(default_factory=dict)
+    __slots__ = ("dim", "diag", "off_diagonal")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        dim: int,
+        diag: tuple[Entry, ...],
+        off_diagonal: dict[tuple[int, int], Entry] | None = None,
+    ) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "off_diagonal", {} if off_diagonal is None else off_diagonal)
         if len(self.diag) != self.dim:
             raise ValueError(f"diagonal has {len(self.diag)} entries, not dim = {self.dim}")
         for (mu, nu), entry in self.off_diagonal.items():
@@ -116,14 +123,15 @@ def von_neumann(rho: OneBodyDensityMatrix) -> float:
     """-sum lambda ln lambda over the spectrum, in nats; 0 ln 0 = 0.
 
     Exactly diagonal matrices use their rational diagonal directly; anything
-    else goes through a symmetric eigenvalue solve in double precision.
+    else goes through a symmetric eigenvalue solve in double precision, whose
+    eigenvalues are taken as Python floats, so the result is a float either way.
     """
     if rho.is_diagonal():
         eigenvalues = [float(p) for p in rho.diagonal()]
     else:
         import numpy as np
 
-        eigenvalues = list(np.linalg.eigvalsh(rho.as_numpy()))
+        eigenvalues = np.linalg.eigvalsh(rho.as_numpy()).tolist()
     entropy = 0.0
     for lam in eigenvalues:
         if lam > 1e-15:
@@ -131,16 +139,26 @@ def von_neumann(rho: OneBodyDensityMatrix) -> float:
     return entropy
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(Record):
     """Entropy and the N-adjusted measure for one state, in nats and bits."""
 
-    n_particles: int
-    entropy_nats: float
-    measure_nats: float
-    measure_bits: float
-    family: str | None = None
-    m: int | None = None
+    __slots__ = ("n_particles", "entropy_nats", "measure_nats", "measure_bits", "family", "m")
+
+    def __init__(
+        self,
+        n_particles: int,
+        entropy_nats: float,
+        measure_nats: float,
+        measure_bits: float,
+        family: str | None = None,
+        m: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "n_particles", n_particles)
+        object.__setattr__(self, "entropy_nats", entropy_nats)
+        object.__setattr__(self, "measure_nats", measure_nats)
+        object.__setattr__(self, "measure_bits", measure_bits)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
 
     @property
     def t(self) -> int | None:

@@ -35,6 +35,8 @@ import operator
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
+
 Exponents = tuple[int, ...]
 TermsLike = Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]]
 
@@ -53,7 +55,7 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class _TermMap:
+class _TermMap(Record):
     """Immutable map from exponent tuples to nonzero integer coefficients.
 
     A subclass gives its key rule as ``_check_key(key)``, which raises
@@ -85,9 +87,6 @@ class _TermMap:
         object.__setattr__(out, "_terms", terms)
         return out
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def nvars(self) -> int:
         return self._nvars
@@ -116,6 +115,9 @@ class _TermMap:
 
     def __hash__(self) -> int:
         return hash((self._nvars, frozenset(self._terms.items())))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._nvars, self._terms)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._nvars}, {dict(self.items())!r})"

@@ -34,35 +34,34 @@ ScaledPoly's scale is the integral over π².
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .poly import Exponents, MultiPoly, elementary_symmetric
 
 ALPHA = Fraction(1, 3)
 """Gaussian width α of the quasihole measure e^{−α|ξ|²}."""
 
 
-@dataclass(frozen=True)
-class CondensateKernel:
+class CondensateKernel(Record):
     """Parameters of a two-quasihole condensate integral.
 
     n_electrons is the number of z coordinates and p the power of the
     antiholomorphic pairing factor (ξ₁*−ξ₂*)^p.
     """
 
-    n_electrons: int
-    p: int
+    __slots__ = ("n_electrons", "p")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_electrons: int, p: int) -> None:
+        object.__setattr__(self, "n_electrons", n_electrons)
+        object.__setattr__(self, "p", p)
         if self.n_electrons < 1:
             raise ValueError("need at least one electron")
         if self.p < 0:
             raise ValueError("pairing exponent must be non-negative")
 
 
-@dataclass(frozen=True)
-class ScaledPoly:
+class ScaledPoly(Record):
     """π² times a rational scale times a primitive integer polynomial.
 
     The polynomial carries no common integer factor and its leading term in
@@ -71,10 +70,11 @@ class ScaledPoly:
     represented as zero scale with the zero polynomial.
     """
 
-    scale: Fraction
-    poly: MultiPoly
+    __slots__ = ("scale", "poly")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scale: Fraction, poly: MultiPoly) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "poly", poly)
         if (self.scale == 0) != self.poly.is_zero:
             raise ValueError("scale must be zero exactly when the polynomial is zero")
 

@@ -43,9 +43,9 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .lll import FockVector, to_fock
 from .poly import MultiPoly, SlaterExpansion, _dominated, vandermonde_expansion, vandermonde_power
 from .quasihole import CondensateKernel, condense, vanishes
@@ -66,14 +66,16 @@ takes about 0.12 s at m = 2001 and 0.9 s at m = 4001 (Python 3.11, 2-core
 VM)."""
 
 
-@dataclass(frozen=True)
-class KMatrix:
+class KMatrix(Record):
     """A symmetric integer 2x2 matrix with a charge vector, default (1, 0)."""
 
-    entries: tuple[tuple[int, int], tuple[int, int]]
-    charge: tuple[int, int] = (1, 0)
+    __slots__ = ("entries", "charge")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, entries: tuple[tuple[int, int], tuple[int, int]], charge: tuple[int, int] = (1, 0)
+    ) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "charge", charge)
         (a, b), (c, d) = self.entries
         if len(self.charge) != 2:
             raise ValueError(f"charge must have 2 entries, got {len(self.charge)}")

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .entangle import (
     closed_form_sf_laughlin2,
     modified_measure,
@@ -43,11 +43,13 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass", "fail", or "info"
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "status", "detail")  # status: "pass", "fail", or "info"
+
+    def __init__(self, name: str, status: str, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -254,6 +255,36 @@ def occupations_from_unnormalized(dim: int, terms) -> list[Fraction]:
         for mode in config:
             out[mode] += Fraction(mag) / total
     return out
+
+
+def measure_bits_decimal(v, digits: int = 60) -> Decimal:
+    """The measure in bits of a state of one total angular momentum, in decimal.
+
+    Such a state's density matrix is diagonal: orbital mu's entry is the
+    Fraction of the absolute weights of the configurations occupying mu over
+    N times their sum.  -sum p ln p - ln N, over ln 2, is then taken with
+    ``digits`` significant digits.  A single configuration is separable and
+    gives exactly 0, where decimal's ln would leave a residue in the last
+    digits.
+    """
+    weights = v.weights
+    if len({sum(config) for config in weights}) > 1:
+        raise ValueError("configurations differ in total angular momentum")
+    if len(weights) == 1:
+        return Decimal(0)
+    occupied: dict[int, int] = defaultdict(int)
+    for config, weight in weights.items():
+        for mode in config:
+            occupied[mode] += abs(weight)
+    norm = v.n_particles * sum(abs(weight) for weight in weights.values())
+    with localcontext() as ctx:
+        ctx.prec = digits
+        entropy = Decimal(0)
+        for count in occupied.values():
+            exact = Fraction(count, norm)
+            p = Decimal(exact.numerator) / Decimal(exact.denominator)
+            entropy -= p * p.ln()
+        return (entropy - Decimal(v.n_particles).ln()) / Decimal(2).ln()
 
 
 def entropy_of(probabilities) -> float:

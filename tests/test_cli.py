@@ -436,11 +436,30 @@ def _loaded_after(code: str, module: str) -> bool:
 @pytest.mark.parametrize(
     "module",
     # the process pool is imported only when a sweep starts one; entangle,
-    # verify and numpy only by verify and the two-fermion diagnostics
-    ["numpy", "scipy", "multiprocessing", "fqhent.entangle", "fqhent.verify"],
+    # verify and numpy only by verify and the two-fermion diagnostics; json
+    # only by JSON output; dataclasses and the inspect it loads by nothing
+    [
+        "numpy",
+        "scipy",
+        "multiprocessing",
+        "fqhent.entangle",
+        "fqhent.verify",
+        "dataclasses",
+        "inspect",
+        "json",
+    ],
 )
 def test_cli_import_does_not_load(module):
     assert not _loaded_after("import fqhent.cli", module)
+
+
+def _running_main(argv: list[str], exit_code: int) -> str:
+    """Code that runs main(argv) in-process, output discarded, and checks its exit code."""
+    return (
+        "import contextlib, io; from fqhent.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {exit_code}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -455,12 +474,13 @@ def test_cli_import_does_not_load(module):
     ids=["compute-text", "compute-json", "compute-zero-point", "table-chi", "figure-5"],
 )
 def test_cli_commands_do_not_load_numpy(argv, exit_code):
-    run_main = (
-        "import contextlib, io; from fqhent.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({argv!r}) == {exit_code}"
-    )
-    assert not _loaded_after(run_main, "numpy")
+    assert not _loaded_after(_running_main(argv, exit_code), "numpy")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_loads_json_only_for_json_output(fmt):
+    argv = ["compute", "--family", "laughlin", "--n", "3", "--m", "5", "--format", fmt]
+    assert _loaded_after(_running_main(argv, EXIT_OK), "json") is (fmt == "json")
 
 
 def test_entangle_import_loads_numpy():
