@@ -23,17 +23,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .measure import modified_measure
-from .figures import (
-    PRESETS,
-    figure_points,
-    figure_spec,
-    figure_title,
-    render_svg,
-    rows_to_csv,
-    rows_to_json,
-    sweep,
-)
-from .states import FAMILIES, ZeroWavefunctionError, family_factors
+from .figures import PRESETS, figure_title, render_svg, rows_to_csv, rows_to_json, series_points
+from .states import FAMILIES, ZeroWavefunctionError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -83,7 +74,7 @@ def load_config(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; ``#`` starts a comment."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,26 +128,6 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _largest_m(series: Sequence[tuple[str, int]], m_max: int) -> int:
-    """The largest odd m up to m_max, checked against the size budget.
-
-    It is the largest state of a laughlin or hierarchical_phi series, so an
-    over-budget sweep is refused before its request list, which grows with
-    m_max, exists.  A chi series' condensate subset count C(N, p/2) peaks at
-    p/2 = N/2 instead; sweep's up-front check of every point still refuses
-    such a sweep before it computes anything.
-    """
-    m_top = m_max if m_max % 2 else m_max - 1
-    if m_top < 1:
-        raise UsageError(f"no odd m in 1..{m_max}")
-    for family, n in series:
-        try:
-            family_factors(family, n, m_top)
-        except ZeroWavefunctionError:
-            pass  # chi's zero points are rows of the output
-    return m_top
-
-
 # -- subcommands -----------------------------------------------------------
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -191,13 +162,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, ("family", "n", "m_max", "format", "out", "jobs"))
     try:
-        m_top = _largest_m([(opts["family"], opts["n"])], opts["m_max"])
-        requests = [(opts["family"], opts["n"], m) for m in range(1, m_top + 1, 2)]
-        points = sweep(requests, jobs=opts["jobs"])
+        points, zeros = series_points([(opts["family"], opts["n"])], opts["m_max"], opts["jobs"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = rows_to_json(points) + "\n" if opts["format"] == "json" else rows_to_csv(points)
+    if opts["format"] == "json":
+        text = rows_to_json([*points, *zeros]) + "\n"
+    else:
+        text = rows_to_csv(points)
     if opts["out"]:
         _write_text(opts["out"], text)
         print(f"wrote {opts['out']}")
@@ -209,13 +181,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     opts = _resolve(args, ("m_max", "format", "out", "jobs"))
     try:
-        m_top = _largest_m(PRESETS[args.id][1], opts["m_max"])
-        spec = figure_spec(args.id, t_max=(m_top - 1) // 2)
-        points = figure_points(spec, jobs=opts["jobs"])
+        points, zeros = series_points(PRESETS[args.id][1], opts["m_max"], opts["jobs"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     fmt = opts["format"]
+    # CSV omits zero points; SVG and JSON show them, and each reads the tail once
     if opts["out"]:
         base = opts["out"]
         if base.endswith((".csv", ".svg", ".json")):
@@ -225,17 +196,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
             _write_text(f"{base}.csv", rows_to_csv(points))
             written.append(f"{base}.csv")
         if fmt in (None, "svg"):
-            _write_text(f"{base}.svg", render_svg(points, figure_title(args.id)))
+            _write_text(f"{base}.svg", render_svg([*points, *zeros], figure_title(args.id)))
             written.append(f"{base}.svg")
         if fmt == "json":
-            _write_text(f"{base}.json", rows_to_json(points) + "\n")
+            _write_text(f"{base}.json", rows_to_json([*points, *zeros]) + "\n")
             written.append(f"{base}.json")
         for path in written:
             print(f"wrote {path}")
     elif fmt == "svg":
-        print(render_svg(points, figure_title(args.id)), end="")
+        print(render_svg([*points, *zeros], figure_title(args.id)), end="")
     elif fmt == "json":
-        print(rows_to_json(points))
+        print(rows_to_json([*points, *zeros]))
     else:
         print(rows_to_csv(points), end="")
     return EXIT_OK

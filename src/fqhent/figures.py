@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .measure import modified_measure
@@ -112,8 +112,7 @@ def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:
     Only states within the size budget are kept, so the memo needs no bound.
     Refusals raise and are not kept; nor are zero points, which cost one
     parameter check and would otherwise grow a chi table's memory with m.
-    A sweep answers its zero points from its own check and never calls this
-    for them.
+    :func:`series_points` never calls this for its zero points.
     """
     try:
         return _measured_point(family, n_electrons, m)
@@ -125,44 +124,73 @@ def _evaluate_tuple(args: tuple[str, int, int]) -> SweepPoint:
     return evaluate_point(*args)
 
 
-def sweep(
-    requests: Sequence[tuple[str, int, int]], jobs: int = 1
-) -> list[SweepPoint]:
+def _is_nonzero(family: str, n_electrons: int, m: int) -> bool:
+    """Whether the point is nonzero; one over the size budget raises ValueError."""
+    try:
+        family_factors(family, n_electrons, m)
+    except ZeroWavefunctionError:
+        return False
+    return True
+
+
+def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[SweepPoint]:
     """Evaluate (family, N, m) requests, optionally across processes.
 
     Every request is checked against the family limits before any is
     evaluated, so a sweep with a request over the size budget raises
-    ValueError at once.  A request that the check finds zero becomes a point
-    with value None there and is never evaluated.  That check,
-    :func:`~fqhent.states.family_factors`, and :func:`evaluate_point` are
-    memoized, so a process counts and measures each distinct nonzero
-    (family, N, m) once; the workers of a parallel sweep keep their own
-    memos.  The result order follows the request order regardless of jobs,
-    so downstream sorting is the only ordering that matters.  At most
-    min(jobs, nonzero requests, cpu count) worker processes are started.
+    ValueError at once; a zero request becomes a point with value None.
+    That check, :func:`~fqhent.states.family_factors`, and
+    :func:`evaluate_point` are memoized, so a process counts and measures
+    each distinct nonzero (family, N, m) once; the workers of a parallel
+    sweep keep their own memos.  The result order follows the request order
+    regardless of jobs, so downstream sorting is the only ordering that
+    matters.  At most min(jobs, requests, cpu count) worker processes are
+    started.  :func:`series_points` hands it only the nonzero points.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    zero = [False] * len(requests)
-    for i, request in enumerate(requests):
-        try:
-            family_factors(*request)
-        except ZeroWavefunctionError:
-            zero[i] = True
-    live = [req for req, is_zero in zip(requests, zero) if not is_zero]
-    workers = min(jobs, len(live), os.cpu_count() or 1)
+    for request in requests:
+        _is_nonzero(*request)
+    workers = min(jobs, len(requests), os.cpu_count() or 1)
     if workers <= 1:
-        measured = (evaluate_point(*req) for req in live)
-    else:
-        # Imported here so that start-up and serial sweeps never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+        return [evaluate_point(*req) for req in requests]
+    # Imported here so that start-up and serial sweeps never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            measured = iter(list(pool.map(_evaluate_tuple, live)))
-    return [
-        SweepPoint(*req, None) if is_zero else next(measured)
-        for req, is_zero in zip(requests, zero)
-    ]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_evaluate_tuple, requests))
+
+
+def series_points(
+    series: Iterable[tuple[str, int]], m_max: int, jobs: int = 1
+) -> tuple[list[SweepPoint], Iterator[SweepPoint]]:
+    """The (family, N) series over odd m <= m_max: measured points, then a lazy zero tail.
+
+    A series' zero points are the odd m above its last nonzero one, because
+    the condensate exponent p never falls as m grows and the condensate
+    vanishes for every p > 2N.  Each series is checked at its top odd m
+    first, so one over the size budget there, as laughlin and
+    hierarchical_phi are at their largest m, is refused at once.  When that
+    point is zero, the series is walked up from m = 1 to its first zero m;
+    the check at m = 1 bounds N by the orbital budget, so the walk is short.
+    Only the nonzero points are swept, and the zero points are generated
+    when the tail is read, so neither time nor memory grows with m_max
+    unless it is.  Raises ValueError when there is no odd m in 1..m_max or a
+    point is over the size budget.
+    """
+    m_top = m_max if m_max % 2 else m_max - 1
+    if m_top < 1:
+        raise ValueError(f"no odd m in 1..{m_max}")
+    live: list[tuple[str, int, int]] = []
+    zero_spans: list[tuple[str, int, range]] = []
+    for family, n in series:
+        first_zero = m_top + 2 if _is_nonzero(family, n, m_top) else 1
+        while first_zero < m_top and _is_nonzero(family, n, first_zero):
+            first_zero += 2
+        live += [(family, n, m) for m in range(1, first_zero, 2)]
+        zero_spans.append((family, n, range(first_zero, m_top + 1, 2)))
+    tail = (SweepPoint(family, n, m, None) for family, n, ms in zero_spans for m in ms)
+    return sweep(live, jobs=jobs), tail
 
 
 def figure_points(spec: FigureSpec, jobs: int = 1) -> list[SweepPoint]:

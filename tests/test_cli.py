@@ -117,26 +117,49 @@ class TestCompute:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_table_refused_before_its_requests_exist(self):
-        # the request list grows by about 100 MB per 10**6 odd m; m = 513 is
-        # over the orbital budget, so a table or figure is refused before
-        # building it
-        def exit_code_and_peak_kib(command, m_max):
+        # nothing grows with --m-max alone: m = 513 is over the orbital budget,
+        # so a laughlin table or figure 1 is refused at its top m, and a chi
+        # series measures only its points up to m = 2N + 1, so its CSV costs
+        # what --m-max 13 costs; each run is held to a 1 GiB address space
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        def exit_code_stdout_and_peak_kib(command, m_max):
             argv = [*command, "--m-max", str(m_max)]
             with subprocess.Popen(
                 [sys.executable, "-m", "fqhent.cli", *argv],
-                stdout=subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
                 env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                preexec_fn=limit_address_space,
             ) as proc:
+                out = proc.stdout.read()
                 _, status, usage = os.wait4(proc.pid, 0)
                 proc.returncode = os.waitstatus_to_exitcode(status)
-            return proc.returncode, usage.ru_maxrss
+            return proc.returncode, out, usage.ru_maxrss
 
         for command in (["table", "--family", "laughlin", "--n", "2"], ["figure", "1"]):
-            small_code, small_kib = exit_code_and_peak_kib(command, 13)
-            large_code, large_kib = exit_code_and_peak_kib(command, 2_000_001)
+            small_code, _, small_kib = exit_code_stdout_and_peak_kib(command, 13)
+            large_code, _, large_kib = exit_code_stdout_and_peak_kib(command, 2_000_001)
             assert (small_code, large_code) == (EXIT_OK, EXIT_USAGE), command
             assert large_kib - small_kib < 15 * 1024, command
+        for command in (["table", "--family", "chi", "--n", "2"], ["figure", "5"]):
+            command = [*command, "--format", "csv"]
+            small_code, small_out, small_kib = exit_code_stdout_and_peak_kib(command, 13)
+            code, out, kib = exit_code_stdout_and_peak_kib(command, 100_000_001)
+            assert (small_code, code) == (EXIT_OK, EXIT_OK), command
+            assert out == small_out, command
+            assert kib - small_kib < 5 * 1024, command
+
+    @pytest.mark.parametrize("command", [["table"], ["figure", "1"]])
+    @pytest.mark.parametrize("m_max", ["0", "-4"])
+    def test_no_odd_m_exit_64(self, capsys, command, m_max):
+        code, out, err = run(capsys, *command, "--m-max", m_max)
+        assert code == EXIT_USAGE
+        assert f"no odd m in 1..{m_max}" in err
+        assert out == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -188,6 +211,15 @@ class TestTable:
         assert [r["m"] for r in rows] == [1, 3, 5, 7]
         assert rows[-1]["S_f_bits"] is None  # zero wavefunction kept as null
 
+    def test_json_equals_a_sweep_of_every_odd_m(self, capsys):
+        code, out, _ = run(
+            capsys, "table", "--family", "chi", "--n", "4", "--m-max", "2001",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        requests = [("chi", 4, m) for m in range(1, 2002, 2)]
+        assert out == figures.rows_to_json(figures.sweep(requests)) + "\n"
+
     def test_parallel_matches_serial(self, capsys, tmp_path):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
@@ -238,6 +270,12 @@ class TestFigure:
         assert code == EXIT_OK
         assert out.startswith("<svg ")
         assert "zero (m=11)" in out
+
+    def test_svg_equals_the_figure_spec_route(self, capsys):
+        code, out, _ = run(capsys, "figure", "5", "--m-max", "2001", "--format", "svg")
+        assert code == EXIT_OK
+        points = figures.figure_points(figures.figure_spec(5, t_max=1000))
+        assert out == figures.render_svg(points, figures.figure_title(5))
 
     def test_single_format_out(self, capsys, tmp_path):
         base = tmp_path / "fig2"
@@ -334,6 +372,15 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# a comment\n\nm-max = 5\n")
         assert load_config(str(cfg)) == {"m_max": "5"}
+
+    def test_byte_order_mark_is_not_part_of_a_key(self, capsys, tmp_path):
+        # some editors save UTF-8 with a leading byte-order mark
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfm-max = 3\n")
+        assert load_config(str(cfg)) == {"m_max": "3"}
+        code, out, _ = run(capsys, "figure", "1", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out.count("\n") == 5  # header + 2 series x 2 points
 
     def test_missing_file_exit_64(self, capsys):
         code, _, err = run(capsys, "compute", "--config", "/nonexistent.cfg")

@@ -18,8 +18,8 @@ from fqhent import (
     rows_to_csv,
     sweep,
 )
-from fqhent import figures
-from fqhent.figures import SweepPoint, figure_title
+from fqhent import figures, states
+from fqhent.figures import SweepPoint, figure_title, series_points
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -62,32 +62,6 @@ class TestEvaluateAndSweep:
         with pytest.raises(ValueError, match="jobs"):
             sweep([("laughlin", 2, 1)], jobs=0)
 
-    def test_zero_requests_are_answered_by_the_check(self, monkeypatch):
-        # chi(N, m) is zero for m > 2N + 1: those requests never reach evaluate_point
-        requests = [("chi", 2, m) for m in range(1, 22, 2)] + [
-            ("chi", 4, m) for m in range(1, 42, 2)
-        ]
-        expected = [evaluate_point(*request) for request in requests]
-        assert [p.measure_bits is None for p in expected] == [
-            m > 2 * n + 1 for _, n, m in requests
-        ]
-        evaluate = figures.evaluate_point
-
-        def nonzero_only(family, n, m):
-            assert m <= 2 * n + 1, f"zero point {(family, n, m)} was evaluated"
-            return evaluate(family, n, m)
-
-        monkeypatch.setattr(figures, "evaluate_point", nonzero_only)
-        assert sweep(requests) == expected
-
-    def test_all_zero_sweep_starts_no_worker(self, monkeypatch):
-        def refuse(max_workers):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        points = sweep([("chi", 2, 9), ("chi", 2, 7)], jobs=2)
-        assert points == [SweepPoint("chi", 2, 9, None), SweepPoint("chi", 2, 7, None)]
-
     def test_parallel_equals_serial(self):
         requests = [("laughlin", 2, m) for m in (1, 3, 5)] + [
             ("chi", 2, m) for m in (9, 1, 3, 7, 5)
@@ -125,6 +99,109 @@ class TestEvaluateAndSweep:
         points = figures.sweep(requests, jobs=jobs)
         assert len(points) == n_requests
         assert started == ([] if expected is None else [expected])
+
+
+def _classify(family: str, n: int, m: int) -> str:
+    """The per-m oracle: what the family's own check says of one point."""
+    try:
+        states.family_factors(family, n, m)
+    except states.ZeroWavefunctionError:
+        return "zero"
+    except ValueError:
+        return "refused"
+    return "live"
+
+
+def _measured_stub(family, n, m):
+    # stands in for the build, so the test checks which points are measured
+    return SweepPoint(family, n, m, float(m))
+
+
+class TestSeriesPoints:
+    def test_zero_points_are_never_evaluated(self, monkeypatch):
+        # chi(N, m) is zero for m > 2N + 1: those points never reach evaluate_point
+        evaluate = figures.evaluate_point
+
+        def nonzero_only(family, n, m):
+            assert m <= 2 * n + 1, f"zero point {(family, n, m)} was evaluated"
+            return evaluate(family, n, m)
+
+        monkeypatch.setattr(figures, "evaluate_point", nonzero_only)
+        points, zeros = series_points([("chi", 2), ("chi", 4)], 41)
+        zeros = list(zeros)
+        assert [(p.n_electrons, p.m) for p in points] == [(2, 1), (2, 3), (2, 5)] + [
+            (4, m) for m in range(1, 10, 2)
+        ]
+        assert [(p.n_electrons, p.m) for p in zeros] == [(2, m) for m in range(7, 42, 2)] + [
+            (4, m) for m in range(11, 42, 2)
+        ]
+        monkeypatch.undo()
+        requests = [("chi", n, m) for n in (2, 4) for m in range(1, 42, 2)]
+        assert figures._sorted_points(points + zeros) == sweep(requests)
+
+    def test_all_zero_series_starts_no_worker(self, monkeypatch):
+        # no family is zero at m = 1, so a check that finds every point zero
+        # stands in for one
+        def refuse(max_workers):
+            raise AssertionError("a worker pool was started")
+
+        def all_zero(family, n, m):
+            raise states.ZeroWavefunctionError(f"zero {(family, n, m)}")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(figures, "family_factors", all_zero)
+        points, zeros = series_points([("chi", 2), ("chi", 3)], 9, jobs=2)
+        assert points == []
+        assert list(zeros) == [
+            SweepPoint("chi", n, m, None) for n in (2, 3) for m in range(1, 10, 2)
+        ]
+
+    def test_the_pool_gets_only_nonzero_points(self, monkeypatch):
+        # a stub pool records what it is given, so no worker process is started
+        started, mapped = [], []
+
+        class StubExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                mapped.extend(items)
+                return [_measured_stub(*item) for item in mapped]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+        monkeypatch.setattr(figures.os, "cpu_count", lambda: 16)
+        points, _ = series_points([("chi", 2)], 100_000_001, jobs=8)
+        assert started == [3]
+        assert mapped == [("chi", 2, m) for m in (1, 3, 5)]
+        assert [p.m for p in points] == [1, 3, 5]
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [(family, n) for family in states.FAMILIES for n in range(2, 7)]
+        + [("chi", 18), ("chi", 20)],
+    )
+    def test_matches_the_per_m_check(self, monkeypatch, family, n):
+        # the zero points of a series are a suffix of its odd m, and the
+        # series is refused exactly when one of its points is over budget
+        monkeypatch.setattr(figures, "evaluate_point", _measured_stub)
+        for m_max in sorted({0, 1, 2, 13, 2 * n + 1, 2 * n + 2, 2 * n + 3, 41}):
+            kinds = {m: _classify(family, n, m) for m in range(1, m_max + 1, 2)}
+            if not kinds or "refused" in kinds.values():
+                with pytest.raises(ValueError) as info:
+                    series_points([(family, n)], m_max)
+                assert not isinstance(info.value, states.ZeroWavefunctionError)
+                assert ("no odd m" in str(info.value)) is (not kinds)
+                continue
+            points, zeros = series_points([(family, n)], m_max)
+            assert [p.m for p in points] == [m for m, kind in kinds.items() if kind == "live"]
+            assert [p.m for p in zeros] == [m for m, kind in kinds.items() if kind == "zero"]
+            assert all(p.measure_bits is None for p in series_points([(family, n)], m_max)[1])
 
 
 class TestPointMemo:
