@@ -8,7 +8,8 @@ Subcommands:
   verify    run the self-verification suite (fast or full)
 
 Exit codes: 0 success, 1 verification failure, 2 zero wavefunction,
-64 usage error or unwritable ``--out``.  Options resolve as flags > config
+64 usage error, unwritable ``--out`` or a table or figure whose output
+does not fit in memory.  Options resolve as flags > config
 file > defaults; the config file is flat ``key = value`` text with ``#``
 comments.  A config key must name an option of some subcommand; keys of
 other subcommands are ignored, and values are checked with the running
@@ -121,6 +122,14 @@ def _convert(option: argparse.Action, raw: str) -> Any:
     return value
 
 
+def _too_large(request: str, fmt: str | None) -> int:
+    """Exit 64 for a table or figure whose output ran out of memory being built."""
+    if fmt:
+        request += f" --format {fmt}"
+    print(f"error: {request}: the output does not fit in memory", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, newline="\n")
@@ -166,10 +175,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if opts["format"] == "json":
-        text = rows_to_json([*points, *zeros]) + "\n"
-    else:
-        text = rows_to_csv(points)
+    try:
+        if opts["format"] == "json":
+            text = rows_to_json([*points, *zeros]) + "\n"
+        else:
+            text = rows_to_csv(points)
+    except MemoryError:
+        request = f"table --family {opts['family']} --n {opts['n']} --m-max {opts['m_max']}"
+        return _too_large(request, opts["format"])
     if opts["out"]:
         _write_text(opts["out"], text)
         print(f"wrote {opts['out']}")
@@ -186,29 +199,32 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     fmt = opts["format"]
-    # CSV omits zero points; SVG and JSON show them, and each reads the tail once
-    if opts["out"]:
-        base = opts["out"]
-        if base.endswith((".csv", ".svg", ".json")):
-            base = base.rsplit(".", 1)[0]
-        written = []
-        if fmt in (None, "csv"):
-            _write_text(f"{base}.csv", rows_to_csv(points))
-            written.append(f"{base}.csv")
-        if fmt in (None, "svg"):
-            _write_text(f"{base}.svg", render_svg([*points, *zeros], figure_title(args.id)))
-            written.append(f"{base}.svg")
-        if fmt == "json":
-            _write_text(f"{base}.json", rows_to_json([*points, *zeros]) + "\n")
-            written.append(f"{base}.json")
-        for path in written:
-            print(f"wrote {path}")
-    elif fmt == "svg":
-        print(render_svg([*points, *zeros], figure_title(args.id)), end="")
-    elif fmt == "json":
-        print(rows_to_json([*points, *zeros]))
-    else:
-        print(rows_to_csv(points), end="")
+    try:
+        # CSV omits zero points; SVG and JSON show them, and each reads the tail once
+        if opts["out"]:
+            base = opts["out"]
+            if base.endswith((".csv", ".svg", ".json")):
+                base = base.rsplit(".", 1)[0]
+            # every file is built before any is written, so a refusal writes none
+            files = []
+            if fmt in (None, "csv"):
+                files.append((f"{base}.csv", rows_to_csv(points)))
+            if fmt in (None, "svg"):
+                files.append((f"{base}.svg", render_svg([*points, *zeros], figure_title(args.id))))
+            if fmt == "json":
+                files.append((f"{base}.json", rows_to_json([*points, *zeros]) + "\n"))
+            for path, text in files:
+                _write_text(path, text)
+            for path, _ in files:
+                print(f"wrote {path}")
+        elif fmt == "svg":
+            print(render_svg([*points, *zeros], figure_title(args.id)), end="")
+        elif fmt == "json":
+            print(rows_to_json([*points, *zeros]))
+        else:
+            print(rows_to_csv(points), end="")
+    except MemoryError:
+        return _too_large(f"figure {args.id} --m-max {opts['m_max']}", fmt)
     return EXIT_OK
 
 

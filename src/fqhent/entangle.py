@@ -91,11 +91,13 @@ class SlaterPairing(Record):
 
 
 def _pairing_matrix(v: FockVector) -> np.ndarray:
-    w = np.zeros((v.dim, v.dim))
+    dim, total = v.dim, v.total
+    flat = [0.0] * (dim * dim)
     for (a, b), weight in v.weights.items():
-        w[a, b] = math.copysign(math.sqrt(abs(weight) / v.total), weight) / 2
-        w[b, a] = -w[a, b]
-    return w
+        half = math.copysign(math.sqrt(abs(weight) / total), weight) / 2
+        flat[a * dim + b] = half
+        flat[b * dim + a] = -half
+    return np.array(flat).reshape(dim, dim)
 
 
 def slater_pairing(v: FockVector) -> SlaterPairing:

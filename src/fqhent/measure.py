@@ -14,6 +14,14 @@ Every family state is homogeneous, so its density matrix is exactly
 diagonal and needs no linear algebra: numpy is imported only inside
 as_numpy and von_neumann's non-diagonal branch.  The matrix and the report
 are immutable slot records, built on fqhent._record.Record.
+
+Off the diagonal, one_body_density pairs the configurations that leave the
+same hole when one orbital is removed.  It keys each hole by a bitmask of
+the orbitals left and each entry by one integer, and sums an entry as an
+integer numerator over the state's total weight until its first irrational
+amplitude product, then as a float.  Int true division is correctly rounded,
+so each entry is, type and bits, what adding exact Fraction and float
+products one at a time in the same order gives.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from ._record import Record
-from .lll import FockConfig, FockVector, amplitude_product
+from .lll import FockVector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,10 +86,12 @@ class OneBodyDensityMatrix(Record):
     def as_numpy(self) -> np.ndarray:
         import numpy as np
 
-        out = np.diag([float(p) for p in self.diag])
+        dim = self.dim
+        flat = [0.0] * (dim * dim)
+        flat[:: dim + 1] = map(float, self.diag)
         for (mu, nu), entry in self.off_diagonal.items():
-            out[mu, nu] = out[nu, mu] = float(entry)
-        return out
+            flat[mu * dim + nu] = flat[nu * dim + mu] = float(entry)
+        return np.array(flat).reshape(dim, dim)
 
 
 def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
@@ -89,34 +99,83 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
 
     The diagonal is the occupation of each orbital over N.  Off the
     diagonal, a_mu |config> is (-1)^(position of mu) times the hole that
-    removing mu leaves, so rho_{mu nu} sums the signed amplitude products of
-    the configurations that leave the same hole when mu and nu are removed.
-    Configurations are therefore grouped by hole and paired only within a
-    group.  Configurations sharing a hole differ in total angular momentum by
-    mu - nu != 0, so a homogeneous state builds no holes and rho is exactly
-    diagonal.  Everything is summed in the state's integer weights; each
-    diagonal entry takes one division, by N times their total.
+    removing mu leaves, so rho_{mu nu} sums the amplitude products
+    sign(w_mu w_nu) sqrt(|w_mu w_nu|) / total of the configurations that
+    leave the same hole when mu and nu are removed, each signed by the two
+    positions.  Configurations are therefore grouped by hole and paired only
+    within a group.  Configurations sharing a hole differ in total angular
+    momentum by mu - nu != 0, so a homogeneous state builds no holes and rho
+    is exactly diagonal.  Everything is summed in the state's integer
+    weights; each diagonal entry takes one division, by N times their total.
+
+    One pass over the configurations takes each one's |w|, sign and integer
+    square root (0 when |w| is not a perfect square) and keys its holes by
+    the bitmask of the orbitals left, mask ^ (1 << mode).  A product is
+    rational exactly when |w_mu w_nu| is a perfect square: the product of
+    the two roots when both exist, never when only one does, and otherwise
+    as isqrt finds.  An entry is an integer numerator over total while every
+    product summed into it is rational, which is the exact Fraction sum.  At
+    its first irrational product it becomes numerator / total plus that
+    float, and later rational products add as their numerator / total.  Int
+    true division is correctly rounded, as float(Fraction) is, and the
+    products are added in the same order, so every entry has the type and
+    the bits of the running sum of one exact Fraction or float product at a
+    time (tests/oracles.density_by_amplitude_products).
     """
-    n, total = v.n_particles, v.total
-    occupied = [0] * v.dim
-    holes: dict[FockConfig, list[tuple[int, int]]] = {}
-    pairs = not v.is_homogeneous()
+    n, total, dim = v.n_particles, v.total, v.dim
+    occupied = [0] * dim
+    holes: dict[int, list[tuple[int, int, int, int]]] = {}
+    homogeneous = v.is_homogeneous()
     for config, weight in v.weights.items():
-        for i, mode in enumerate(config):
-            occupied[mode] += abs(weight)
-            if pairs:
-                hole = config[:i] + config[i + 1 :]
-                holes.setdefault(hole, []).append((mode, -weight if i % 2 else weight))
-    sums: dict[tuple[int, int], Entry] = {}
+        magnitude = abs(weight)
+        for mode in config:
+            occupied[mode] += magnitude
+        if homogeneous:
+            continue
+        root = math.isqrt(magnitude)
+        if root * root != magnitude:
+            root = 0
+        mask = 0
+        for mode in config:
+            mask |= 1 << mode
+        sign = 1 if weight > 0 else -1
+        for mode in config:
+            holes.setdefault(mask ^ (1 << mode), []).append((mode, sign, magnitude, root))
+            sign = -sign
+    total_sq = total * total
+    sums: dict[int, int | float] = {}  # keyed by mu * dim + nu, mu < nu
     for group in holes.values():
-        for k, (mu, w_mu) in enumerate(group):
-            for nu, w_nu in group[k + 1 :]:
-                key = (mu, nu) if mu < nu else (nu, mu)
-                sums[key] = sums.get(key, 0) + amplitude_product(w_mu, w_nu, total)
-    diag = tuple(Fraction(s, n * total) for s in occupied)
-    return OneBodyDensityMatrix(
-        v.dim, diag, {key: e / n for key, e in sums.items() if e != 0}
-    )
+        if len(group) < 2:
+            continue
+        for k, (mu, s_mu, a_mu, r_mu) in enumerate(group):
+            for nu, s_nu, a_nu, r_nu in group[k + 1 :]:
+                key = mu * dim + nu if mu < nu else nu * dim + mu
+                magnitude = a_mu * a_nu
+                if r_mu:
+                    root = r_mu * r_nu
+                elif r_nu:
+                    root = 0
+                else:
+                    root = math.isqrt(magnitude)
+                    if root * root != magnitude:
+                        root = 0
+                s = sums.get(key, 0)
+                if root:
+                    signed = root if s_mu == s_nu else -root
+                    sums[key] = s + signed if type(s) is int else s + signed / total
+                else:
+                    product = math.sqrt(magnitude / total_sq)
+                    if s_mu != s_nu:
+                        product = -product
+                    sums[key] = (s / total if type(s) is int else s) + product
+    norm = n * total
+    diag = tuple(Fraction(s, norm) for s in occupied)
+    off_diagonal = {
+        divmod(key, dim): Fraction(s, norm) if type(s) is int else s / n
+        for key, s in sums.items()
+        if s != 0
+    }
+    return OneBodyDensityMatrix(dim, diag, off_diagonal)
 
 
 def von_neumann(rho: OneBodyDensityMatrix) -> float:

@@ -144,3 +144,36 @@ def irrational_mixed_states(max_particles: int = 3, max_dim: int = 6):
     return unnormalized_terms(max_particles, max_dim).map(
         lambda args: FockVector.from_unnormalized(*args)
     )
+
+
+@st.composite
+def mixed_weight_states(draw, max_particles: int = 4, max_dim: int = 8):
+    """Non-homogeneous states whose weights mix squares, non-squares and huge values.
+
+    A weight is a perfect square, a small non-square, a random value above
+    2**64, or k r^2 for k in {2, 3, 5} and r up to 2**34, so that products
+    of two non-squares are often perfect squares and many density entries
+    stay exact.
+    """
+    n = draw(st.integers(2, max_particles))
+    dim = draw(st.integers(n + 1, max_dim))
+    configs = draw(
+        st.lists(
+            st.sets(st.integers(0, dim - 1), min_size=n, max_size=n).map(
+                lambda modes: tuple(sorted(modes))
+            ),
+            min_size=2,
+            max_size=10,
+            unique=True,
+        ).filter(lambda cs: len({sum(c) for c in cs}) > 1)
+    )
+    magnitudes = st.one_of(
+        st.integers(1, 40).map(lambda r: r * r),
+        st.integers(2, 60),
+        st.integers(2**64, 2**70),
+        st.tuples(st.sampled_from((2, 3, 5)), st.integers(1, 2**34)).map(
+            lambda kr: kr[0] * kr[1] ** 2
+        ),
+    )
+    weights = {c: draw(st.sampled_from((1, -1))) * draw(magnitudes) for c in configs}
+    return FockVector(n, dim, weights)

@@ -16,6 +16,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from fqhent.lll import amplitude_product
+
 Terms = dict[tuple[int, ...], int]
 
 PRIME = 2**61 - 1
@@ -241,6 +243,36 @@ def density_by_partial_trace(v) -> list[list[float]]:
         for nu, right in by_first.items():
             rho[mu][nu] = sum(value * right.get(rest, 0.0) for rest, value in left.items())
     return rho
+
+
+def density_by_amplitude_products(v) -> tuple[tuple, dict]:
+    """(diag, off_diagonal) of the one-body density matrix, one product at a time.
+
+    The bit-identity reference for measure.one_body_density: holes are
+    sliced config tuples, every pair's amplitude product is an exact
+    Fraction or a float from amplitude_product, and each off-diagonal entry
+    is their running sum, Fraction + Fraction staying exact and the first
+    float turning it into a float.  The kernel must give the same entries,
+    of the same types, with the same keys in the same order.
+    """
+    n, total = v.n_particles, v.total
+    occupied = [0] * v.dim
+    holes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    pairs = not v.is_homogeneous()
+    for config, weight in v.weights.items():
+        for i, mode in enumerate(config):
+            occupied[mode] += abs(weight)
+            if pairs:
+                hole = config[:i] + config[i + 1 :]
+                holes.setdefault(hole, []).append((mode, -weight if i % 2 else weight))
+    sums: dict[tuple[int, int], Fraction | float] = {}
+    for group in holes.values():
+        for k, (mu, w_mu) in enumerate(group):
+            for nu, w_nu in group[k + 1 :]:
+                key = (mu, nu) if mu < nu else (nu, mu)
+                sums[key] = sums.get(key, 0) + amplitude_product(w_mu, w_nu, total)
+    diag = tuple(Fraction(s, n * total) for s in occupied)
+    return diag, {key: e / n for key, e in sums.items() if e != 0}
 
 
 def occupations_from_unnormalized(dim: int, terms) -> list[Fraction]:

@@ -153,6 +153,42 @@ class TestCompute:
             assert out == small_out, command
             assert kib - small_kib < 5 * 1024, command
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_output_that_does_not_fit_exits_64(self, tmp_path):
+        # JSON and SVG list every zero point up to --m-max, so at m = 10^8 they
+        # cannot be built in a 128 MiB address space, which the CSV of the same
+        # request fits in; each refused run takes about 2 s, and a refused
+        # figure --out writes neither its CSV nor its SVG
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+        def run_limited(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "fqhent.cli", *argv, "--m-max", "100000001"],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                preexec_fn=limit_address_space,
+            )
+
+        for command in (
+            ["table", "--family", "chi", "--n", "2", "--format", "json"],
+            ["figure", "5", "--format", "svg"],
+        ):
+            proc = run_limited(*command)
+            request = " ".join([*command[:-2], "--m-max", "100000001", *command[-2:]])
+            assert proc.returncode == EXIT_USAGE, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr == f"error: {request}: the output does not fit in memory\n"
+        proc = run_limited("figure", "5", "--out", str(tmp_path / "fig5"))
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert (proc.stdout, list(tmp_path.iterdir())) == ("", [])
+        fits = run_limited("figure", "5", "--format", "csv")
+        assert fits.returncode == EXIT_OK, fits.stderr
+        assert fits.stdout.startswith("t,m,family,N,S_f_bits\n")
+
     @pytest.mark.parametrize("command", [["table"], ["figure", "1"]])
     @pytest.mark.parametrize("m_max", ["0", "-4"])
     def test_no_odd_m_exit_64(self, capsys, command, m_max):

@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import fqhent
 import oracles
+from conftest import irrational_mixed_states, mixed_weight_states
 from fqhent import FockVector, ZeroWavefunctionError, entangle, figures, laughlin, measure
 from fqhent.states import FAMILIES
 
@@ -91,14 +94,75 @@ def test_von_neumann_returns_a_float_on_both_branches():
     assert {type(report.entropy_nats), type(report.measure_bits)} == {float}
 
 
-def _printed_points():
-    """(family, N, m) of the five figure presets, then laughlin(3, 255)."""
+def _preset_points():
+    """(family, N, m) of the five figure presets."""
     for fig_id in figures.PRESETS:
         spec = figures.figure_spec(fig_id)
         for family, n in spec.series:
             for t in spec.t_values:
                 yield family, n, 2 * t + 1
+
+
+def _printed_points():
+    """(family, N, m) of the five figure presets, then laughlin(3, 255)."""
+    yield from _preset_points()
     yield "laughlin", 3, 255
+
+
+# N = 3 over 512 orbitals, not homogeneous, with squares, non-squares and
+# weights above 2**64.  Shared holes: (255, 511) by the first two, which
+# leave it from different positions, (0, 511) by the first and third,
+# (0, 254) by the third and fourth and (3, 510) by the last two; 9 * 4 and
+# 2 * 8 are perfect squares, 9 * 2 is not.
+WIDE_WEIGHTS = {
+    (0, 255, 511): 9,
+    (255, 400, 511): -4,
+    (0, 254, 511): 2,
+    (0, 254, 509): 8,
+    (3, 300, 510): 2**65 + 1,
+    (3, 301, 510): -(2**66),
+}
+
+
+def assert_same_as_amplitude_products(v: FockVector) -> None:
+    """The kernel's matrix entry for entry, key order and type included."""
+    rho = measure.one_body_density(v)
+    diag, off_diagonal = oracles.density_by_amplitude_products(v)
+    assert rho.diag == diag
+    assert {type(p) for p in rho.diag} == {Fraction}
+    assert list(rho.off_diagonal) == list(off_diagonal)
+    for key, entry in off_diagonal.items():
+        got = rho.off_diagonal[key]
+        assert (type(got), got) == (type(entry), entry), key
+
+
+class TestBitIdentity:
+    @given(irrational_mixed_states())
+    @settings(max_examples=60, deadline=None)
+    def test_irrational_mixed_states(self, v):
+        assert_same_as_amplitude_products(v)
+
+    @given(mixed_weight_states())
+    @settings(max_examples=150, deadline=None)
+    def test_squares_non_squares_and_huge_weights(self, v):
+        assert_same_as_amplitude_products(v)
+
+    def test_wide_state_with_shared_holes(self):
+        v = FockVector(3, 512, WIDE_WEIGHTS)
+        rho = measure.one_body_density(v)
+        assert_same_as_amplitude_products(v)
+        assert {type(e) for e in rho.off_diagonal.values()} == {Fraction, float}
+        assert rho.off_diagonal[(0, 400)] == Fraction(6, 3 * v.total)
+        assert rho.off_diagonal[(509, 511)] == Fraction(4, 3 * v.total)
+        assert type(rho.off_diagonal[(254, 255)]) is float
+
+    def test_family_states(self):
+        for point in dict.fromkeys(_preset_points()):
+            try:
+                state = FAMILIES[point[0]](*point[1:])
+            except ZeroWavefunctionError:
+                continue
+            assert_same_as_amplitude_products(state)
 
 
 def test_printed_digits_match_a_decimal_oracle():
