@@ -15,6 +15,13 @@ diagonal and needs no linear algebra: numpy is imported only inside
 as_numpy and von_neumann's non-diagonal branch.  The matrix and the report
 are immutable slot records, built on fqhent._record.Record.
 
+The matrix keeps its diagonal as the integer occupations the contraction
+sums, over the one denominator N times the state's total weight.  diag
+builds reduced Fractions from them only when read, and von_neumann and
+as_numpy divide each occupation by the denominator directly: int true
+division is correctly rounded, as float(Fraction) is, so every eigenvalue
+and matrix entry has the bits of the reduced Fraction's float.
+
 Off the diagonal, one_body_density pairs the configurations that leave the
 same hole when one orbital is removed.  It keys each hole by a bitmask of
 the orbitals left and each entry by one integer, and sums an entry as an
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from ._record import Record
@@ -42,15 +50,24 @@ Entry = Fraction | float
 class OneBodyDensityMatrix(Record):
     """Real symmetric density matrix with unit trace, stored sparsely.
 
-    diag holds the dim diagonal entries; off_diagonal maps (mu, nu) with
-    mu < nu to the entry rho_{mu nu} = rho_{nu mu} and holds only nonzero
-    entries, so the matrix is symmetric by construction and is diagonal
-    exactly when off_diagonal is empty.  Entries are exact Fractions
-    whenever the underlying amplitude products are rational; the diagonal
-    always is.
+    The diagonal is stored once, as numerators: dim integers over one
+    positive integer denominator.  diag and diagonal() build its reduced
+    Fractions on access; von_neumann and as_numpy divide each numerator by
+    the denominator, which rounds correctly as float(Fraction) does, so the
+    floats keep their bits.  off_diagonal is a read-only map from (mu, nu),
+    mu < nu, to the nonzero entry rho_{mu nu} = rho_{nu mu}, so the matrix
+    is symmetric by construction and diagonal exactly when off_diagonal is
+    empty; an entry is an exact Fraction when its amplitude products are
+    rational, else a float.
+
+    The constructor takes diagonal entries.  Ints and Fractions must be
+    non-negative and sum to exactly 1; with any float among them, 1e-9 of
+    either is allowed and each entry is stored by its exact binary ratio.
+    Equality, hash, repr and pickle go by dim, diag and off_diagonal, so a
+    matrix equals itself over any denominator.
     """
 
-    __slots__ = ("dim", "diag", "off_diagonal")
+    __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
 
     def __init__(
         self,
@@ -58,25 +75,55 @@ class OneBodyDensityMatrix(Record):
         diag: tuple[Entry, ...],
         off_diagonal: dict[tuple[int, int], Entry] | None = None,
     ) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off_diagonal", {} if off_diagonal is None else off_diagonal)
-        if len(self.diag) != self.dim:
-            raise ValueError(f"diagonal has {len(self.diag)} entries, not dim = {self.dim}")
-        for (mu, nu), entry in self.off_diagonal.items():
-            if not 0 <= mu < nu < self.dim or entry == 0:
-                raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
-        if all(isinstance(p, (int, Fraction)) for p in self.diag):
-            # over one common denominator: dim Fraction additions would each
-            # reduce a growing fraction
-            common = math.lcm(*(p.denominator for p in self.diag))
-            numerator = sum(p.numerator * (common // p.denominator) for p in self.diag)
-            if numerator != common:
-                raise ValueError(f"trace is {Fraction(numerator, common)}, not 1")
-        elif abs(sum(self.diag) - 1.0) > 1e-9:
-            raise ValueError(f"trace is {sum(self.diag)}, not 1")
+        if len(diag) != dim:
+            raise ValueError(f"diagonal has {len(diag)} entries, not dim = {dim}")
+        exact = all(isinstance(p, (int, Fraction)) for p in diag)
+        if not exact and abs(sum(diag) - 1.0) > 1e-9:
+            raise ValueError(f"trace is {sum(diag)}, not 1")
+        for p in diag:
+            if p < (0 if exact else -1e-9):
+                raise ValueError(f"diagonal entry {p} is negative")
+        ratios = [p.as_integer_ratio() for p in diag]
+        denominator = math.lcm(*(q for _, q in ratios))
+        numerators = tuple(p * (denominator // q) for p, q in ratios)
+        self._store(dim, numerators, denominator, dict(off_diagonal or {}), exact)
 
-    def diagonal(self) -> tuple[Entry, ...]:
+    @classmethod
+    def _from_occupations(
+        cls, dim: int, numerators: tuple[int, ...], denominator: int, off_diagonal: dict
+    ) -> "OneBodyDensityMatrix":
+        """Adopt dim non-negative integers over one denominator and a dict
+        no one else holds; the trace and the sparse keys are still checked."""
+        rho = cls.__new__(cls)
+        rho._store(dim, numerators, denominator, off_diagonal)
+        return rho
+
+    def _store(
+        self,
+        dim: int,
+        numerators: tuple[int, ...],
+        denominator: int,
+        off_diagonal: dict,
+        exact: bool = True,
+    ) -> None:
+        """Check the trace, exactly unless the diagonal had floats, and the
+        sparse keys and entries, then set the slots."""
+        if exact and sum(numerators) != denominator:
+            raise ValueError(f"trace is {Fraction(sum(numerators), denominator)}, not 1")
+        for (mu, nu), entry in off_diagonal.items():
+            if not 0 <= mu < nu < dim or not entry:
+                raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "off_diagonal", MappingProxyType(off_diagonal))
+
+    @property
+    def diag(self) -> tuple[Fraction, ...]:
+        """The diagonal entries as reduced Fractions."""
+        return tuple([Fraction(p, self.denominator) for p in self.numerators])
+
+    def diagonal(self) -> tuple[Fraction, ...]:
         return self.diag
 
     def is_diagonal(self) -> bool:
@@ -86,12 +133,31 @@ class OneBodyDensityMatrix(Record):
     def as_numpy(self) -> np.ndarray:
         import numpy as np
 
-        dim = self.dim
+        dim, denominator = self.dim, self.denominator
         flat = [0.0] * (dim * dim)
-        flat[:: dim + 1] = map(float, self.diag)
+        flat[:: dim + 1] = [p / denominator for p in self.numerators]
         for (mu, nu), entry in self.off_diagonal.items():
             flat[mu * dim + nu] = flat[nu * dim + mu] = float(entry)
         return np.array(flat).reshape(dim, dim)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dim, self.diag, self.off_diagonal) == (
+            other.dim, other.diag, other.off_diagonal
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.diag, frozenset(self.off_diagonal.items())))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(dim={self.dim!r}, diag={self.diag!r}, "
+            f"off_diagonal={dict(self.off_diagonal)!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.dim, self.diag, dict(self.off_diagonal))
 
 
 def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
@@ -169,13 +235,12 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
                         product = -product
                     sums[key] = (s / total if type(s) is int else s) + product
     norm = n * total
-    diag = tuple(Fraction(s, norm) for s in occupied)
     off_diagonal = {
         divmod(key, dim): Fraction(s, norm) if type(s) is int else s / n
         for key, s in sums.items()
         if s != 0
     }
-    return OneBodyDensityMatrix(dim, diag, off_diagonal)
+    return OneBodyDensityMatrix._from_occupations(dim, tuple(occupied), norm, off_diagonal)
 
 
 def von_neumann(rho: OneBodyDensityMatrix) -> float:
@@ -186,7 +251,8 @@ def von_neumann(rho: OneBodyDensityMatrix) -> float:
     eigenvalues are taken as Python floats, so the result is a float either way.
     """
     if rho.is_diagonal():
-        eigenvalues = [float(p) for p in rho.diagonal()]
+        denominator = rho.denominator
+        eigenvalues = [p / denominator for p in rho.numerators]
     else:
         import numpy as np
 
@@ -195,6 +261,8 @@ def von_neumann(rho: OneBodyDensityMatrix) -> float:
     for lam in eigenvalues:
         if lam > 1e-15:
             entropy -= lam * math.log(lam)
+        elif lam < -1e-9:
+            raise ValueError(f"eigenvalue {lam} is negative: not a density matrix")
     return entropy
 
 

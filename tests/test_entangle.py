@@ -170,6 +170,40 @@ class TestOneBodyDensity:
             with pytest.raises(ValueError, match="trace"):
                 OneBodyDensityMatrix(len(diag), diag)
 
+    def test_negative_diagonal_entries_are_rejected(self):
+        tiny = Fraction(1, 10**30)
+        for diag in ((Fraction(3, 2), Fraction(-1, 2)), (1, -tiny, tiny)):
+            with pytest.raises(ValueError, match="negative"):
+                OneBodyDensityMatrix(len(diag), diag)
+        with pytest.raises(ValueError, match="negative"):
+            OneBodyDensityMatrix(2, (1.0 + 2e-9, -2e-9))
+        # a float diagonal allows what its trace allows, 1e-9
+        rho = OneBodyDensityMatrix(2, (1.0 + 1e-10, -1e-10))
+        assert rho.diag == (Fraction(1.0 + 1e-10), Fraction(-1e-10))
+
+    def test_equal_matrices_hash_equal_over_any_denominator(self):
+        rho = one_body_density(rational_state(3, {(0, 1): 1, (0, 2): 1}))
+        assert rho.denominator == 4
+        same = OneBodyDensityMatrix(3, (0.5, Fraction(1, 4), 0.25), {(1, 2): 0.25})
+        assert same == rho and hash(same) == hash(rho) and len({rho, same}) == 1
+        assert repr(rho) == (
+            "OneBodyDensityMatrix(dim=3, diag=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),"
+            " off_diagonal={(1, 2): Fraction(1, 4)})"
+        )
+        assert rho != OneBodyDensityMatrix(3, rho.diag)
+
+    def test_off_diagonal_is_read_only(self):
+        half = (Fraction(1, 2), Fraction(1, 2))
+        entries = {(0, 1): Fraction(1, 4)}
+        rho = OneBodyDensityMatrix(2, half, entries)
+        with pytest.raises(TypeError):
+            rho.off_diagonal[(0, 1)] = Fraction(3, 4)
+        entries[(0, 1)] = Fraction(3, 4)
+        assert rho.off_diagonal == {(0, 1): Fraction(1, 4)}
+        kernel = one_body_density(FockVector.from_unnormalized(2, 5, IRRATIONAL_MIXED_STATE))
+        with pytest.raises(TypeError):
+            del kernel.off_diagonal[next(iter(kernel.off_diagonal))]
+
     def test_irrational_mixed_state_is_symmetric(self):
         # float amplitude products once summed in different orders for
         # rho[mu][nu] and rho[nu][mu] and failed the symmetry check
@@ -198,6 +232,13 @@ class TestVonNeumann:
     def test_pure_mode(self):
         rho = OneBodyDensityMatrix(1, (Fraction(1),))
         assert von_neumann(rho) == 0.0
+
+    def test_negative_eigenvalue_is_rejected(self):
+        half = (Fraction(1, 2), Fraction(1, 2))
+        # eigenvalues 5/4 and -1/4
+        with pytest.raises(ValueError, match="eigenvalue"):
+            von_neumann(OneBodyDensityMatrix(2, half, {(0, 1): Fraction(3, 4)}))
+        assert von_neumann(OneBodyDensityMatrix(2, half, {(0, 1): Fraction(1, 2)})) == 0.0
 
     def test_laughlin_2_3(self):
         rho = one_body_density(laughlin(2, 3))

@@ -165,6 +165,55 @@ class TestBitIdentity:
             assert_same_as_amplitude_products(state)
 
 
+def assert_kernel_matrix_is_the_public_one(v: FockVector) -> None:
+    """The kernel's matrix equals, hashes and measures as the one built from
+    the oracle's entries; its floats are those of the oracle's Fractions."""
+    rho = measure.one_body_density(v)
+    diag, off_diagonal = oracles.density_by_amplitude_products(v)
+    public = measure.OneBodyDensityMatrix(v.dim, diag, off_diagonal)
+    assert rho == public and hash(rho) == hash(public)
+    assert rho.as_numpy().diagonal().tolist() == [float(p) for p in diag]
+    assert rho.as_numpy().tolist() == public.as_numpy().tolist()
+    entropy = measure.von_neumann(rho)
+    assert entropy.hex() == measure.von_neumann(public).hex()
+    if rho.is_diagonal():
+        expected = oracles.entropy_of(p for p in map(float, diag) if p > 1e-15)
+        assert entropy.hex() == expected.hex()
+
+
+class TestPublicConstructorMatchesKernel:
+    @given(irrational_mixed_states())
+    @settings(max_examples=30, deadline=None)
+    def test_irrational_mixed_states(self, v):
+        assert_kernel_matrix_is_the_public_one(v)
+
+    @given(mixed_weight_states())
+    @settings(max_examples=60, deadline=None)
+    def test_squares_non_squares_and_huge_weights(self, v):
+        assert_kernel_matrix_is_the_public_one(v)
+
+    def test_wide_state_with_shared_holes(self):
+        assert_kernel_matrix_is_the_public_one(FockVector(3, 512, WIDE_WEIGHTS))
+
+    def test_diagonal_states_over_long_denominators(self):
+        # two configurations that share no hole: diagonal, though not
+        # homogeneous, over denominators of 64 to 97 bits
+        for k in range(40, 60):
+            assert_kernel_matrix_is_the_public_one(
+                FockVector(2, 4, {(0, 1): 3**k, (2, 3): -(7 ** (k - 12))})
+            )
+
+    def test_family_states_and_the_longest_weights(self):
+        # laughlin(3, 255)'s occupations and denominator are over 900 bits:
+        # dividing them as floats would round three times, not once
+        for point in (*dict.fromkeys(_preset_points()), ("laughlin", 3, 255)):
+            try:
+                state = FAMILIES[point[0]](*point[1:])
+            except ZeroWavefunctionError:
+                continue
+            assert_kernel_matrix_is_the_public_one(state)
+
+
 def test_printed_digits_match_a_decimal_oracle():
     # the one float step, sum p ln p - ln N over exact diagonals, cancels
     # against ln N; a relative error of 1e-12 is still below the rounding
