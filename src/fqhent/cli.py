@@ -13,7 +13,9 @@ does not fit in memory.  Options resolve as flags > config
 file > defaults; the config file is flat ``key = value`` text with ``#``
 comments.  A config key must name an option of some subcommand; keys of
 other subcommands are ignored, and values are checked with the running
-subcommand's flag type and choices.
+subcommand's flag type and choices.  Integers, as flags or config
+values, are ASCII decimal digits with an optional sign, so ``3_1`` exits
+64, as does a figure ``--out`` base with no file name, such as ``outdir/``.
 """
 
 from __future__ import annotations
@@ -89,45 +91,43 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, Any]:
-    """Merge flag values, config-file values, and defaults, in that order."""
-    config = load_config(args.config) if getattr(args, "config", None) else {}
+def _resolve(args: argparse.Namespace) -> dict[str, Any]:
+    """Merge flag values, config-file values, and defaults, in that order,
+    for every option of the running subcommand that is a config key."""
+    config = load_config(args.config) if args.config else {}
     unknown = sorted(set(config) - set(_DEFAULTS))
     if unknown:
         raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
     resolved: dict[str, Any] = {}
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = _convert(args.options[key], config[key])
-        else:
-            resolved[key] = _DEFAULTS[key]
+    for key, option in args.options.items():
+        if key in _DEFAULTS:
+            value = getattr(args, key)
+            if value is None:
+                value = _convert(option, config[key]) if key in config else _DEFAULTS[key]
+            resolved[key] = value
     return resolved
 
 
 def _convert(option: argparse.Action, raw: str) -> Any:
-    """A config value converted and checked like the flag it stands for."""
-    key, value = option.dest, raw
-    if option.type is int:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"config value for {key} must be an integer, got {raw!r}") from exc
+    """A config value converted by the flag's own type and checked against its choices."""
+    try:
+        value = option.type(raw) if option.type else raw
+    except ValueError as exc:  # every option with a type is an integer
+        raise UsageError(f"config value for {option.dest} must be an integer, got {raw!r}") from exc
     if option.choices is not None and value not in option.choices:
         raise UsageError(
-            f"config value for {key} must be one of {tuple(option.choices)}, got {raw!r}"
+            f"config value for {option.dest} must be one of {tuple(option.choices)}, got {raw!r}"
         )
     return value
 
 
-def _too_large(request: str, fmt: str | None) -> int:
-    """Exit 64 for a table or figure whose output ran out of memory being built."""
-    if fmt:
-        request += f" --format {fmt}"
-    print(f"error: {request}: the output does not fit in memory", file=sys.stderr)
-    return EXIT_USAGE
+def integer(text: str) -> int:
+    """ASCII decimal digits with an optional sign; int() alone also reads 3_1
+    and ٣.  Named for argparse's refusal: "invalid integer value"."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -139,16 +139,14 @@ def _write_text(path: str, text: str) -> None:
 
 # -- subcommands -----------------------------------------------------------
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    opts = _resolve(args, ("family", "n", "m", "units", "format"))
+def cmd_compute(args: argparse.Namespace, opts: dict[str, Any]) -> int:
     try:
         state = FAMILIES[opts["family"]](opts["n"], opts["m"])
     except ZeroWavefunctionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ZERO_WAVEFUNCTION
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     report = modified_measure(state, family=opts["family"], m=opts["m"])
     if opts["format"] == "json":
         import json
@@ -168,63 +166,57 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    opts = _resolve(args, ("family", "n", "m_max", "format", "out", "jobs"))
-    try:
-        points, zeros = series_points([(opts["family"], opts["n"])], opts["m_max"], opts["jobs"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if opts["format"] == "json":
-            text = rows_to_json([*points, *zeros]) + "\n"
-        else:
-            text = rows_to_csv(points)
-    except MemoryError:
-        request = f"table --family {opts['family']} --n {opts['n']} --m-max {opts['m_max']}"
-        return _too_large(request, opts["format"])
-    if opts["out"]:
-        _write_text(opts["out"], text)
-        print(f"wrote {opts['out']}")
-    else:
-        print(text, end="")
-    return EXIT_OK
+def cmd_table(args: argparse.Namespace, opts: dict[str, Any]) -> int:
+    request = f"table --family {opts['family']} --n {opts['n']} --m-max {opts['m_max']}"
+    return _sweep_and_emit(request, [(opts["family"], opts["n"])], opts)
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    opts = _resolve(args, ("m_max", "format", "out", "jobs"))
+def cmd_figure(args: argparse.Namespace, opts: dict[str, Any]) -> int:
+    request = f"figure {args.id} --m-max {opts['m_max']}"
+    return _sweep_and_emit(request, PRESETS[args.id][1], opts, figure_title(args.id))
+
+
+def _sweep_and_emit(
+    request: str, series: Sequence[tuple[str, int]], opts: dict[str, Any], title: str = ""
+) -> int:
+    """Sweep the series over odd m <= m_max, then print or write its output.
+
+    A table writes one output to --out as named.  A figure, which has a
+    title, takes --out as a base path, a known suffix stripped, and writes
+    BASE.csv and BASE.svg, or BASE.<format>.  Every output is built before
+    any is written, so a refusal writes none.
+    """
+    fmt, out = opts["format"], opts["out"]
+    formats, paths = [fmt or "csv"], [out]
+    if title and out is not None:
+        base = out.rsplit(".", 1)[0] if out.endswith((".csv", ".svg", ".json")) else out
+        if base.rpartition("/")[2] in ("", ".", ".."):
+            raise UsageError(f"--out {out} names no file")
+        if not fmt:
+            formats.append("svg")
+        paths = [f"{base}.{f}" for f in formats]
     try:
-        points, zeros = series_points(PRESETS[args.id][1], opts["m_max"], opts["jobs"])
+        points, zeros = series_points(series, opts["m_max"], opts["jobs"])
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    fmt = opts["format"]
+        raise UsageError(str(exc)) from exc
     try:
         # CSV omits zero points; SVG and JSON show them, and each reads the tail once
-        if opts["out"]:
-            base = opts["out"]
-            if base.endswith((".csv", ".svg", ".json")):
-                base = base.rsplit(".", 1)[0]
-            # every file is built before any is written, so a refusal writes none
-            files = []
-            if fmt in (None, "csv"):
-                files.append((f"{base}.csv", rows_to_csv(points)))
-            if fmt in (None, "svg"):
-                files.append((f"{base}.svg", render_svg([*points, *zeros], figure_title(args.id))))
-            if fmt == "json":
-                files.append((f"{base}.json", rows_to_json([*points, *zeros]) + "\n"))
-            for path, text in files:
-                _write_text(path, text)
-            for path, _ in files:
-                print(f"wrote {path}")
-        elif fmt == "svg":
-            print(render_svg([*points, *zeros], figure_title(args.id)), end="")
-        elif fmt == "json":
-            print(rows_to_json([*points, *zeros]))
-        else:
-            print(rows_to_csv(points), end="")
+        texts = [
+            rows_to_csv(points) if f == "csv"
+            else render_svg([*points, *zeros], title) if f == "svg"
+            else rows_to_json([*points, *zeros]) + "\n"
+            for f in formats
+        ]
     except MemoryError:
-        return _too_large(f"figure {args.id} --m-max {opts['m_max']}", fmt)
+        request += f" --format {fmt}" if fmt else ""
+        raise UsageError(f"{request}: the output does not fit in memory") from None
+    if out is None:
+        print(texts[0], end="")
+        return EXIT_OK
+    for path, text in zip(paths, texts):
+        _write_text(path, text)
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -249,37 +241,34 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_config(p: _Parser) -> None:
+    def add_config(p: _Parser, func: Any) -> None:
         p.add_argument("--config", help="flat key = value config file")
-        p.set_defaults(options=p.options)
+        p.set_defaults(options=p.options, func=func)
 
     p = sub.add_parser("compute", help="measure one (family, N, m) point")
     p.add_argument("--family", choices=tuple(FAMILIES))
-    p.add_argument("--n", type=int, help="electron count N")
-    p.add_argument("--m", type=int, help="odd exponent m")
+    p.add_argument("--n", type=integer, help="electron count N")
+    p.add_argument("--m", type=integer, help="odd exponent m")
     p.add_argument("--units", choices=("bits", "nats"))
     p.add_argument("--format", choices=("text", "json"))
-    add_config(p)
-    p.set_defaults(func=cmd_compute)
+    add_config(p, cmd_compute)
 
     p = sub.add_parser("table", help="sweep odd m for one family and N")
     p.add_argument("--family", choices=tuple(FAMILIES))
-    p.add_argument("--n", type=int, help="electron count N")
-    p.add_argument("--m-max", dest="m_max", type=int, help="largest m (odd values up to this)")
+    p.add_argument("--n", type=integer, help="electron count N")
+    p.add_argument("--m-max", dest="m_max", type=integer, help="largest m (odd values up to this)")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--jobs", type=int, help="parallel worker processes")
-    add_config(p)
-    p.set_defaults(func=cmd_table)
+    p.add_argument("--jobs", type=integer, help="parallel worker processes")
+    add_config(p, cmd_table)
 
     p = sub.add_parser("figure", help="emit a preset figure (1..5)")
-    p.add_argument("id", type=int, choices=tuple(PRESETS))
-    p.add_argument("--m-max", dest="m_max", type=int, help="largest m on the t axis")
+    p.add_argument("id", type=integer, choices=tuple(PRESETS))
+    p.add_argument("--m-max", dest="m_max", type=integer, help="largest m on the t axis")
     p.add_argument("--format", choices=("csv", "svg", "json"))
     p.add_argument("--out", help="output base path (writes .csv and .svg)")
-    p.add_argument("--jobs", type=int, help="parallel worker processes")
-    add_config(p)
-    p.set_defaults(func=cmd_figure)
+    p.add_argument("--jobs", type=integer, help="parallel worker processes")
+    add_config(p, cmd_figure)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument(
@@ -287,7 +276,6 @@ def build_parser() -> _Parser:
         help="fast: m <= 9, N <= 3 (N <= 4 in the L-/L+ check); "
         "full: m <= 13, N <= 4 (N <= 7 in the L-/L+ check)",
     )
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -296,7 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":  # verify reads no config
+            return cmd_verify(args)
+        return args.func(args, _resolve(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,8 +63,9 @@ class OneBodyDensityMatrix(Record):
     The constructor takes diagonal entries.  Ints and Fractions must be
     non-negative and sum to exactly 1; with any float among them, 1e-9 of
     either is allowed and each entry is stored by its exact binary ratio.
-    Equality, hash, repr and pickle go by dim, diag and off_diagonal, so a
-    matrix equals itself over any denominator.
+    A float off-diagonal entry must be finite.  Equality, hash, repr and
+    pickle go by dim, diag and off_diagonal, so a matrix equals itself over
+    any denominator.
     """
 
     __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
@@ -86,7 +87,11 @@ class OneBodyDensityMatrix(Record):
         ratios = [p.as_integer_ratio() for p in diag]
         denominator = math.lcm(*(q for _, q in ratios))
         numerators = tuple(p * (denominator // q) for p, q in ratios)
-        self._store(dim, numerators, denominator, dict(off_diagonal or {}), exact)
+        off_diagonal = dict(off_diagonal or {})
+        for key, entry in off_diagonal.items():
+            if isinstance(entry, float) and not math.isfinite(entry):
+                raise ValueError(f"off-diagonal entry {key} = {entry} is not finite")
+        self._store(dim, numerators, denominator, off_diagonal, exact)
 
     @classmethod
     def _from_occupations(
@@ -261,8 +266,8 @@ def von_neumann(rho: OneBodyDensityMatrix) -> float:
     for lam in eigenvalues:
         if lam > 1e-15:
             entropy -= lam * math.log(lam)
-        elif lam < -1e-9:
-            raise ValueError(f"eigenvalue {lam} is negative: not a density matrix")
+        elif not lam >= -1e-9:  # NaN fails this comparison too
+            raise ValueError(f"eigenvalue {lam} is negative or NaN: not a density matrix")
     return entropy
 
 

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqhent
 from fqhent import figures
@@ -22,6 +27,7 @@ from fqhent.cli import (
     load_config,
     main,
 )
+from fqhent.states import FAMILIES
 
 
 PACKAGE_ROOT = Path(fqhent.__file__).resolve().parent.parent
@@ -336,6 +342,17 @@ class TestFigure:
             main(["figure", "9"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("out", ["outdir/", ".csv", "outdir/.svg", ".", ""])
+    def test_out_with_no_file_name_exit_64(self, capsys, tmp_path, monkeypatch, out):
+        # these once wrote the hidden files outdir/.csv and outdir/.svg, or
+        # ..csv and ..svg, and exited 0
+        (tmp_path / "outdir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "figure", "1", "--m-max", "3", "--out", out)
+        assert code == EXIT_USAGE
+        assert (stdout, err) == ("", f"error: --out {out} names no file\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]
+
 
 class TestVerify:
     def test_fast_passes(self, capsys):
@@ -486,6 +503,46 @@ class TestConfig:
         assert code == EXIT_USAGE
 
 
+class TestIntegers:
+    @pytest.mark.parametrize("value", ["3_1", "\u0663", "\uff13", "", " 3", "0x3", "3.0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--m"],
+            ["compute", "--n"],
+            ["table", "--m-max"],
+            ["figure", "1", "--jobs"],
+            ["figure"],
+        ],
+    )
+    def test_flag_that_is_not_ascii_decimal_exit_64(self, capsys, argv, value):
+        # int() reads 3_1 as 31 and the Arabic-Indic or fullwidth 3 as 3
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, value])
+        assert excinfo.value.code == EXIT_USAGE
+        _, err = capsys.readouterr()
+        assert f"invalid integer value: {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["3_1", "\u0663", "\uff13", "", "0x3"])
+    def test_config_value_that_is_not_ascii_decimal_exit_64(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"m = {value}\n", encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: config value for m must be an integer, got {value!r}\n"
+
+    def test_signed_and_zero_padded_decimals_are_read(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compute", "--n", "+2", "--m", "03")
+        assert code == EXIT_OK
+        assert "(laughlin, N=2, m=3, t=1)" in out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m-max = -1\n")
+        code, _, err = run(capsys, "table", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "no odd m in 1..-1" in err
+
+
 class TestJobs:
     @pytest.mark.parametrize("command", ["table", "figure"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -501,6 +558,156 @@ class TestJobs:
         code, _, err = run(capsys, "table", "--m-max", "3", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "jobs" in err
+
+
+# -- the CLI contract over generated argv and config files ---------------------
+
+# Integer texts that int() reads (3_1 as 31, the Arabic-Indic and fullwidth
+# digits as digits) but the CLI refuses; the --jobs ones read as at most 2,
+# so that with int() restored no example starts more than two workers.
+NOT_DECIMAL = ("3_1", "\u0663", "\uff13", "")
+JOBS_NOT_DECIMAL = ("0_2", "\u0662", "\uff12", "")
+FIGURE_IDS_NOT_DECIMAL = ("\u0663", "0_5")
+HUGE = ("1000000000000", "1000000000001")
+
+
+def _mostly_valid(valid: st.SearchStrategy, invalid: st.SearchStrategy) -> st.SearchStrategy:
+    """An option's text, valid three times in four."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else invalid)
+
+
+def _choices(valid: list[str], invalid: list[str]) -> st.SearchStrategy:
+    return _mostly_valid(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+def _integers(valid: st.SearchStrategy, invalid: list[str]) -> st.SearchStrategy:
+    """An integer option's text: valid, out of range, negative or not ASCII decimal."""
+    negative = st.integers(-(10**12), -1).map(str)
+    return _mostly_valid(valid.map(str), negative | st.sampled_from([*invalid, *NOT_DECIMAL]))
+
+
+_FAMILY = _choices(list(FAMILIES), ["familly", ""])
+_N = _integers(st.integers(2, 3), ["0", "1", *HUGE])
+_M_MAX = _integers(st.integers(1, 41), ["0"])
+_JOBS = _choices(["1", "2"], ["0", "-1", *JOBS_NOT_DECIMAL])
+_OPTIONS = {
+    "compute": {
+        "family": _FAMILY,
+        "n": _N,
+        "m": _integers(st.integers(0, 4).map(lambda t: 2 * t + 1), ["0", "4", *HUGE]),
+        "units": _choices(["bits", "nats"], ["bytes", ""]),
+        "format": _choices(["text", "json"], ["csv", ""]),
+    },
+    "table": {
+        "family": _FAMILY,
+        "n": _N,
+        "m_max": _M_MAX,
+        "format": _choices(["csv", "json"], ["svg", ""]),
+        "jobs": _JOBS,
+    },
+    "figure": {
+        "m_max": _M_MAX,
+        "format": _choices(["csv", "svg", "json"], ["text", ""]),
+        "jobs": _JOBS,
+        # only --out values that name no file, so no example writes one
+        "out": st.sampled_from(["", "{tmp}/", "{tmp}/.csv", "{tmp}/sub/.svg", "{tmp}/."]),
+    },
+}
+_MALFORMED = {*NOT_DECIMAL, *JOBS_NOT_DECIMAL, *FIGURE_IDS_NOT_DECIMAL}
+_IGNORED_KEYS = {
+    "compute": ("m_max", "out", "jobs"),
+    "table": ("m", "units"),
+    "figure": ("family", "n", "m", "units"),
+}
+
+
+@st.composite
+def cli_cases(draw):
+    """A subcommand, its options, and config-file lines that give the same options."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    prefix = [command]
+    if command == "figure":
+        prefix.append(draw(_choices(["1", "2", "3", "4", "5"], ["9", *FIGURE_IDS_NOT_DECIMAL])))
+    options = {
+        key: value
+        for key, values in _OPTIONS[command].items()
+        if (value := draw(st.none() | values)) is not None
+    }
+    lines = []
+    for key, value in options.items():
+        name = key.replace("_", "-") if draw(st.booleans()) else key
+        if draw(st.booleans()):  # a repeated key: the last one counts
+            lines.append(f"{name} = {draw(st.sampled_from(['junk', '7', '']))}")
+        lines.append(f"{name}={value}" if draw(st.booleans()) else f"  {name} = {value}  # set")
+    # keys that only other subcommands take are ignored, whatever their values
+    for key in draw(st.lists(st.sampled_from(_IGNORED_KEYS[command]), max_size=3)):
+        value = draw(st.sampled_from(["2", "chi", "?"]))
+        lines.insert(draw(st.integers(0, len(lines))), f"{key} = {value}")
+    lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    unknown = draw(st.booleans()) and draw(st.booleans())
+    if unknown:
+        lines.append("familly = chi")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return prefix, options, bom + "\n".join(lines) + "\n", unknown
+
+
+def _main_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flags(options: dict[str, str]) -> list[str]:
+    return [arg for key, value in options.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+def _csv_rows_equal_json_rows(csv_text: str, json_text: str) -> bool:
+    header, *lines = csv_text.splitlines()
+    expected = [
+        [str(r["t"]), str(r["m"]), r["family"], str(r["N"]), f"{r['S_f_bits']:.12g}"]
+        for r in json.loads(json_text)
+        if r["S_f_bits"] is not None
+    ]
+    return header == "t,m,family,N,S_f_bits" and [line.split(",") for line in lines] == expected
+
+
+@given(cli_cases())
+@settings(max_examples=100, deadline=None)
+def test_cli_contract(case):
+    # every generated input exits 0, 2 or 64 without a traceback, the same
+    # whether its options come as flags or from a config file; an integer
+    # that is not ASCII decimal exits 64, and a table's CSV rows are its
+    # non-null JSON rows
+    prefix, options, config_text, unknown = case
+    with tempfile.TemporaryDirectory() as tmp:
+        options = {key: value.replace("{tmp}", tmp) for key, value in options.items()}
+        cfg = Path(tmp, "run.cfg")
+        cfg.write_text(config_text.replace("{tmp}", tmp), encoding="utf-8")
+        flagged = _main_in_process([*prefix, *_flags(options)])
+        configured = _main_in_process([*prefix, "--config", str(cfg)])
+        assert sorted(os.listdir(tmp)) == ["run.cfg"], "an --out that names no file was written"
+    for code, out, err in (flagged, configured):
+        assert code in (EXIT_OK, EXIT_ZERO_WAVEFUNCTION, EXIT_USAGE), (code, err)
+        assert "Traceback" not in err
+    if _MALFORMED.intersection([*prefix, *options.values()]):
+        assert flagged[0] == EXIT_USAGE, flagged
+    if unknown:  # unless argparse refused the figure id before the config was read
+        assert configured[0] == EXIT_USAGE
+        assert "unknown config key(s): familly" in configured[2] or "argument id" in configured[2]
+    else:
+        assert configured[:2] == flagged[:2]
+    code, out, _ = flagged
+    if code == EXIT_OK:
+        assert out.startswith(("S_f = ", "t,m,family,N,S_f_bits\n", "<svg ")) or json.loads(out)
+    if prefix == ["table"] and code == EXIT_OK:
+        fmt = options.get("format", "csv")
+        other_fmt = "json" if fmt == "csv" else "csv"
+        _, other, _ = _main_in_process([*prefix, *_flags({**options, "format": other_fmt})])
+        assert _csv_rows_equal_json_rows(*((out, other) if fmt == "csv" else (other, out)))
 
 
 def _loaded_after(code: str, module: str) -> bool:

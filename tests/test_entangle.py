@@ -181,6 +181,19 @@ class TestOneBodyDensity:
         rho = OneBodyDensityMatrix(2, (1.0 + 1e-10, -1e-10))
         assert rho.diag == (Fraction(1.0 + 1e-10), Fraction(-1e-10))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_off_diagonal_entries_are_rejected(self, entry):
+        # von_neumann once measured such a matrix as 0.0 nats: eigvalsh
+        # returns NaN eigenvalues, and NaN failed both of its comparisons
+        half = (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = .* is not finite"):
+            OneBodyDensityMatrix(2, half, {(0, 1): entry})
+
+    def test_non_finite_diagonal_entries_are_rejected(self):
+        for diag in ((math.nan, 1.0), (math.inf, 0.0), (math.inf, -math.inf)):
+            with pytest.raises(ValueError):
+                OneBodyDensityMatrix(2, diag)
+
     def test_equal_matrices_hash_equal_over_any_denominator(self):
         rho = one_body_density(rational_state(3, {(0, 1): 1, (0, 2): 1}))
         assert rho.denominator == 4
@@ -239,6 +252,13 @@ class TestVonNeumann:
         with pytest.raises(ValueError, match="eigenvalue"):
             von_neumann(OneBodyDensityMatrix(2, half, {(0, 1): Fraction(3, 4)}))
         assert von_neumann(OneBodyDensityMatrix(2, half, {(0, 1): Fraction(1, 2)})) == 0.0
+
+    def test_nan_eigenvalue_is_rejected(self):
+        # the kernel's trusted constructor skips the finiteness check, which
+        # its entries never need; von_neumann still refuses what slips past
+        rho = OneBodyDensityMatrix._from_occupations(2, (1, 1), 2, {(0, 1): math.nan})
+        with pytest.raises(ValueError, match="eigenvalue nan is negative or NaN"):
+            von_neumann(rho)
 
     def test_laughlin_2_3(self):
         rho = one_body_density(laughlin(2, 3))
