@@ -3,12 +3,26 @@ frozen records load inspect, ast, dis and tokenize, a fifth of a cold CLI start.
 
 
 class Record:
-    """Immutable value whose fields are its __slots__, in __init__ order, set
-    there with object.__setattr__.  Records equal only records of their own
-    class, and hash, print and pickle by their field values.  A subclass
-    whose slots are not its constructor's arguments overrides all four."""
+    """Immutable value whose fields are the __slots__ along its MRO, the
+    bases' first, collected per class into _fields; Record.__init__(*values)
+    is the one writer, and sets them in that order.  Records equal only
+    records of their own class, and hash, print and pickle by their field
+    values, so a subclass that declares no slots keeps its base's fields.
+    A record whose fields are not its constructor's arguments overrides all four."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values: object) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, not {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -17,7 +31,7 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
@@ -26,7 +40,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:

@@ -67,9 +67,7 @@ class SlaterPairing(Record):
     def __init__(
         self, pairs: tuple[tuple[int, int, float], ...], residual: int, basis: str
     ) -> None:
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "basis", basis)
+        super().__init__(pairs, residual, basis)
         if self.basis not in ("orbital", "rotated"):
             raise ValueError("basis must be 'orbital' or 'rotated'")
         total = sum(z * z for _, _, z in self.pairs)

@@ -52,9 +52,7 @@ class FigureSpec(Record):
     def __init__(
         self, id: int, series: tuple[tuple[str, int], ...], t_values: tuple[int, ...]
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "t_values", t_values)
+        super().__init__(id, series, t_values)
         _check_figure_id(self.id)
         if any(t < 0 for t in self.t_values):
             raise ValueError("t values must be non-negative")
@@ -79,10 +77,7 @@ class SweepPoint(Record):
     __slots__ = ("family", "n_electrons", "m", "measure_bits")
 
     def __init__(self, family: str, n_electrons: int, m: int, measure_bits: float | None) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n_electrons", n_electrons)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "measure_bits", measure_bits)
+        super().__init__(family, n_electrons, m, measure_bits)
 
     @property
     def t(self) -> int:

@@ -47,8 +47,7 @@ class Amplitude(Record):
     __slots__ = ("sign", "magnitude_sq")
 
     def __init__(self, sign: int, magnitude_sq: Fraction) -> None:
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "magnitude_sq", magnitude_sq)
+        super().__init__(sign, magnitude_sq)
 
     @property
     def as_float(self) -> float:
@@ -89,15 +88,16 @@ def _checked(n_particles: int, dim: int, weights: dict[FockConfig, int]) -> dict
 class FockVector(Record):
     """A normalized N-fermion state over dim lowest-Landau-level orbitals.
 
-    Each occupied configuration c (a strictly increasing orbital tuple)
-    carries a signed integer weight w_c, the weights sharing no common
-    factor; its amplitude is sign(w_c) sqrt(|w_c| / total), where total is
-    the sum of the |w_c|.  It is built from any signed integer weights, which
-    are reduced on the way in; terms shows the same exact values as
-    Amplitudes.
+    n_particles fermions occupy orbitals 0 .. dim - 1.  Each occupied
+    configuration c (a strictly increasing orbital tuple) carries a signed
+    integer weight w_c, the weights sharing no common factor; its amplitude
+    is sign(w_c) sqrt(|w_c| / total), where total is the sum of the |w_c|,
+    so |w_c| / total is its squared amplitude.  It is built from any signed
+    integer weights, which are reduced on the way in; terms shows the same
+    exact values as Amplitudes.
     """
 
-    __slots__ = ("_n_particles", "_dim", "_weights", "_total")
+    __slots__ = ("n_particles", "dim", "_weights", "total")
 
     def __init__(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
         for config, weight in weights.items():
@@ -117,10 +117,7 @@ class FockVector(Record):
         if common == 0:
             raise ZeroStateError("all weights are zero")
         store = {tuple(c): w // common for c, w in weights.items() if w}
-        object.__setattr__(self, "_n_particles", n_particles)
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_weights", store)
-        object.__setattr__(self, "_total", sum(map(abs, store.values())))
+        Record.__init__(self, n_particles, dim, store, sum(map(abs, store.values())))
 
     @classmethod
     def from_unnormalized(
@@ -142,27 +139,14 @@ class FockVector(Record):
     # -- queries -----------------------------------------------------------
 
     @property
-    def n_particles(self) -> int:
-        return self._n_particles
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def weights(self) -> Mapping[FockConfig, int]:
         """Signed integer weight of each occupied configuration, gcd-reduced."""
         return MappingProxyType(self._weights)
 
     @property
-    def total(self) -> int:
-        """Sum of the absolute weights: |w_c| / total is the squared amplitude."""
-        return self._total
-
-    @property
     def terms(self) -> Mapping[FockConfig, Amplitude]:
         return MappingProxyType({
-            c: Amplitude(1 if w > 0 else -1, Fraction(abs(w), self._total))
+            c: Amplitude(1 if w > 0 else -1, Fraction(abs(w), self.total))
             for c, w in self._weights.items()
         })
 
@@ -172,15 +156,15 @@ class FockVector(Record):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return (self._n_particles, self._dim, self._weights) == (
-            other._n_particles, other._dim, other._weights
+        return (self.n_particles, self.dim, self._weights) == (
+            other.n_particles, other.dim, other._weights
         )
 
     def __hash__(self) -> int:
-        return hash((self._n_particles, self._dim, frozenset(self._weights.items())))
+        return hash((self.n_particles, self.dim, frozenset(self._weights.items())))
 
     def __reduce__(self) -> tuple:
-        return type(self), (self._n_particles, self._dim, self._weights)
+        return type(self), (self.n_particles, self.dim, self._weights)
 
     def is_homogeneous(self) -> bool:
         """True iff every config carries the same total angular momentum."""
@@ -190,7 +174,7 @@ class FockVector(Record):
 
     def __repr__(self) -> str:
         body = dict(sorted(self._weights.items()))
-        return f"FockVector({self._n_particles}, {self._dim}, {body!r})"
+        return f"FockVector({self.n_particles}, {self.dim}, {body!r})"
 
 
 def to_fock(expansion: SlaterExpansion) -> FockVector:

@@ -63,9 +63,9 @@ class OneBodyDensityMatrix(Record):
     The constructor takes diagonal entries.  Ints and Fractions must be
     non-negative and sum to exactly 1; with any float among them, 1e-9 of
     either is allowed and each entry is stored by its exact binary ratio.
-    A float off-diagonal entry must be finite.  Equality, hash, repr and
-    pickle go by dim, diag and off_diagonal, so a matrix equals itself over
-    any denominator.
+    An off-diagonal entry that is not an int or a Fraction must be finite.
+    Equality, hash, repr and pickle go by dim, diag and off_diagonal, so a
+    matrix equals itself over any denominator.
     """
 
     __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
@@ -89,7 +89,7 @@ class OneBodyDensityMatrix(Record):
         numerators = tuple(p * (denominator // q) for p, q in ratios)
         off_diagonal = dict(off_diagonal or {})
         for key, entry in off_diagonal.items():
-            if isinstance(entry, float) and not math.isfinite(entry):
+            if not isinstance(entry, (int, Fraction)) and not math.isfinite(entry):
                 raise ValueError(f"off-diagonal entry {key} = {entry} is not finite")
         self._store(dim, numerators, denominator, off_diagonal, exact)
 
@@ -118,10 +118,7 @@ class OneBodyDensityMatrix(Record):
         for (mu, nu), entry in off_diagonal.items():
             if not 0 <= mu < nu < dim or not entry:
                 raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "off_diagonal", MappingProxyType(off_diagonal))
+        Record.__init__(self, dim, numerators, denominator, MappingProxyType(off_diagonal))
 
     @property
     def diag(self) -> tuple[Fraction, ...]:
@@ -285,12 +282,7 @@ class EntanglementReport(Record):
         family: str | None = None,
         m: int | None = None,
     ) -> None:
-        object.__setattr__(self, "n_particles", n_particles)
-        object.__setattr__(self, "entropy_nats", entropy_nats)
-        object.__setattr__(self, "measure_nats", measure_nats)
-        object.__setattr__(self, "measure_bits", measure_bits)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "m", m)
+        super().__init__(n_particles, entropy_nats, measure_nats, measure_bits, family, m)
 
     @property
     def t(self) -> int | None:

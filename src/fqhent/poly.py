@@ -58,11 +58,12 @@ def _perm_sign(perm: Sequence[int]) -> int:
 class _TermMap(Record):
     """Immutable map from exponent tuples to nonzero integer coefficients.
 
+    nvars is the number of variables, the length of every exponent tuple.
     A subclass gives its key rule as ``_check_key(key)``, which raises
     ValueError, and instances equal only instances of their own class.
     """
 
-    __slots__ = ("_nvars", "_terms")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: TermsLike = ()) -> None:
         nvars = operator.index(nvars)
@@ -76,20 +77,14 @@ class _TermMap(Record):
                 raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
             self._check_key(key)
             store[key] = store.get(key, 0) + operator.index(coeff)
-        object.__setattr__(self, "_nvars", nvars)
-        object.__setattr__(self, "_terms", {key: c for key, c in store.items() if c})
+        Record.__init__(self, nvars, {key: c for key, c in store.items() if c})
 
     @classmethod
     def _from_terms(cls, nvars: int, terms: dict[Exponents, int]):
         """Adopt terms this module built: valid keys, nonzero coefficients, unchecked."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "_nvars", nvars)
-        object.__setattr__(out, "_terms", terms)
+        Record.__init__(out, nvars, terms)
         return out
-
-    @property
-    def nvars(self) -> int:
-        return self._nvars
 
     @property
     def terms(self) -> Mapping[Exponents, int]:
@@ -111,16 +106,16 @@ class _TermMap(Record):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._nvars == other._nvars and self._terms == other._terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __reduce__(self) -> tuple:
-        return type(self), (self._nvars, self._terms)
+        return type(self), (self.nvars, self._terms)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._nvars}, {dict(self.items())!r})"
+        return f"{type(self).__name__}({self.nvars}, {dict(self.items())!r})"
 
 
 class MultiPoly(_TermMap):
@@ -146,28 +141,28 @@ class MultiPoly(_TermMap):
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._from_terms(self._nvars, {k: -c for k, c in self._terms.items()})
+        return MultiPoly._from_terms(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = dict(self._terms)
         for key, coeff in other._terms.items():
             out[key] = out.get(key, 0) + coeff
-        return MultiPoly._from_terms(self._nvars, {k: c for k, c in out.items() if c})
+        return MultiPoly._from_terms(self.nvars, {k: c for k, c in out.items() if c})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
-            return MultiPoly(self._nvars, {k: c * other for k, c in self._terms.items()})
+            return MultiPoly(self.nvars, {k: c * other for k, c in self._terms.items()})
         self._check_compatible(other)
         out: dict[Exponents, int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly._from_terms(self._nvars, {k: c for k, c in out.items() if c})
+        return MultiPoly._from_terms(self.nvars, {k: c for k, c in out.items() if c})
 
     def __rmul__(self, other: int) -> "MultiPoly":
         return self * other
@@ -175,7 +170,7 @@ class MultiPoly(_TermMap):
     def __pow__(self, power: int) -> "MultiPoly":
         if power < 0:
             raise ValueError("negative power")
-        out = MultiPoly.one(self._nvars)
+        out = MultiPoly.one(self.nvars)
         for _ in range(power):
             out = out * self
         return out
@@ -183,17 +178,17 @@ class MultiPoly(_TermMap):
     def _check_compatible(self, other: "MultiPoly") -> None:
         if not isinstance(other, MultiPoly):
             raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
-        if self._nvars != other._nvars:
-            raise ValueError(f"variable count mismatch: {self._nvars} vs {other._nvars}")
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     # -- variable permutations and antisymmetry ----------------------------
 
     def permute(self, perm: Sequence[int]) -> "MultiPoly":
         """Relabel variables: the result's exponent of z_i is the source's of z_{perm[i]}."""
-        if sorted(perm) != list(range(self._nvars)):
-            raise ValueError(f"{perm} is not a permutation of 0..{self._nvars - 1}")
+        if sorted(perm) != list(range(self.nvars)):
+            raise ValueError(f"{perm} is not a permutation of 0..{self.nvars - 1}")
         return MultiPoly._from_terms(
-            self._nvars,
+            self.nvars,
             {tuple(key[p] for p in perm): coeff for key, coeff in self._terms.items()},
         )
 
@@ -206,7 +201,7 @@ class MultiPoly(_TermMap):
         term's permuted key carries (-1)^parity times its coefficient.  With
         one variable every polynomial is antisymmetric.
         """
-        n = self._nvars
+        n = self.nvars
         if n == 1:
             return True
         terms = self._terms
@@ -260,7 +255,7 @@ class SlaterExpansion(_TermMap):
 
     def expand(self) -> MultiPoly:
         """Reconstruct the source polynomial as sum_lam c_lam det(z_i^{lam_j})."""
-        n = self._nvars
+        n = self.nvars
         out: dict[Exponents, int] = {}
         for lam, coeff in self._terms.items():
             for perm in itertools.permutations(range(n)):
@@ -286,7 +281,7 @@ class SlaterExpansion(_TermMap):
 
         Raises ValueError unless k is an integer in 0..N.
         """
-        n = self._nvars
+        n = self.nvars
         if not isinstance(k, int) or not 0 <= k <= n:
             raise ValueError(f"k must be an integer in 0..{n}, got {k!r}")
         size, step, lift = (k, 2, 0) if k <= n - k else (n - k, -2, 2)

@@ -53,8 +53,7 @@ class CondensateKernel(Record):
     __slots__ = ("n_electrons", "p")
 
     def __init__(self, n_electrons: int, p: int) -> None:
-        object.__setattr__(self, "n_electrons", n_electrons)
-        object.__setattr__(self, "p", p)
+        super().__init__(n_electrons, p)
         if self.n_electrons < 1:
             raise ValueError("need at least one electron")
         if self.p < 0:
@@ -73,8 +72,7 @@ class ScaledPoly(Record):
     __slots__ = ("scale", "poly")
 
     def __init__(self, scale: Fraction, poly: MultiPoly) -> None:
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "poly", poly)
+        super().__init__(scale, poly)
         if (self.scale == 0) != self.poly.is_zero:
             raise ValueError("scale must be zero exactly when the polynomial is zero")
 

@@ -74,8 +74,7 @@ class KMatrix(Record):
     def __init__(
         self, entries: tuple[tuple[int, int], tuple[int, int]], charge: tuple[int, int] = (1, 0)
     ) -> None:
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "charge", charge)
+        super().__init__(entries, charge)
         (a, b), (c, d) = self.entries
         if len(self.charge) != 2:
             raise ValueError(f"charge must have 2 entries, got {len(self.charge)}")

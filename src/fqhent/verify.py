@@ -47,9 +47,7 @@ class CheckResult(Record):
     __slots__ = ("name", "status", "detail")  # status: "pass", "fail", or "info"
 
     def __init__(self, name: str, status: str, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(name, status, detail)
 
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:

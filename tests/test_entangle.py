@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,24 @@ class TestOneBodyDensity:
         half = (Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = .* is not finite"):
             OneBodyDensityMatrix(2, half, {(0, 1): entry})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [np.float32("nan"), np.float64("inf"), Decimal("NaN")],
+        ids=["float32-nan", "float64-inf", "decimal-nan"],
+    )
+    def test_non_finite_entries_of_other_number_types_are_rejected(self, entry):
+        # neither float32 nor Decimal is a float, so a check of floats alone
+        # lets their NaN through to von_neumann
+        half = (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = .* is not finite"):
+            OneBodyDensityMatrix(2, half, {(0, 1): entry})
+
+    def test_finite_float32_entry_is_accepted(self):
+        half = (Fraction(1, 2), Fraction(1, 2))
+        rho = OneBodyDensityMatrix(2, half, {(0, 1): np.float32(0.25)})
+        assert rho.off_diagonal == {(0, 1): 0.25}
+        assert von_neumann(rho) == pytest.approx(-0.75 * math.log(0.75) - 0.25 * math.log(0.25))
 
     def test_non_finite_diagonal_entries_are_rejected(self):
         for diag in ((math.nan, 1.0), (math.inf, 0.0), (math.inf, -math.inf)):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
 import pickle
+import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fqhent
 from fqhent import FockVector, MultiPoly, SlaterExpansion
+from fqhent._record import Record
 from fqhent.entangle import SlaterPairing
 from fqhent.figures import FigureSpec, SweepPoint
 from fqhent.lll import Amplitude
@@ -19,20 +24,29 @@ from fqhent.verify import CheckResult
 HALF = Fraction(1, 2)
 POLY = MultiPoly(2, {(1, 0): 3})
 
-# class -> (parameter names, a value for each, their defaults, argument
-# tuples its checks refuse with ValueError and the message they match)
+# class -> (parameter names, a value for each, other values that make an
+# unequal record, their defaults, argument tuples its checks refuse with
+# ValueError and the message they match)
 RECORDS = {
     FigureSpec: (
         ("id", "series", "t_values"),
         (2, (("laughlin", 3),), (0, 1, 2)),
+        (3, (("chi", 5),), (0,)),
         {},
         [((6, (), ()), "figure id"), ((1, (), (0, -1)), "non-negative")],
     ),
-    SweepPoint: (("family", "n_electrons", "m", "measure_bits"), ("chi", 4, 5, None), {}, []),
-    Amplitude: (("sign", "magnitude_sq"), (-1, Fraction(1, 3)), {}, []),
+    SweepPoint: (
+        ("family", "n_electrons", "m", "measure_bits"),
+        ("chi", 4, 5, None),
+        ("laughlin", 2, 3, 1.0),
+        {},
+        [],
+    ),
+    Amplitude: (("sign", "magnitude_sq"), (-1, Fraction(1, 3)), (1, Fraction(2, 3)), {}, []),
     OneBodyDensityMatrix: (
         ("dim", "diag", "off_diagonal"),
         (2, (HALF, HALF), {(0, 1): Fraction(1, 4)}),
+        (2, (Fraction(1, 3), Fraction(2, 3)), {}),
         {"off_diagonal": {}},
         [
             ((3, (HALF, HALF)), "not dim"),
@@ -47,21 +61,24 @@ RECORDS = {
     EntanglementReport: (
         ("n_particles", "entropy_nats", "measure_nats", "measure_bits", "family", "m"),
         (2, 1.0, 0.25, 0.5, "laughlin", 3),
+        (3, 2.0, 0.5, 0.75, None, None),
         {"family": None, "m": None},
         [],
     ),
     CondensateKernel: (
-        ("n_electrons", "p"), (3, 2), {}, [((0, 2), "electron"), ((3, -1), "exponent")]
+        ("n_electrons", "p"), (3, 2), (4, 0), {}, [((0, 2), "electron"), ((3, -1), "exponent")]
     ),
     ScaledPoly: (
         ("scale", "poly"),
         (Fraction(-2, 3), POLY),
+        (Fraction(1), MultiPoly(2, {(0, 1): 1})),
         {},
         [((Fraction(0), POLY), "scale"), ((Fraction(1), MultiPoly.zero(2)), "scale")],
     ),
     KMatrix: (
         ("entries", "charge"),
         (((3, 1), (1, -2)), (1, 1)),
+        (((1, 0), (0, 1)), (0, 1)),
         {"charge": (1, 0)},
         [
             ((((3, 1), (1, -2)), (1, 0, 0)), "2 entries"),
@@ -73,21 +90,35 @@ RECORDS = {
     SlaterPairing: (
         ("pairs", "residual", "basis"),
         (((0, 1, 1.0),), 2, "orbital"),
+        (((0, 1, 0.6), (2, 3, 0.8)), 0, "rotated"),
         {},
         [
             ((((0, 1, 1.0),), 0, "spectral"), "basis"),
             ((((0, 1, 0.5),), 0, "rotated"), "squared sum"),
         ],
     ),
-    CheckResult: (("name", "status", "detail"), ("anchor", "info", "3 points"), {}, []),
+    CheckResult: (
+        ("name", "status", "detail"), ("anchor", "info", "3 points"), ("dyson", "pass", ""), {}, []
+    ),
 }
+
+TERM_MAPS_AND_FOCK_VECTORS = [
+    MultiPoly(2, {(2, 0): 1, (0, 1): -4}),
+    SlaterExpansion(2, {(3, 0): 5}),
+    FockVector(2, 4, {(0, 3): 3, (1, 2): -1}),
+]
+
+
+def _type_name(value: object) -> str:
+    return type(value).__name__
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_record_contract(cls):
-    names, values, defaults, refused = RECORDS[cls]
+def test_record_contract(cls, monkeypatch):
+    names, values, other, defaults, refused = RECORDS[cls]
     record = cls(*values)
     assert record == cls(**dict(zip(names, values)))
+    assert record != cls(*other)
     assert tuple(getattr(record, name) for name in names) == values
 
     # defaults, the dict one fresh for each instance
@@ -109,12 +140,7 @@ def test_record_contract(cls):
             delattr(record, name)
     assert tuple(getattr(record, name) for name in names) == values
 
-    class Subclass(cls):
-        __slots__ = ()
-
-    assert record != Subclass(*values)
     assert record != values
-
     assert hash(record) == hash(cls(*values))
 
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
@@ -123,18 +149,60 @@ def test_record_contract(cls):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls and copy == record
 
+    # a subclass that declares no slots keeps its base's fields; it is made
+    # importable by its name so that pickle can find it
+    class Subclass(cls):
+        __slots__ = ()
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        MultiPoly(2, {(2, 0): 1, (0, 1): -4}),
-        SlaterExpansion(2, {(3, 0): 5}),
-        FockVector(2, 4, {(0, 3): 3, (1, 2): -1}),
-    ],
-    ids=lambda value: type(value).__name__,
-)
+    Subclass.__qualname__ = "Subclass"
+    monkeypatch.setattr(sys.modules[__name__], "Subclass", Subclass, raising=False)
+    sub = Subclass(*values)
+    assert sub != record and record != sub
+    assert sub == Subclass(*values) and sub != Subclass(*other)
+    assert hash(sub) == hash(record)
+    assert repr(sub) == f"Subclass({fields})"
+    copy = pickle.loads(pickle.dumps(sub))
+    assert type(copy) is Subclass and copy == sub
+
+
+@pytest.mark.parametrize("value", TERM_MAPS_AND_FOCK_VECTORS, ids=_type_name)
 def test_term_maps_and_fock_vectors_refuse_del_and_pickle(value):
     with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
         del value.other
     copy = pickle.loads(pickle.dumps(value))
     assert type(copy) is type(value) and copy == value
+
+
+@pytest.mark.parametrize("value", TERM_MAPS_AND_FOCK_VECTORS, ids=_type_name)
+def test_term_map_and_fock_vector_fields_are_immutable(value):
+    names = ("n_particles", "dim", "total") if isinstance(value, FockVector) else ("nvars",)
+    for name in names:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            delattr(value, name)
+        assert getattr(value, name) == before
+
+
+def test_fields_are_collected_along_the_mro_and_counted():
+    assert MultiPoly._fields == SlaterExpansion._fields == ("nvars", "_terms")
+    assert FockVector._fields == ("n_particles", "dim", "_weights", "total")
+    point = SweepPoint.__new__(SweepPoint)
+    with pytest.raises(TypeError, match="SweepPoint takes 4 fields, not 3"):
+        Record.__init__(point, "chi", 4, 5)
+
+
+def _descendants(cls: type) -> set[type]:
+    return {sub for child in cls.__subclasses__() for sub in (child, *_descendants(child))}
+
+
+def test_every_record_is_covered_by_a_contract_test():
+    for module in pkgutil.iter_modules(fqhent.__path__):
+        importlib.import_module(f"fqhent.{module.name}")
+    records = {cls for cls in _descendants(Record) if cls.__module__.startswith("fqhent.")}
+    covered = set(RECORDS) | {type(value) for value in TERM_MAPS_AND_FOCK_VECTORS}
+    for cls in records - covered:
+        # a base, such as poly._TermMap, is covered through its records
+        below = _descendants(cls) & records
+        assert below and below <= covered, f"{cls.__qualname__} has no record-contract test"
