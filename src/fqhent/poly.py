@@ -14,9 +14,12 @@ monomial determinants det(z_i^{lam_j}) over strictly decreasing exponent
 tuples lam_1 > lam_2 > ... > lam_N >= 0.  :func:`slater_project` converts to
 that basis and :meth:`SlaterExpansion.expand` converts back, both losslessly.
 :func:`vandermonde_expansion` builds prod (z_j - z_k)^m in that basis by the
-squeezing (Jack) recursion, at O(N^2) work per determinant and never
-holding the N!-fold redundant expansion that :func:`slater_project` starts
-from.  :meth:`SlaterExpansion.times_elementary_squares` multiplies by
+squeezing (Jack) recursion, never holding the N!-fold redundant expansion
+that :func:`slater_project` starts from.  It walks the determinants by
+their first N - 2 entries: the pair keys, widths and signs that depend only
+on those are made once per prefix, and each determinant adds just its two
+last entries to them, still O(N^2) work per determinant.
+:meth:`SlaterExpansion.times_elementary_squares` multiplies by
 e_k(z_1^2, ..., z_N^2), the condensate factor, without leaving the basis.
 
 :class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
@@ -372,52 +375,84 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     a bit mask; a bit mask's hash (mod 2^61 - 1) would repeat every 61
     orbitals.  Everything stays an exact integer; a division that leaves a
     remainder, or by zero, raises ArithmeticError.
+
+    The walk hands over each prefix, the first N - 2 entries, once, with
+    the range of the next entry x; the last is y = rest - x.  Once per
+    prefix the loop takes its key, its part of rho, the rest keys less x
+    and y and the signed widths of its C(N-2, 2) inner pairs, and for each
+    prefix entry the prefix key without it, which a pair of that entry and
+    x or y completes with the other's digit.  Once per determinant it adds
+    the digits of x and y to those keys, and x and y's terms to rho.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if power < 1 or power % 2 == 0:
         raise ValueError(f"power must be a positive odd integer, got {power}")
     root = tuple(range((nvars - 1) * power, -1, -power))
+    if nvars == 1 or power == 1:  # root dominates no other tuple
+        return SlaterExpansion._from_terms(nvars, {root: 1})
     k = power - 1
     top = root[0]
-
-    def rho(lam: Exponents) -> int:
-        return sum(x * (x - 1 + k * i) for i, x in enumerate(lam))
-
-    rho_root = rho(root)
+    h = nvars - 2  # the prefix length: mu = prefix + (x, y)
+    # rho's term at position i is x (x + shifts[i])
+    shifts = [k * i - 1 for i in range(nvars)]
+    rho_root = sum(x * (x + s) for x, s in zip(root, shifts))
     digit = [3**x for x in range(top + 1)]
-    # (i, j, parity of j - i - 1) for every position pair
-    pairs = [(i, j, (j - i - 1) & 1) for i, j in itertools.combinations(range(nvars), 2)]
+    # (i, j, (-1)^(j-i-1)) for every pair inside the prefix
+    inner_pairs = [(i, j, (-1) ** (j - i - 1)) for i, j in itertools.combinations(range(h), 2)]
+    # the sign of pair (i, h); pair (i, h + 1) has the opposite one
+    signs = [(-1) ** (h - i - 1) for i in range(h)]
     sums: dict[int, int] = {}
     out: dict[Exponents, int] = {}
-    for mu in _dominated(root):
-        key = sum(digit[x] for x in mu)
-        classes = [
-            (key - digit[mu[i]] - digit[mu[j]], mu[i] - mu[j], odd)
-            for i, j, odd in pairs
+    get = sums.get
+    for prefix, rest, xs in _dominated_prefixes(root):
+        prefix_digits = [digit[a] for a in prefix]
+        base = sum(prefix_digits)  # the rest key of pair (h, h + 1)
+        without = [base - v for v in prefix_digits]  # the prefix key less entry i
+        rho_left = rho_root - sum(map(operator.mul, prefix, map(operator.add, prefix, shifts)))
+        # (rest key less x and y, signed width) of each pair inside the prefix
+        inner = [
+            (without[i] - prefix_digits[j], sign * (prefix[i] - prefix[j]))
+            for i, j, sign in inner_pairs
         ]
-        mirror = tuple(top - x for x in reversed(mu))
-        if mu == root:
-            coeff = 1
-        elif mirror > mu:
-            coeff = out.get(mirror, 0)
-        else:
-            total = 0
-            for pair_key, _, odd in classes:
-                partial = sums.get(pair_key)
-                if partial:
-                    total += -partial if odd else partial
-            denominator = rho_root - rho(mu)
-            if not denominator:
-                raise ArithmeticError(f"squeezing recursion has a zero denominator at {mu}")
-            coeff, remainder = divmod(-k * total, denominator)
-            if remainder:
-                raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
-        if coeff:
-            out[mu] = coeff
-            for pair_key, width, odd in classes:
-                term = width * coeff
-                sums[pair_key] = sums.get(pair_key, 0) + (-term if odd else term)
+        outer = list(zip(without, signs, prefix))
+        mirror_tail = tuple([top - a for a in reversed(prefix)])
+        for x in xs:
+            y = rest - x
+            dx = digit[x]
+            dy = digit[y]
+            d = dx + dy
+            mu = prefix + (x, y)
+            mirror = (top - y, top - x) + mirror_tail
+            if not out:  # the root, visited first
+                coeff = 1
+            elif mirror > mu:
+                coeff = out.get(mirror, 0)
+            else:
+                total = get(base, 0)
+                for key, width in inner:  # the width's sign is the pair's
+                    partial = get(key + d)
+                    if partial:
+                        total += partial if width > 0 else -partial
+                for key, sign, _ in outer:
+                    total += sign * (get(key + dy, 0) - get(key + dx, 0))
+                denominator = rho_left - x * (x + shifts[h]) - y * (y + shifts[h + 1])
+                if not denominator:
+                    raise ArithmeticError(f"squeezing recursion has a zero denominator at {mu}")
+                coeff, remainder = divmod(-k * total, denominator)
+                if remainder:
+                    raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
+            if coeff:
+                out[mu] = coeff
+                sums[base] = get(base, 0) + (x - y) * coeff
+                for key, width in inner:
+                    key += d
+                    sums[key] = get(key, 0) + width * coeff
+                for key, sign, a in outer:
+                    with_y = key + dy  # pair (i, h) leaves y in the rest
+                    sums[with_y] = get(with_y, 0) + sign * (a - x) * coeff
+                    with_x = key + dx
+                    sums[with_x] = get(with_x, 0) - sign * (a - y) * coeff
     return SlaterExpansion._from_terms(nvars, out)
 
 
@@ -426,15 +461,27 @@ def _dominated(root: Exponents) -> Iterator[Exponents]:
 
     mu is dominated when it has root's sum and each partial sum of mu,
     read from the largest entry, is at most root's.
-
-    The walk is flat: ``head`` holds the entries chosen so far and ``lows``
-    the lowest value each may take.  Each tuple is yielded once, straight
-    from this frame, not passed up through one generator per entry of root.
     """
-    n = len(root)
-    if n == 1:
+    if len(root) == 1:
         yield root
         return
+    for prefix, rest, xs in _dominated_prefixes(root):
+        for x in xs:
+            yield prefix + (x, rest - x)
+
+
+def _dominated_prefixes(root: Exponents) -> Iterator[tuple[Exponents, int, range]]:
+    """The tuples root dominates, as (prefix, rest, xs), root at least 2 long.
+
+    prefix is the first N - 2 entries of one or more dominated tuples,
+    each prefix once and in lexicographically descending order; the tuples
+    that share it are prefix + (x, rest - x) for x in the range xs,
+    descending and never empty.  So len(xs) counts them.
+
+    The walk is flat: ``head`` holds the entries chosen so far and ``lows``
+    the lowest value each may take.
+    """
+    n = len(root)
     bounds = list(itertools.accumulate(root))
     head: list[int] = []
     lows: list[int] = []
@@ -455,9 +502,9 @@ def _dominated(root: Exponents) -> Iterator[Exponents]:
             continue
         if left == 1:
             # the sum fixes the last entry, rest - x: x >= lowest keeps it below x
-            prefix = tuple(head)
-            for x in range(highest, lowest - 1, -1):
-                yield prefix + (x, rest - x)
+            xs = range(highest, lowest - 1, -1)
+            if xs:
+                yield tuple(head), rest, xs
         # lower the last chosen entry that can go lower, dropping those after it
         while head:
             x = head.pop()

@@ -33,13 +33,14 @@ The chi construction collapses when the condensate integral vanishes
 Before anything is built, the orbitals the state spans, the C(N, p/2)
 subsets the Pieri rule tries per determinant and the determinants its build
 visits, the tuples its root dominates, are counted; above MAX_ORBITALS or
-MAX_DETERMINANTS the request is refused with ValueError.
+MAX_DETERMINANTS the request is refused with ValueError.  The determinants
+are counted by summing the widths of the dominated prefixes, the tuples
+that share their first N - 2 entries, without making the tuples.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import threading
@@ -47,7 +48,13 @@ from fractions import Fraction
 
 from ._record import Record
 from .lll import FockVector, to_fock
-from .poly import MultiPoly, SlaterExpansion, _dominated, vandermonde_expansion, vandermonde_power
+from .poly import (
+    MultiPoly,
+    SlaterExpansion,
+    _dominated_prefixes,
+    vandermonde_expansion,
+    vandermonde_power,
+)
 from .quasihole import CondensateKernel, condense, vanishes
 
 MAX_DETERMINANTS = 40_000
@@ -128,9 +135,11 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     Raises ValueError for bad parameters, an unknown family or a state over
     MAX_ORBITALS or MAX_DETERMINANTS, and ZeroWavefunctionError when the
     condensate vanishes (for chi, m > 2N+1).  The orbitals are checked
-    first, which bounds N before anything of size N is made.  Memoized per
-    process with typed keys, so a sweep's up-front check and the build
-    after it count the determinants once; refusals raise and are not kept.
+    first, which bounds N before anything of size N is made; the
+    determinants by summing prefix widths (:func:`_determinants_visited`).
+    Memoized per process with typed keys, so a sweep's up-front check and
+    the build after it count the determinants once; refusals raise and are
+    not kept.
     """
     if n_electrons < 2:
         raise ValueError("need at least two electrons")
@@ -166,12 +175,25 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     # e_k(z_1^2, ..., z_N^2), k = N - p/2, those of that root plus 2 on its
     # first k entries, since sort(lam + nu) is dominated by lam + sort(nu).
     root = tuple(power * (n_electrons - 1 - i) + 2 * (i < k) for i in range(n_electrons))
-    visited = itertools.islice(_dominated(root), MAX_DETERMINANTS + 1)
-    if sum(1 for _ in visited) > MAX_DETERMINANTS:
+    if _determinants_visited(root) > MAX_DETERMINANTS:
         raise ValueError(
             f"{name} can have more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,} determinants"
         )
     return power, p
+
+
+def _determinants_visited(root: tuple[int, ...]) -> int:
+    """The tuples root dominates, up to MAX_DETERMINANTS + 1.
+
+    Sums the widths of the dominated walk's prefixes, each the number of
+    tuples that share it, and stops at the first prefix past the budget.
+    """
+    count = 0
+    for _, _, xs in _dominated_prefixes(root):
+        count += len(xs)
+        if count > MAX_DETERMINANTS:
+            return MAX_DETERMINANTS + 1
+    return count
 
 
 def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:

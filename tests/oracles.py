@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from fqhent.lll import amplitude_product
+from fqhent.poly import SlaterExpansion, _dominated
 
 Terms = dict[tuple[int, ...], int]
 
@@ -411,3 +412,72 @@ def family_at_point(z: Sequence[int], power: int, p: int | None, scale: Fraction
         condensate += weight * e[n - p + j] * e[n - j]
     scale = Fraction(scale)
     return value * condensate * scale.denominator * pow(scale.numerator, -1, PRIME) % PRIME
+
+
+def squeeze_by_position_pairs(nvars: int, power: int) -> SlaterExpansion:
+    """The squeezing recursion of prod (z_j - z_k)^power, one determinant at a time.
+
+    The same recursion as :func:`fqhent.poly.vandermonde_expansion`, but
+    every determinant builds all N(N-1)/2 of its pair keys, its mirror and
+    rho(mu) from scratch, with no per-prefix work.  It shares only the
+    dominated walk, ``_dominated``, whose order the enumeration tests pin.
+    Returned through the checking constructor, in the order it visits.
+    """
+    root = tuple(range((nvars - 1) * power, -1, -power))
+    k = power - 1
+    top = root[0]
+
+    def rho(lam: tuple[int, ...]) -> int:
+        return sum(x * (x - 1 + k * i) for i, x in enumerate(lam))
+
+    rho_root = rho(root)
+    digit = [3**x for x in range(top + 1)]
+    # (i, j, parity of j - i - 1) for every position pair
+    pairs = [(i, j, (j - i - 1) & 1) for i, j in itertools.combinations(range(nvars), 2)]
+    sums: dict[int, int] = {}
+    out: Terms = {}
+    for mu in _dominated(root):
+        key = sum(digit[x] for x in mu)
+        classes = [
+            (key - digit[mu[i]] - digit[mu[j]], mu[i] - mu[j], odd)
+            for i, j, odd in pairs
+        ]
+        mirror = tuple(top - x for x in reversed(mu))
+        if mu == root:
+            coeff = 1
+        elif mirror > mu:
+            coeff = out.get(mirror, 0)
+        else:
+            total = 0
+            for pair_key, _, odd in classes:
+                partial = sums.get(pair_key)
+                if partial:
+                    total += -partial if odd else partial
+            denominator = rho_root - rho(mu)
+            if not denominator:
+                raise ArithmeticError(f"squeezing recursion has a zero denominator at {mu}")
+            coeff, remainder = divmod(-k * total, denominator)
+            if remainder:
+                raise ArithmeticError(f"squeezing recursion left a remainder at {mu}")
+        if coeff:
+            out[mu] = coeff
+            for pair_key, width, odd in classes:
+                term = width * coeff
+                sums[pair_key] = sums.get(pair_key, 0) + (-term if odd else term)
+    return SlaterExpansion(nvars, out)
+
+
+def dyson_norm(nvars: int, power: int) -> int:
+    """Sum of c_mu^2 over the Slater expansion of prod (z_j - z_k)^power.
+
+    On the unit torus |Delta(z)|^(2 power) is prod_{i != j} (1 - z_i / z_j)^power,
+    whose constant term is (N power)! / (power!)^N (Dyson, J. Math. Phys. 3,
+    140 (1962); Good, J. Math. Phys. 11, 1884 (1970)).  It is also
+    N! sum c_mu^2, since each determinant holds N! monomials of coefficient
+    +-1, so the sum is (N power)! / ((power!)^N N!).
+    """
+    numerator = math.factorial(nvars * power)
+    denominator = math.factorial(power) ** nvars * math.factorial(nvars)
+    norm, remainder = divmod(numerator, denominator)
+    assert not remainder
+    return norm

@@ -1,0 +1,47 @@
+"""The squeeze at the size budget, against the loop over all position pairs.
+
+    PYTHONPATH=src python tests/squeeze_at_budget.py
+
+For the largest laughlin state the budget allows at each N from 3 to 9,
+checks that vandermonde_expansion and oracles.squeeze_by_position_pairs
+give the same terms in the same order and that the squares of the
+coefficients sum to Dyson's constant, and prints each route's seconds.
+Exits nonzero on any mismatch.  Not collected by pytest: it takes 5-10 s
+on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+import oracles
+from fqhent.poly import vandermonde_expansion
+from fqhent.states import family_factors
+
+STATES = [(3, 255), (4, 39), (5, 13), (6, 7), (7, 5), (8, 3), (9, 3)]
+
+
+def main() -> int:
+    failures = 0
+    for n, m in STATES:
+        family_factors("laughlin", n, m)  # within the budget
+        start = time.perf_counter()
+        expansion = vandermonde_expansion(n, m)
+        squeeze_s = time.perf_counter() - start
+        start = time.perf_counter()
+        expected = oracles.squeeze_by_position_pairs(n, m)
+        oracle_s = time.perf_counter() - start
+        same = list(expansion.terms.items()) == list(expected.terms.items())
+        dyson = sum(c * c for c in expansion.terms.values()) == oracles.dyson_norm(n, m)
+        failures += not (same and dyson)
+        print(
+            f"laughlin({n}, {m}): {len(expansion):,} determinants,"
+            f" squeeze {squeeze_s:.3f} s, oracle {oracle_s:.3f} s,"
+            f" same terms and order {same}, Dyson's identity {dyson}"
+        )
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

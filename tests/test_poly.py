@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,40 @@ class TestVandermondeExpansion:
         for nvars, power in ((0, 3), (3, 0), (3, 2), (3, -1)):
             with pytest.raises(ValueError):
                 vandermonde_expansion(nvars, power)
+
+
+# the oracle's states: (3, 41) passes orbital 61, and the last four are the
+# heavy-point benchmark's Vandermonde powers
+SQUEEZED = [(2, 399), (3, 41), (3, 99), (4, 19), (5, 7), (6, 5), (7, 3), (8, 3)]
+SQUEEZED += [(4, 13), (5, 5), (4, 11), (5, 3)]
+
+
+@pytest.fixture(scope="module")
+def squeezed():
+    """vandermonde_expansion at each state of SQUEEZED, built once."""
+    return {state: vandermonde_expansion(*state) for state in SQUEEZED}
+
+
+class TestSqueezeOracle:
+    """The prefix-hoisted squeeze against the loop over all position pairs."""
+
+    @pytest.mark.parametrize("state", SQUEEZED, ids="{0[0]}-{0[1]}".format)
+    def test_same_terms_in_the_same_order(self, squeezed, state):
+        expected = oracles.squeeze_by_position_pairs(*state)
+        assert list(squeezed[state].terms.items()) == list(expected.terms.items())
+
+    @pytest.mark.parametrize("state", SQUEEZED, ids="{0[0]}-{0[1]}".format)
+    def test_dyson_norm(self, squeezed, state):
+        # blind to signs, which the oracle test covers
+        assert sum(c * c for c in squeezed[state].terms.values()) == oracles.dyson_norm(*state)
+
+    def test_dyson_norm_small_cases(self):
+        # N = 2: sum_i C(m, i)^2 = C(2m, m), halved over the two orders;
+        # m = 1: the staircase determinant alone
+        for m in (1, 3, 5):
+            assert oracles.dyson_norm(2, m) == math.comb(2 * m, m) // 2
+        for n in range(1, 8):
+            assert oracles.dyson_norm(n, 1) == 1
 
 
 class TestElementarySymmetric:

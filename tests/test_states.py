@@ -498,6 +498,28 @@ class TestSizeLimits:
         root = tuple(range(m * (n - 1), -1, -m))
         assert sum(1 for _ in poly._dominated(root)) == expected
 
+    @pytest.mark.parametrize("n,m", [(4, 13), (5, 5), (5, 9), (5, 13), (7, 5), (4, 41)])
+    def test_width_count_matches_the_walk(self, n, m):
+        # the budget count sums prefix widths; walking every tuple, up to
+        # MAX_DETERMINANTS + 1 of them, gives the same number
+        root = tuple(range(m * (n - 1), -1, -m))
+        walked = sum(1 for _ in itertools.islice(poly._dominated(root), MAX_DETERMINANTS + 1))
+        assert states._determinants_visited(root) == walked
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(2, 80001), (3, 283), (4, 41), (5, 15), (6, 9), (7, 7), (8, 5), (9, 5)]
+        + [(10, 3), (11, 3), (12, 3)],
+    )
+    def test_width_count_stops_past_the_budget(self, n, m):
+        # at each N the smallest odd m whose root dominates more than the
+        # budget: both counts stop at MAX_DETERMINANTS + 1
+        root = tuple(range(m * (n - 1), -1, -m))
+        walked = sum(1 for _ in itertools.islice(poly._dominated(root), MAX_DETERMINANTS + 1))
+        assert states._determinants_visited(root) == walked == MAX_DETERMINANTS + 1
+        smaller = tuple(range((m - 2) * (n - 1), -1, -(m - 2)))
+        assert states._determinants_visited(smaller) <= MAX_DETERMINANTS
+
     @pytest.mark.parametrize("family,n", [(f, n) for f in FAMILIES for n in range(2, 8)])
     def test_bound_covers_the_state(self, family, n):
         # every allowed state with at most 5,000 determinants; at N <= 3,
@@ -586,9 +608,9 @@ class TestSizeLimits:
 
         def counting(root):
             roots.append(root)
-            return poly._dominated(root)
+            return poly._dominated_prefixes(root)
 
-        monkeypatch.setattr(states, "_dominated", counting)
+        monkeypatch.setattr(states, "_dominated_prefixes", counting)
         sweep([("laughlin", 3, 5), ("hierarchical_phi", 3, 5)])
         assert len(roots) == 2
         family_expansion("laughlin", 3, 5)
