@@ -8,7 +8,9 @@ class Record:
     is the one writer, and sets them in that order.  Records equal only
     records of their own class, and hash, print and pickle by their field
     values, so a subclass that declares no slots keeps its base's fields.
-    A record whose fields are not its constructor's arguments overrides all four."""
+    A dict field calls for its own __hash__, fields that are not the
+    constructor's arguments for __reduce__ and __repr__; OneBodyDensityMatrix
+    also has __eq__, as it is equal to itself over any denominator."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

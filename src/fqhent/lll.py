@@ -68,23 +68,6 @@ def amplitude_product(w: int, x: int, total: int) -> Fraction | float:
     return sign * math.sqrt(magnitude / (total * total))
 
 
-def _checked(n_particles: int, dim: int, weights: dict[FockConfig, int]) -> dict[FockConfig, int]:
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    if dim < n_particles:
-        raise ValueError("dim must be at least the particle count")
-    for config in weights:
-        if len(config) != n_particles:
-            raise ValueError(f"config {config} does not have {n_particles} orbitals")
-        if not all(map(isinstance, config, repeat(int))):
-            raise ValueError(f"config {config} has an orbital that is not an integer")
-        if not all(map(lt, config, config[1:])):
-            raise ValueError(f"config {config} is not strictly increasing")
-        if config[0] < 0 or config[-1] >= dim:
-            raise ValueError(f"config {config} has orbitals outside 0..{dim - 1}")
-    return weights
-
-
 class FockVector(Record):
     """A normalized N-fermion state over dim lowest-Landau-level orbitals.
 
@@ -103,11 +86,24 @@ class FockVector(Record):
         for config, weight in weights.items():
             if not isinstance(weight, int):
                 raise ValueError(f"config {config}: weight {weight!r} is not an integer")
-        self._store(n_particles, dim, _checked(n_particles, dim, weights))
+        if n_particles < 1:
+            raise ValueError("need at least one particle")
+        if dim < n_particles:
+            raise ValueError("dim must be at least the particle count")
+        for config in weights:
+            if len(config) != n_particles:
+                raise ValueError(f"config {config} does not have {n_particles} orbitals")
+            if not all(map(isinstance, config, repeat(int))):
+                raise ValueError(f"config {config} has an orbital that is not an integer")
+            if not all(map(lt, config, config[1:])):
+                raise ValueError(f"config {config} is not strictly increasing")
+            if config[0] < 0 or config[-1] >= dim:
+                raise ValueError(f"config {config} has orbitals outside 0..{dim - 1}")
+        self._store(n_particles, dim, weights)
 
     @classmethod
     def _from_weights(cls, n_particles: int, dim: int, weights: Mapping[FockConfig, int]):
-        """Adopt weights whose configurations were checked or built valid."""
+        """Adopt weights whose configurations were built valid, as to_fock's are."""
         state = cls.__new__(cls)
         state._store(n_particles, dim, weights)
         return state
@@ -126,7 +122,8 @@ class FockVector(Record):
         dim: int,
         terms: Mapping[FockConfig, tuple[int, Fraction]],
     ) -> "FockVector":
-        """Normalize a map config -> (sign, int or Fraction squared magnitude) exactly."""
+        """Normalize a map config -> (sign, int or Fraction squared magnitude)
+        exactly: over one denominator they are the weights __init__ checks."""
         for config, (sign, mag) in terms.items():
             bad_sign = not isinstance(sign, int) or sign not in (1, -1)
             if bad_sign or not isinstance(mag, (int, Fraction)) or mag < 0:
@@ -134,7 +131,7 @@ class FockVector(Record):
         # signed squared magnitudes times the lcm of their denominators
         lcm = math.lcm(*(mag.denominator for _, mag in terms.values()))
         weights = {c: s * mag.numerator * (lcm // mag.denominator) for c, (s, mag) in terms.items()}
-        return cls._from_weights(n_particles, dim, _checked(n_particles, dim, weights))
+        return cls(n_particles, dim, weights)
 
     # -- queries -----------------------------------------------------------
 
@@ -153,13 +150,6 @@ class FockVector(Record):
     def __len__(self) -> int:
         return len(self._weights)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return (self.n_particles, self.dim, self._weights) == (
-            other.n_particles, other.dim, other._weights
-        )
-
     def __hash__(self) -> int:
         return hash((self.n_particles, self.dim, frozenset(self._weights.items())))
 
@@ -174,7 +164,7 @@ class FockVector(Record):
 
     def __repr__(self) -> str:
         body = dict(sorted(self._weights.items()))
-        return f"FockVector({self.n_particles}, {self.dim}, {body!r})"
+        return f"{type(self).__qualname__}({self.n_particles}, {self.dim}, {body!r})"
 
 
 def to_fock(expansion: SlaterExpansion) -> FockVector:

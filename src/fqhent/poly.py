@@ -63,7 +63,8 @@ class _TermMap(Record):
 
     nvars is the number of variables, the length of every exponent tuple.
     A subclass gives its key rule as ``_check_key(key)``, which raises
-    ValueError, and instances equal only instances of their own class.
+    ValueError.  Record compares and pickles (nvars, _terms); the dict
+    field needs its own hash, and repr shows the terms in canonical order.
     """
 
     __slots__ = ("nvars", "_terms")
@@ -106,19 +107,11 @@ class _TermMap(Record):
         for key in sorted(self._terms, reverse=True):
             yield key, self._terms[key]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self._terms.items())))
 
-    def __reduce__(self) -> tuple:
-        return type(self), (self.nvars, self._terms)
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.nvars}, {dict(self.items())!r})"
+        return f"{type(self).__qualname__}({self.nvars}, {dict(self.items())!r})"
 
 
 class MultiPoly(_TermMap):
@@ -405,7 +398,8 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     sums: dict[int, int] = {}
     out: dict[Exponents, int] = {}
     get = sums.get
-    for prefix, rest, xs in _dominated_prefixes(root):
+    for head, rest, xs in _dominated_prefixes(root):
+        prefix = tuple(head)
         prefix_digits = [digit[a] for a in prefix]
         base = sum(prefix_digits)  # the rest key of pair (h, h + 1)
         without = [base - v for v in prefix_digits]  # the prefix key less entry i
@@ -456,29 +450,18 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     return SlaterExpansion._from_terms(nvars, out)
 
 
-def _dominated(root: Exponents) -> Iterator[Exponents]:
-    """Strictly decreasing tuples that root dominates, lexicographically descending.
+def _dominated_prefixes(root: Exponents) -> Iterator[tuple[list[int], int, range]]:
+    """The tuples root dominates, as (head, rest, xs), root at least 2 long.
 
     mu is dominated when it has root's sum and each partial sum of mu,
-    read from the largest entry, is at most root's.
-    """
-    if len(root) == 1:
-        yield root
-        return
-    for prefix, rest, xs in _dominated_prefixes(root):
-        for x in xs:
-            yield prefix + (x, rest - x)
+    read from the largest entry, is at most root's.  head is the first
+    N - 2 entries of one or more dominated tuples, each prefix once and in
+    lexicographically descending order; the tuples that share it are
+    head + [x, rest - x] for x in the range xs, descending and never
+    empty.  So len(xs) counts them.
 
-
-def _dominated_prefixes(root: Exponents) -> Iterator[tuple[Exponents, int, range]]:
-    """The tuples root dominates, as (prefix, rest, xs), root at least 2 long.
-
-    prefix is the first N - 2 entries of one or more dominated tuples,
-    each prefix once and in lexicographically descending order; the tuples
-    that share it are prefix + (x, rest - x) for x in the range xs,
-    descending and never empty.  So len(xs) counts them.
-
-    The walk is flat: ``head`` holds the entries chosen so far and ``lows``
+    The walk is flat: ``head``, the entries chosen so far, is the walk's
+    own list, yielded as is and changed at its next step; ``lows`` holds
     the lowest value each may take.
     """
     n = len(root)
@@ -504,7 +487,7 @@ def _dominated_prefixes(root: Exponents) -> Iterator[tuple[Exponents, int, range
             # the sum fixes the last entry, rest - x: x >= lowest keeps it below x
             xs = range(highest, lowest - 1, -1)
             if xs:
-                yield tuple(head), rest, xs
+                yield head, rest, xs
         # lower the last chosen entry that can go lower, dropping those after it
         while head:
             x = head.pop()

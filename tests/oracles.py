@@ -14,10 +14,10 @@ import math
 from collections import defaultdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from fqhent.lll import amplitude_product
-from fqhent.poly import SlaterExpansion, _dominated
+from fqhent.poly import SlaterExpansion, _dominated_prefixes
 
 Terms = dict[tuple[int, ...], int]
 
@@ -414,13 +414,29 @@ def family_at_point(z: Sequence[int], power: int, p: int | None, scale: Fraction
     return value * condensate * scale.denominator * pow(scale.numerator, -1, PRIME) % PRIME
 
 
+def dominated(root: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Strictly decreasing tuples that root dominates, lexicographically descending.
+
+    mu is dominated when it has root's sum and each partial sum of mu,
+    read from the largest entry, is at most root's.  Each tuple is made
+    from the prefix walk the squeeze and the budget count share.
+    """
+    if len(root) == 1:
+        yield root
+        return
+    for head, rest, xs in _dominated_prefixes(root):
+        prefix = tuple(head)
+        for x in xs:
+            yield prefix + (x, rest - x)
+
+
 def squeeze_by_position_pairs(nvars: int, power: int) -> SlaterExpansion:
     """The squeezing recursion of prod (z_j - z_k)^power, one determinant at a time.
 
     The same recursion as :func:`fqhent.poly.vandermonde_expansion`, but
     every determinant builds all N(N-1)/2 of its pair keys, its mirror and
     rho(mu) from scratch, with no per-prefix work.  It shares only the
-    dominated walk, ``_dominated``, whose order the enumeration tests pin.
+    dominated walk, :func:`dominated`, whose order the enumeration tests pin.
     Returned through the checking constructor, in the order it visits.
     """
     root = tuple(range((nvars - 1) * power, -1, -power))
@@ -436,7 +452,7 @@ def squeeze_by_position_pairs(nvars: int, power: int) -> SlaterExpansion:
     pairs = [(i, j, (j - i - 1) & 1) for i, j in itertools.combinations(range(nvars), 2)]
     sums: dict[int, int] = {}
     out: Terms = {}
-    for mu in _dominated(root):
+    for mu in dominated(root):
         key = sum(digit[x] for x in mu)
         classes = [
             (key - digit[mu[i]] - digit[mu[j]], mu[i] - mu[j], odd)

@@ -1,19 +1,24 @@
 """The squeeze at the size budget, against the loop over all position pairs.
 
-    PYTHONPATH=src python tests/squeeze_at_budget.py
+    python tests/squeeze_at_budget.py
 
 For the largest laughlin state the budget allows at each N from 3 to 9,
 checks that vandermonde_expansion and oracles.squeeze_by_position_pairs
 give the same terms in the same order and that the squares of the
 coefficients sum to Dyson's constant, and prints each route's seconds.
 Exits nonzero on any mismatch.  Not collected by pytest: it takes 5-10 s
-on a 2-core VM.
+on a 2-core VM.  It puts the checkout's src/ and tests/ on sys.path
+itself, so it runs from a plain checkout with no PYTHONPATH.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 import oracles
 from fqhent.poly import vandermonde_expansion

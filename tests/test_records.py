@@ -102,10 +102,15 @@ RECORDS = {
     ),
 }
 
+# class -> (arguments, other arguments that build an equal value: terms in
+# another order, a zero term, repeated keys or weights with a common factor)
+TERM_MAPS_AND_FOCK_VECTOR_ARGS = {
+    MultiPoly: ((2, {(2, 0): 1, (0, 1): -4}), (2, {(0, 1): -4, (1, 1): 0, (2, 0): 1})),
+    SlaterExpansion: ((2, {(3, 0): 5}), (2, [((3, 0), 2), ((3, 0), 3)])),
+    FockVector: ((2, 4, {(0, 3): 3, (1, 2): -1}), (2, 4, {(1, 2): -2, (0, 3): 6})),
+}
 TERM_MAPS_AND_FOCK_VECTORS = [
-    MultiPoly(2, {(2, 0): 1, (0, 1): -4}),
-    SlaterExpansion(2, {(3, 0): 5}),
-    FockVector(2, 4, {(0, 3): 3, (1, 2): -1}),
+    cls(*args) for cls, (args, _) in TERM_MAPS_AND_FOCK_VECTOR_ARGS.items()
 ]
 
 
@@ -161,6 +166,29 @@ def test_record_contract(cls, monkeypatch):
     assert sub == Subclass(*values) and sub != Subclass(*other)
     assert hash(sub) == hash(record)
     assert repr(sub) == f"Subclass({fields})"
+    copy = pickle.loads(pickle.dumps(sub))
+    assert type(copy) is Subclass and copy == sub
+
+
+@pytest.mark.parametrize("cls", TERM_MAPS_AND_FOCK_VECTOR_ARGS, ids=lambda cls: cls.__name__)
+def test_term_map_and_fock_vector_record_contract(cls, monkeypatch):
+    # the contract test_record_contract checks, for the records whose
+    # constructor takes a dict and normalizes it
+    args, equal_args = TERM_MAPS_AND_FOCK_VECTOR_ARGS[cls]
+    value, equal = cls(*args), cls(*equal_args)
+    assert value == equal and equal == value
+    assert hash(value) == hash(equal)
+
+    class Subclass(cls):
+        __slots__ = ()
+
+    Subclass.__qualname__ = "Subclass"
+    monkeypatch.setattr(sys.modules[__name__], "Subclass", Subclass, raising=False)
+    sub = Subclass(*args)
+    assert sub != value and value != sub
+    assert sub == Subclass(*equal_args) and hash(sub) == hash(value)
+    assert repr(value).startswith(f"{cls.__name__}(")
+    assert repr(sub) == "Subclass" + repr(value)[len(cls.__name__):]
     copy = pickle.loads(pickle.dumps(sub))
     assert type(copy) is Subclass and copy == sub
 

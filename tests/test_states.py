@@ -440,7 +440,7 @@ class TestSizeLimits:
                 for mu in itertools.combinations(range(root[0], -1, -1), n)
                 if _is_dominated(mu, root)
             ]
-            assert list(poly._dominated(root)) == expected, root
+            assert list(oracles.dominated(root)) == expected, root
 
     @pytest.mark.parametrize("root", [(0,), (511,), (1, 0), (511, 0), (300, 17)])
     def test_short_roots(self, root):
@@ -451,7 +451,7 @@ class TestSizeLimits:
         else:
             total = sum(root)
             expected = [(x, total - x) for x in range(root[0], total // 2, -1)]
-        assert list(poly._dominated(root)) == expected
+        assert list(oracles.dominated(root)) == expected
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 20])
     def test_170_entries(self, k):
@@ -471,14 +471,15 @@ class TestSizeLimits:
             tuple(s + p for s, p in itertools.zip_longest(staircase, lam, fillvalue=0))
             for lam in partitions(k, k)
         ]
-        assert list(poly._dominated(root)) == expected
+        assert list(oracles.dominated(root)) == expected
 
     def test_170_entries_count_quickly(self):
-        # laughlin(170, 3)'s root dominates more than the budget; the count
-        # that refuses it walks MAX_DETERMINANTS + 1 tuples, each made once
+        # laughlin(170, 3)'s root dominates more than the budget: this walk
+        # makes MAX_DETERMINANTS + 1 of its tuples, and the count that
+        # refuses the state only sums the widths of their prefixes
         root = tuple(range(3 * 169, -1, -3))
         start = time.perf_counter()
-        walked = list(itertools.islice(poly._dominated(root), MAX_DETERMINANTS + 1))
+        walked = list(itertools.islice(oracles.dominated(root), MAX_DETERMINANTS + 1))
         assert time.perf_counter() - start < 0.4
         assert len(walked) == len(set(walked)) == MAX_DETERMINANTS + 1
         assert walked[0] == root and walked == sorted(walked, reverse=True)
@@ -496,14 +497,14 @@ class TestSizeLimits:
     def test_laughlin_bounds(self, n, m, expected):
         # the tuples the root ((N-1) m, ..., m, 0) dominates
         root = tuple(range(m * (n - 1), -1, -m))
-        assert sum(1 for _ in poly._dominated(root)) == expected
+        assert sum(1 for _ in oracles.dominated(root)) == expected
 
     @pytest.mark.parametrize("n,m", [(4, 13), (5, 5), (5, 9), (5, 13), (7, 5), (4, 41)])
     def test_width_count_matches_the_walk(self, n, m):
         # the budget count sums prefix widths; walking every tuple, up to
         # MAX_DETERMINANTS + 1 of them, gives the same number
         root = tuple(range(m * (n - 1), -1, -m))
-        walked = sum(1 for _ in itertools.islice(poly._dominated(root), MAX_DETERMINANTS + 1))
+        walked = sum(1 for _ in itertools.islice(oracles.dominated(root), MAX_DETERMINANTS + 1))
         assert states._determinants_visited(root) == walked
 
     @pytest.mark.parametrize(
@@ -515,7 +516,7 @@ class TestSizeLimits:
         # at each N the smallest odd m whose root dominates more than the
         # budget: both counts stop at MAX_DETERMINANTS + 1
         root = tuple(range(m * (n - 1), -1, -m))
-        walked = sum(1 for _ in itertools.islice(poly._dominated(root), MAX_DETERMINANTS + 1))
+        walked = sum(1 for _ in itertools.islice(oracles.dominated(root), MAX_DETERMINANTS + 1))
         assert states._determinants_visited(root) == walked == MAX_DETERMINANTS + 1
         smaller = tuple(range((m - 2) * (n - 1), -1, -(m - 2)))
         assert states._determinants_visited(smaller) <= MAX_DETERMINANTS
@@ -529,7 +530,7 @@ class TestSizeLimits:
                 root = _product_root(family, n, m)
             except ValueError:
                 break
-            count = sum(1 for _ in itertools.islice(poly._dominated(root), 5001))
+            count = sum(1 for _ in itertools.islice(oracles.dominated(root), 5001))
             if count > 5000:
                 break
             expansion = family_expansion(family, n, m)
