@@ -32,7 +32,7 @@ def main() -> None:
 
     print("\n== the density matrix is exactly diagonal for these states ==")
     rho = one_body_density(laughlin(2, 3))
-    print(f"  diagonal of rho for laughlin(2,3): {rho.diagonal()}")
+    print(f"  diagonal of rho for laughlin(2,3): {rho.diag}")
     print(f"  off-diagonals all exactly zero: {rho.is_diagonal()}")
 
     print("\n== three routes, one number (laughlin(2,5)) ==")

@@ -1,23 +1,33 @@
 """The immutable base of the value records, written out by hand: generated
 frozen records load inspect, ast, dis and tokenize, a fifth of a cold CLI start."""
 
+from operator import attrgetter
+from types import MappingProxyType
+
 
 class Record:
     """Immutable value whose fields are the __slots__ along its MRO, the
-    bases' first, collected per class into _fields; Record.__init__(*values)
-    is the one writer, and sets them in that order.  Records equal only
+    bases' first, collected per class into _fields and read by one getter,
+    _get; Record.__init__(*values) is the one writer.  Records equal only
     records of their own class, and hash, print and pickle by their field
-    values, so a subclass that declares no slots keeps its base's fields.
-    A dict field calls for its own __hash__, fields that are not the
-    constructor's arguments for __reduce__ and __repr__; OneBodyDensityMatrix
-    also has __eq__, as it is equal to itself over any denominator."""
+    values, a dict field hashing by its items, so a subclass that declares
+    no slots keeps its base's fields.  A record overrides only __reduce__
+    and __repr__: FockVector and OneBodyDensityMatrix, whose constructors do
+    not take their fields, and _TermMap's repr, whose terms are sorted."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _get = staticmethod(lambda record: ())  # the field values, as a tuple
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        slots = cls.__dict__.get("__slots__", ())  # a str is one slot name
+        cls._fields = fields = cls._fields + ((slots,) if isinstance(slots, str) else tuple(slots))
+        if len(fields) > 1:
+            cls._get = staticmethod(attrgetter(*fields))
+        elif fields:  # attrgetter of one name gives a bare value
+            get = attrgetter(*fields)
+            cls._get = staticmethod(lambda record: (get(record),))
 
     def __init__(self, *values: object) -> None:
         fields = self._fields
@@ -32,18 +42,18 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        return self._get(self) == other._get(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple([
+            frozenset(value.items()) if isinstance(value, (dict, MappingProxyType)) else value
+            for value in self._get(self)
+        ]))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), self._get(self)

@@ -86,6 +86,8 @@ class FockVector(Record):
         for config, weight in weights.items():
             if not isinstance(weight, int):
                 raise ValueError(f"config {config}: weight {weight!r} is not an integer")
+        if not isinstance(n_particles, int) or not isinstance(dim, int):
+            raise ValueError(f"n_particles {n_particles!r} and dim {dim!r} must be integers")
         if n_particles < 1:
             raise ValueError("need at least one particle")
         if dim < n_particles:
@@ -149,9 +151,6 @@ class FockVector(Record):
 
     def __len__(self) -> int:
         return len(self._weights)
-
-    def __hash__(self) -> int:
-        return hash((self.n_particles, self.dim, frozenset(self._weights.items())))
 
     def __reduce__(self) -> tuple:
         return type(self), (self.n_particles, self.dim, self._weights)

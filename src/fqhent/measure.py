@@ -16,11 +16,11 @@ as_numpy and von_neumann's non-diagonal branch.  The matrix and the report
 are immutable slot records, built on fqhent._record.Record.
 
 The matrix keeps its diagonal as the integer occupations the contraction
-sums, over the one denominator N times the state's total weight.  diag
-builds reduced Fractions from them only when read, and von_neumann and
-as_numpy divide each occupation by the denominator directly: int true
-division is correctly rounded, as float(Fraction) is, so every eigenvalue
-and matrix entry has the bits of the reduced Fraction's float.
+sums over the one denominator N times the state's total weight, in lowest
+terms.  diag builds reduced Fractions from them only when read, and
+von_neumann and as_numpy divide each numerator by the denominator: int
+true division is correctly rounded, as float(Fraction) is, so every
+eigenvalue and matrix entry has the bits of the reduced Fraction's float.
 
 Off the diagonal, one_body_density pairs the configurations that leave the
 same hole when one orbital is removed.  It keys each hole by a bitmask of
@@ -50,22 +50,23 @@ Entry = Fraction | float
 class OneBodyDensityMatrix(Record):
     """Real symmetric density matrix with unit trace, stored sparsely.
 
-    The diagonal is stored once, as numerators: dim integers over one
-    positive integer denominator.  diag and diagonal() build its reduced
-    Fractions on access; von_neumann and as_numpy divide each numerator by
-    the denominator, which rounds correctly as float(Fraction) does, so the
-    floats keep their bits.  off_diagonal is a read-only map from (mu, nu),
-    mu < nu, to the nonzero entry rho_{mu nu} = rho_{nu mu}, so the matrix
-    is symmetric by construction and diagonal exactly when off_diagonal is
-    empty; an entry is an exact Fraction when its amplitude products are
-    rational, else a float.
+    The diagonal is stored once, in lowest terms: dim integers over one
+    positive denominator, sharing no common factor, so a matrix has one
+    stored form.  diag builds its reduced Fractions on access; von_neumann
+    and as_numpy divide each numerator by the denominator, which rounds
+    correctly as float(Fraction) does, so the floats keep their bits.
+    off_diagonal is a read-only map from (mu, nu), mu < nu, to the nonzero
+    entry rho_{mu nu} = rho_{nu mu}, so the matrix is symmetric by
+    construction and diagonal exactly when off_diagonal is empty; an entry
+    is an exact Fraction when its amplitude products are rational, else a
+    float.
 
     The constructor takes diagonal entries.  Ints and Fractions must be
     non-negative and sum to exactly 1; with any float among them, 1e-9 of
     either is allowed and each entry is stored by its exact binary ratio.
-    An off-diagonal entry that is not an int or a Fraction must be finite.
-    Equality, hash, repr and pickle go by dim, diag and off_diagonal, so a
-    matrix equals itself over any denominator.
+    An off-diagonal entry that is not an int or a Fraction must be finite,
+    and dim must be an int.  Record compares and hashes the stored fields;
+    repr and pickle give the constructor's dim, diag and off_diagonal.
     """
 
     __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
@@ -76,6 +77,8 @@ class OneBodyDensityMatrix(Record):
         diag: tuple[Entry, ...],
         off_diagonal: dict[tuple[int, int], Entry] | None = None,
     ) -> None:
+        if not isinstance(dim, int):
+            raise ValueError(f"dim {dim!r} is not an integer")
         if len(diag) != dim:
             raise ValueError(f"diagonal has {len(diag)} entries, not dim = {dim}")
         exact = all(isinstance(p, (int, Fraction)) for p in diag)
@@ -112,21 +115,21 @@ class OneBodyDensityMatrix(Record):
         exact: bool = True,
     ) -> None:
         """Check the trace, exactly unless the diagonal had floats, and the
-        sparse keys and entries, then set the slots."""
+        sparse keys and entries, then set the slots, the diagonal in lowest terms."""
         if exact and sum(numerators) != denominator:
             raise ValueError(f"trace is {Fraction(sum(numerators), denominator)}, not 1")
         for (mu, nu), entry in off_diagonal.items():
             if not 0 <= mu < nu < dim or not entry:
                 raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
-        Record.__init__(self, dim, numerators, denominator, MappingProxyType(off_diagonal))
+        common = math.gcd(denominator, *numerators)
+        numerators = tuple([p // common for p in numerators]) if common > 1 else numerators
+        off_diagonal = MappingProxyType(off_diagonal)
+        Record.__init__(self, dim, numerators, denominator // common, off_diagonal)
 
     @property
     def diag(self) -> tuple[Fraction, ...]:
         """The diagonal entries as reduced Fractions."""
         return tuple([Fraction(p, self.denominator) for p in self.numerators])
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return self.diag
 
     def is_diagonal(self) -> bool:
         """True iff every off-diagonal entry is exactly zero."""
@@ -141,16 +144,6 @@ class OneBodyDensityMatrix(Record):
         for (mu, nu), entry in self.off_diagonal.items():
             flat[mu * dim + nu] = flat[nu * dim + mu] = float(entry)
         return np.array(flat).reshape(dim, dim)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.dim, self.diag, self.off_diagonal) == (
-            other.dim, other.diag, other.off_diagonal
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.diag, frozenset(self.off_diagonal.items())))
 
     def __repr__(self) -> str:
         return (

@@ -63,8 +63,8 @@ class _TermMap(Record):
 
     nvars is the number of variables, the length of every exponent tuple.
     A subclass gives its key rule as ``_check_key(key)``, which raises
-    ValueError.  Record compares and pickles (nvars, _terms); the dict
-    field needs its own hash, and repr shows the terms in canonical order.
+    ValueError.  Record compares, hashes and pickles (nvars, _terms); repr
+    shows the terms in canonical order.
     """
 
     __slots__ = ("nvars", "_terms")
@@ -106,9 +106,6 @@ class _TermMap(Record):
         """Terms in canonical order: lexicographically descending exponents."""
         for key in sorted(self._terms, reverse=True):
             yield key, self._terms[key]
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({self.nvars}, {dict(self.items())!r})"

@@ -61,7 +61,7 @@ class TestOneBodyDensity:
     def test_laughlin_2_3_diagonal(self):
         rho = one_body_density(laughlin(2, 3))
         assert rho.is_diagonal()
-        assert rho.diagonal() == (
+        assert rho.diag == (
             Fraction(1, 8),
             Fraction(3, 8),
             Fraction(3, 8),
@@ -70,7 +70,7 @@ class TestOneBodyDensity:
 
     def test_single_determinant(self):
         rho = one_body_density(laughlin(2, 1))
-        assert rho.diagonal() == (Fraction(1, 2), Fraction(1, 2))
+        assert rho.diag == (Fraction(1, 2), Fraction(1, 2))
 
     @pytest.mark.parametrize(
         "state",
@@ -80,8 +80,8 @@ class TestOneBodyDensity:
     def test_family_states_exactly_diagonal_unit_trace(self, state):
         rho = one_body_density(state)
         assert rho.is_diagonal()
-        assert sum(rho.diagonal()) == 1
-        assert all(isinstance(p, Fraction) for p in rho.diagonal())
+        assert sum(rho.diag) == 1
+        assert all(isinstance(p, Fraction) for p in rho.diag)
 
     @pytest.mark.parametrize(
         "state",
@@ -101,7 +101,7 @@ class TestOneBodyDensity:
         v = FockVector.from_unnormalized(3, 6, terms)
         rho = one_body_density(v)
         assert rho.is_diagonal()
-        assert rho.diagonal() == tuple(
+        assert rho.diag == tuple(
             Fraction(sum(abs(w) for c, w in v.weights.items() if mode in c), 3 * v.total)
             for mode in range(6)
         )
@@ -119,7 +119,7 @@ class TestOneBodyDensity:
     def test_rotated_determinant_off_diagonals(self):
         v = rational_state(3, {(0, 1): 1, (0, 2): 1})
         rho = one_body_density(v)
-        assert rho.diagonal() == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        assert rho.diag == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         assert rho.off_diagonal == {(1, 2): Fraction(1, 4)}
         eigs = sorted(np.linalg.eigvalsh(rho.as_numpy()))
         assert eigs == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
@@ -133,7 +133,7 @@ class TestOneBodyDensity:
     @settings(max_examples=40, deadline=None)
     def test_positive_semidefinite_unit_trace(self, v):
         rho = one_body_density(v)
-        assert sum(rho.diagonal()) == 1
+        assert sum(rho.diag) == 1
         assert min(np.linalg.eigvalsh(rho.as_numpy())) > -1e-12
 
     @given(dim4_two_fermion_states())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -175,6 +176,13 @@ class TestFockVectorValidation:
     def test_rejects_non_integer_weights(self, weight):
         with pytest.raises(ValueError, match="not an integer"):
             FockVector(2, 4, {(0, 1): 1, (2, 3): weight})
+
+    @pytest.mark.parametrize("sizes", [(2, 4.0), (2.0, 4), (np.int64(2), 4), (2, np.int64(4))])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="must be integers"):
+            FockVector(*sizes, {(0, 1): 1, (2, 3): 2})
+        with pytest.raises(ValueError, match="must be integers"):
+            FockVector.from_unnormalized(*sizes, {(0, 1): (1, 1)})
 
     def test_rejects_bad_configs(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -163,6 +164,25 @@ class TestBitIdentity:
             except ZeroWavefunctionError:
                 continue
             assert_same_as_amplitude_products(state)
+
+
+@pytest.mark.parametrize(
+    ("family", "n", "m", "entropy"),
+    [
+        ("laughlin", 4, 13, "0x1.7a7725af1dbe6p+1"),
+        ("hierarchical_phi", 4, 11, "0x1.9874cc6bd832ep+1"),
+    ],
+)
+def test_family_density_is_stored_in_lowest_terms(family, n, m, entropy):
+    # every occupation here shares a factor with N times the total weight
+    v = FAMILIES[family](n, m)
+    rho = measure.one_body_density(v)
+    public = measure.OneBodyDensityMatrix(v.dim, rho.diag)
+    assert rho.denominator < n * v.total
+    assert rho == public and hash(rho) == hash(public)
+    assert rho.denominator == math.lcm(*(p.denominator for p in rho.diag))
+    # the entropy has the bits it had over the unreduced denominator
+    assert measure.von_neumann(rho).hex() == entropy
 
 
 def assert_kernel_matrix_is_the_public_one(v: FockVector) -> None:

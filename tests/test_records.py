@@ -22,6 +22,16 @@ from fqhent.states import KMatrix
 from fqhent.verify import CheckResult
 
 HALF = Fraction(1, 2)
+
+
+class One(Record):
+    __slots__ = "value"  # a string names one slot, as Python reads it
+
+
+class Empty(Record):
+    __slots__ = ()
+
+
 POLY = MultiPoly(2, {(1, 0): 3})
 
 # class -> (parameter names, a value for each, other values that make an
@@ -50,6 +60,7 @@ RECORDS = {
         {"off_diagonal": {}},
         [
             ((3, (HALF, HALF)), "not dim"),
+            ((2.0, (HALF, HALF)), "dim 2.0 is not an integer"),
             ((2, (HALF, HALF), {(1, 0): HALF}), "sparsely"),
             ((2, (HALF, HALF), {(0, 1): 0}), "sparsely"),
             ((2, (HALF, Fraction(1, 3))), "trace is 5/6"),
@@ -216,6 +227,7 @@ def test_term_map_and_fock_vector_fields_are_immutable(value):
 def test_fields_are_collected_along_the_mro_and_counted():
     assert MultiPoly._fields == SlaterExpansion._fields == ("nvars", "_terms")
     assert FockVector._fields == ("n_particles", "dim", "_weights", "total")
+    assert One._fields == ("value",) and Empty._fields == ()
     point = SweepPoint.__new__(SweepPoint)
     with pytest.raises(TypeError, match="SweepPoint takes 4 fields, not 3"):
         Record.__init__(point, "chi", 4, 5)
@@ -234,3 +246,24 @@ def test_every_record_is_covered_by_a_contract_test():
         # a base, such as poly._TermMap, is covered through its records
         below = _descendants(cls) & records
         assert below and below <= covered, f"{cls.__qualname__} has no record-contract test"
+
+
+def test_no_class_outside_record_defines_eq_or_hash():
+    # Record decides every record's equality and hash from its fields
+    for module in pkgutil.iter_modules(fqhent.__path__):
+        name = f"fqhent.{module.name}"
+        for cls in vars(importlib.import_module(name)).values():
+            if isinstance(cls, type) and cls.__module__ == name != "fqhent._record":
+                assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__qualname__
+
+
+@pytest.mark.parametrize(("cls", "values", "other"), [(One, (3,), (4,)), (Empty, (), None)])
+def test_records_of_one_field_and_of_none(cls, values, other):
+    record = cls(*values)
+    assert record == cls(*values) and hash(record) == hash(cls(*values))
+    assert record != values and One(3) != Empty() and Empty() != One(3)
+    if other is not None:
+        assert record != cls(*other)
+    assert repr(record) == {One: "One(value=3)", Empty: "Empty()"}[cls]
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
