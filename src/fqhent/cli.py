@@ -25,8 +25,9 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .measure import modified_measure
-from .figures import PRESETS, figure_title, render_svg, rows_to_csv, rows_to_json, series_points
+from .figures import (
+    PRESETS, family_report, figure_title, render_svg, rows_to_csv, rows_to_json, series_points
+)
 from .states import FAMILIES, ZeroWavefunctionError
 
 EXIT_OK = 0
@@ -141,13 +142,12 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_compute(args: argparse.Namespace, opts: dict[str, Any]) -> int:
     try:
-        state = FAMILIES[opts["family"]](opts["n"], opts["m"])
+        report = family_report(opts["family"], opts["n"], opts["m"])
     except ZeroWavefunctionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ZERO_WAVEFUNCTION
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = modified_measure(state, family=opts["family"], m=opts["m"])
     if opts["format"] == "json":
         import json
 

@@ -6,9 +6,11 @@ line endings, 12 significant digits, rows sorted by (family, N, m), and
 byte-identical across runs and across serial/parallel evaluation.  The SVG
 is a self-contained scatter rendering of the same rows; grid points whose
 construction collapses to the zero wavefunction are absent from the CSV and
-annotated in the SVG.  The JSON rows are an alternative output that imports
-json only when written; FigureSpec and SweepPoint are immutable slot records
-that pickle by value, which is how a parallel sweep's points come back.
+annotated in the SVG.  Each point is measured by :func:`family_report`
+from its orbital occupations, with no FockVector.  The JSON rows are an
+alternative output that imports json only when written; FigureSpec and
+SweepPoint are immutable slot records that pickle by value, which is how a
+parallel sweep's points come back.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import os
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
-from .measure import modified_measure
-from .states import FAMILIES, ZeroWavefunctionError, family_factors
+from .lll import occupations
+from .measure import EntanglementReport, OneBodyDensityMatrix, von_neumann
+from .states import ZeroWavefunctionError, family_expansion, family_factors
 
 DEFAULT_T_MAX = 6
 
@@ -93,10 +96,27 @@ def _sorted_points(points: Iterable[SweepPoint]) -> list[SweepPoint]:
     return sorted(points, key=lambda p: (p.family, p.n_electrons, p.m))
 
 
+def family_report(family: str, n_electrons: int, m: int) -> EntanglementReport:
+    """The measure of one family state, read off its orbital occupations.
+
+    A family state is homogeneous, so its one-body density matrix is the
+    diagonal occupied[mu] / (N total) that :func:`fqhent.lll.occupations`
+    sums in one pass over the determinants; no FockVector is built.  The
+    matrix is stored in lowest terms, so the report has, bit for bit, the
+    values of ``modified_measure(FAMILIES[family](n_electrons, m))``, the
+    public route the tests compare it with.  Raises as
+    :func:`~fqhent.states.family_expansion` does.
+    """
+    occupied, total = occupations(family_expansion(family, n_electrons, m))
+    rho = OneBodyDensityMatrix._from_occupations(
+        len(occupied), tuple(occupied), n_electrons * total, {}
+    )
+    return EntanglementReport.from_entropy(n_electrons, von_neumann(rho), family, m)
+
+
 @functools.lru_cache(maxsize=None, typed=True)
 def _measured_point(family: str, n_electrons: int, m: int) -> SweepPoint:
-    report = modified_measure(FAMILIES[family](n_electrons, m), family=family, m=m)
-    return SweepPoint(family, n_electrons, m, report.measure_bits)
+    return SweepPoint(family, n_electrons, m, family_report(family, n_electrons, m).measure_bits)
 
 
 def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:

@@ -9,6 +9,11 @@ weight per configuration, its squared amplitude up to a single shared
 total; every coefficient in this package is real, so no other phase can
 occur.  The shared factor pi^{N/2} cancels in normalization and is dropped
 uniformly.
+
+to_fock builds that state.  The CLI and the sweeps need only the orbital
+occupations of a homogeneous family state, which occupations sums from the
+same weights in one pass over the determinants, with no configuration map
+and no gcd reduction.
 """
 
 from __future__ import annotations
@@ -166,6 +171,19 @@ class FockVector(Record):
         return f"{type(self).__qualname__}({self.n_particles}, {self.dim}, {body!r})"
 
 
+def _ratio_tables(expansion: SlaterExpansion) -> tuple[int, list[list[int]]]:
+    """dim and, for each position j of a configuration mu = reversed(lam),
+    the table ratios[j][mu_j] = mu_j! / f_j! for f_j <= mu_j < dim, with f_j
+    the smallest mu_j of any configuration, so no mu_j indexes below its
+    floor.  Raises ZeroStateError on the zero expansion.
+    """
+    if expansion.is_zero:
+        raise ZeroStateError("zero polynomial has no Fock expansion")
+    floors = [min(column) for column in zip(*expansion.terms)][::-1]
+    dim = 1 + max(lam[0] for lam in expansion.terms)
+    return dim, [[0] * f + list(accumulate(range(f + 1, dim), mul, initial=1)) for f in floors]
+
+
 def to_fock(expansion: SlaterExpansion) -> FockVector:
     """Second-quantize a monomial-determinant expansion, exactly normalized.
 
@@ -180,15 +198,10 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
     smallest mu_j of any configuration and |mu| = sum_j mu_j.  Only the first
     part is computed: the gcd reduction gives the same weights either way.
     """
-    if expansion.is_zero:
-        raise ZeroStateError("zero polynomial has no Fock expansion")
+    dim, ratios = _ratio_tables(expansion)
     n = expansion.nvars
     reversal_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    floors = [min(column) for column in zip(*expansion.terms)][::-1]
     lowest = min(map(sum, expansion.terms))
-    dim = 1 + max(lam[0] for lam in expansion.terms)
-    # ratios[j][mu] = mu! / f_j! for f_j <= mu < dim; no mu_j is below f_j
-    ratios = [[0] * f + list(accumulate(range(f + 1, dim), mul, initial=1)) for f in floors]
     weights: dict[FockConfig, int] = {}
     for lam, coeff in expansion.terms.items():
         config = lam[::-1]
@@ -198,6 +211,43 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
         weight <<= sum(lam) - lowest
         weights[config] = weight if reversal_sign * coeff > 0 else -weight
     return FockVector._from_weights(n, dim, weights)
+
+
+def occupations(expansion: SlaterExpansion) -> tuple[list[int], int]:
+    """The occupation numerator of each orbital and the total weight.
+
+    One pass over a homogeneous expansion: each determinant's weight is
+    to_fock's, c_lam^2 prod_j (mu_j! / f_j!) (the power of 2 is 1 when every
+    |mu| is equal), and it is added to the total and to each orbital the
+    determinant occupies.  Orbital mu's occupation is then occupied[mu] /
+    total, and the one-body density matrix is diagonal with entries
+    occupied[mu] / (N total).  The weights are not reduced by their gcd:
+    to_fock's state has the same occupations over the same total up to one
+    positive factor, and a ratio of ints is correctly rounded whatever
+    factor both sides share, so every float read from them has the same bits.
+
+    Raises ZeroStateError on the zero expansion, and ValueError when the
+    determinants carry more than one total angular momentum, whose density
+    matrix is not diagonal.
+    """
+    dim, ratios = _ratio_tables(expansion)
+    momenta = set(map(sum, expansion.terms))
+    if len(momenta) > 1:
+        raise ValueError(
+            f"expansion is not homogeneous: its determinants carry {len(momenta)} total"
+            " angular momenta, so its density matrix is not diagonal"
+        )
+    occupied = [0] * dim
+    total = 0
+    for lam, coeff in expansion.terms.items():
+        config = lam[::-1]
+        weight = coeff * coeff
+        for ratio, mu in zip(ratios, config):
+            weight *= ratio[mu]
+        total += weight
+        for mu in config:
+            occupied[mu] += weight
+    return occupied, total
 
 
 def amplitude_pattern(v: FockVector) -> list[tuple[FockConfig, int]]:

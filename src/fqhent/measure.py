@@ -12,8 +12,12 @@ upstream of the final logarithms stays in exact rational arithmetic;
 entropies are reported as Python floats on both of von_neumann's branches.
 Every family state is homogeneous, so its density matrix is exactly
 diagonal and needs no linear algebra: numpy is imported only inside
-as_numpy and von_neumann's non-diagonal branch.  The matrix and the report
-are immutable slot records, built on fqhent._record.Record.
+as_numpy and von_neumann's non-diagonal branch.  The CLI and the sweeps
+build that diagonal from fqhent.lll.occupations, with no FockVector
+(fqhent.figures.family_report); modified_measure takes the FockVector
+route, and both turn the entropy into the report by
+EntanglementReport.from_entropy.  The matrix and the report are immutable
+slot records, built on fqhent._record.Record.
 
 The matrix keeps its diagonal as the integer occupations the contraction
 sums over the one denominator N times the state's total weight, in lowest
@@ -61,9 +65,10 @@ class OneBodyDensityMatrix(Record):
     is an exact Fraction when its amplitude products are rational, else a
     float.
 
-    The constructor takes diagonal entries.  Ints and Fractions must be
-    non-negative and sum to exactly 1; with any float among them, 1e-9 of
-    either is allowed and each entry is stored by its exact binary ratio.
+    The constructor takes diagonal entries, each an int, a Fraction or a
+    float.  Ints and Fractions must be non-negative and sum to exactly 1;
+    with any float among them, 1e-9 of either is allowed and each entry is
+    stored by its exact binary ratio.
     An off-diagonal entry that is not an int or a Fraction must be finite,
     and dim must be an int.  Record compares and hashes the stored fields;
     repr and pickle give the constructor's dim, diag and off_diagonal.
@@ -81,6 +86,9 @@ class OneBodyDensityMatrix(Record):
             raise ValueError(f"dim {dim!r} is not an integer")
         if len(diag) != dim:
             raise ValueError(f"diagonal has {len(diag)} entries, not dim = {dim}")
+        for p in diag:
+            if not isinstance(p, (int, Fraction, float)):
+                raise ValueError(f"diagonal entry {p!r} is not an int, a Fraction or a float")
         exact = all(isinstance(p, (int, Fraction)) for p in diag)
         if not exact and abs(sum(diag) - 1.0) > 1e-9:
             raise ValueError(f"trace is {sum(diag)}, not 1")
@@ -277,6 +285,23 @@ class EntanglementReport(Record):
     ) -> None:
         super().__init__(n_particles, entropy_nats, measure_nats, measure_bits, family, m)
 
+    @classmethod
+    def from_entropy(
+        cls, n_particles: int, entropy_nats: float, family: str | None = None, m: int | None = None
+    ) -> "EntanglementReport":
+        """The report of an N-particle state whose one-body entropy is entropy_nats.
+
+        The measure is the entropy minus ln N.  Values within 1e-12 of zero,
+        on either side, are floating-point residue on separable states and
+        are clamped to exactly 0.
+        """
+        if n_particles < 2:
+            raise ValueError("entanglement needs at least two particles")
+        measure = entropy_nats - math.log(n_particles)
+        if abs(measure) <= 1e-12:
+            measure = 0.0
+        return cls(n_particles, entropy_nats, measure, measure / math.log(2), family, m)
+
     @property
     def t(self) -> int | None:
         return None if self.m is None else (self.m - 1) // 2
@@ -296,22 +321,8 @@ class EntanglementReport(Record):
 def modified_measure(
     v: FockVector, family: str | None = None, m: int | None = None
 ) -> EntanglementReport:
-    """Entropy of the one-body density matrix minus ln N.
-
-    Values within 1e-12 of zero, on either side, are floating-point residue
-    on separable states and are clamped to exactly 0.
-    """
-    if v.n_particles < 2:
-        raise ValueError("entanglement needs at least two particles")
-    entropy = von_neumann(one_body_density(v))
-    measure = entropy - math.log(v.n_particles)
-    if abs(measure) <= 1e-12:
-        measure = 0.0
-    return EntanglementReport(
-        n_particles=v.n_particles,
-        entropy_nats=entropy,
-        measure_nats=measure,
-        measure_bits=measure / math.log(2),
-        family=family,
-        m=m,
+    """Entropy of the one-body density matrix minus ln N
+    (:meth:`EntanglementReport.from_entropy`)."""
+    return EntanglementReport.from_entropy(
+        v.n_particles, von_neumann(one_body_density(v)), family, m
     )

@@ -35,7 +35,8 @@ subsets the Pieri rule tries per determinant and the determinants its build
 visits, the tuples its root dominates, are counted; above MAX_ORBITALS or
 MAX_DETERMINANTS the request is refused with ValueError.  The determinants
 are counted by summing the widths of the dominated prefixes, the tuples
-that share their first N - 2 entries, without making the tuples.
+that share their first N - 2 entries, without making the tuples, and only
+when C(root[0] + 1, N), which bounds them, is over the limit.
 """
 
 from __future__ import annotations
@@ -136,7 +137,9 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     MAX_ORBITALS or MAX_DETERMINANTS, and ZeroWavefunctionError when the
     condensate vanishes (for chi, m > 2N+1).  The orbitals are checked
     first, which bounds N before anything of size N is made; the
-    determinants by summing prefix widths (:func:`_determinants_visited`).
+    determinants by summing prefix widths (:func:`_determinants_visited`),
+    unless C(root[0] + 1, N), the N-subsets of the root's orbitals, is
+    already within the budget.
     Memoized per process with typed keys, so a sweep's up-front check and
     the build after it count the determinants once; refusals raise and are
     not kept.
@@ -174,8 +177,13 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     # recursion those of ((N-1) power, ..., power, 0), and the product by
     # e_k(z_1^2, ..., z_N^2), k = N - p/2, those of that root plus 2 on its
     # first k entries, since sort(lam + nu) is dominated by lam + sort(nu).
+    # Each is an N-subset of 0 .. root[0], so the walk is needed only when
+    # there are more such subsets than the budget.
     root = tuple(power * (n_electrons - 1 - i) + 2 * (i < k) for i in range(n_electrons))
-    if _determinants_visited(root) > MAX_DETERMINANTS:
+    if (
+        math.comb(root[0] + 1, n_electrons) > MAX_DETERMINANTS
+        and _determinants_visited(root) > MAX_DETERMINANTS
+    ):
         raise ValueError(
             f"{name} can have more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,} determinants"
         )

@@ -209,17 +209,17 @@ class TestPointMemo:
 
     def test_repeat_returns_same_point_and_builds_once(self, monkeypatch):
         calls = []
-        build = figures.FAMILIES["laughlin"]
+        build = figures.family_expansion
 
-        def counting(n, m):
-            calls.append((n, m))
-            return build(n, m)
+        def counting(family, n, m):
+            calls.append((family, n, m))
+            return build(family, n, m)
 
-        monkeypatch.setitem(figures.FAMILIES, "laughlin", counting)
+        monkeypatch.setattr(figures, "family_expansion", counting)
         first = evaluate_point("laughlin", 2, 3)
         assert evaluate_point("laughlin", 2, 3) is first
         assert sweep([("laughlin", 2, 3)])[0] is first
-        assert calls == [(2, 3)]
+        assert calls == [("laughlin", 2, 3)]
 
     def test_refusal_raises_every_time(self):
         for _ in range(2):

@@ -28,7 +28,7 @@ from fqhent import (
     to_fock,
     vandermonde_power,
 )
-from fqhent.lll import amplitude_product
+from fqhent.lll import amplitude_product, occupations
 
 
 class TestOrbitalNorm:
@@ -169,6 +169,52 @@ class TestToFockOracle:
     @settings(max_examples=80, deadline=None)
     def test_random_expansions(self, expansion):
         assert_matches_orbital_norm_formula(expansion)
+
+
+def assert_occupations_match_to_fock(expansion: SlaterExpansion) -> None:
+    """occupations gives to_fock's occupation of every orbital over its
+    total, exactly, and the N-fold total as their sum."""
+    occupied, total = occupations(expansion)
+    v = to_fock(expansion)
+    assert len(occupied) == v.dim
+    expected = [0] * v.dim
+    for config, weight in v.weights.items():
+        for mode in config:
+            expected[mode] += abs(weight)
+    assert [Fraction(p, total) for p in occupied] == [Fraction(p, v.total) for p in expected]
+    assert sum(occupied) == expansion.nvars * total
+
+
+class TestOccupations:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["laughlin", "hierarchical_phi", "chi"])
+    def test_every_family_state_to_n5_m13(self, family, n):
+        for m in range(1, 14, 2):
+            try:
+                expansion = family_expansion(family, n, m)
+            except ZeroWavefunctionError:
+                continue
+            assert_occupations_match_to_fock(expansion)
+
+    def test_longest_weights(self):
+        assert_occupations_match_to_fock(family_expansion("laughlin", 3, 255))
+
+    @given(slater_expansions(max_nvars=4, max_orbital=12))
+    @settings(max_examples=80, deadline=None)
+    def test_random_expansions(self, expansion):
+        if len({sum(lam) for lam in expansion.terms}) == 1:
+            assert_occupations_match_to_fock(expansion)
+        else:
+            with pytest.raises(ValueError, match="not homogeneous"):
+                occupations(expansion)
+
+    def test_rejects_non_homogeneous_and_zero_expansions(self):
+        # total angular momenta 5, 4 and 7: the density matrix is not diagonal
+        expansion = SlaterExpansion(2, {(5, 0): 3, (3, 1): -2, (6, 1): 1})
+        with pytest.raises(ValueError, match="carry 3 total angular momenta"):
+            occupations(expansion)
+        with pytest.raises(ZeroStateError):
+            occupations(SlaterExpansion(2))
 
 
 class TestFockVectorValidation:

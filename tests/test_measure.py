@@ -18,7 +18,8 @@ import fqhent
 import oracles
 from conftest import irrational_mixed_states, mixed_weight_states
 from fqhent import FockVector, ZeroWavefunctionError, entangle, figures, laughlin, measure
-from fqhent.states import FAMILIES
+from fqhent.lll import occupations
+from fqhent.states import FAMILIES, family_expansion
 
 PACKAGE_ROOT = Path(fqhent.__file__).resolve().parent.parent
 
@@ -183,6 +184,53 @@ def test_family_density_is_stored_in_lowest_terms(family, n, m, entropy):
     assert rho.denominator == math.lcm(*(p.denominator for p in rho.diag))
     # the entropy has the bits it had over the unreduced denominator
     assert measure.von_neumann(rho).hex() == entropy
+
+
+# the benchmark's heavy points: large, and sharing no Vandermonde power
+HEAVY_POINTS = [
+    ("laughlin", 4, 13),
+    ("laughlin", 5, 5),
+    ("hierarchical_phi", 4, 11),
+    ("hierarchical_phi", 5, 3),
+    ("chi", 5, 11),
+]
+
+
+def test_family_report_is_the_public_route_bit_for_bit():
+    # 63 preset points, 2 of them zero (chi N=4 at m = 11, 13), then 5 heavy ones
+    points = [*_preset_points(), *HEAVY_POINTS]
+    assert len(points) == 68
+    zeros = 0
+    for family, n, m in points:
+        try:
+            expected = measure.modified_measure(FAMILIES[family](n, m), family=family, m=m)
+        except ZeroWavefunctionError:
+            with pytest.raises(ZeroWavefunctionError):
+                figures.family_report(family, n, m)
+            zeros += 1
+            continue
+        report = figures.family_report(family, n, m)
+        assert report == expected
+        for name in ("entropy_nats", "measure_nats", "measure_bits"):
+            assert getattr(report, name).hex() == getattr(expected, name).hex(), (family, n, m)
+    assert zeros == 2
+
+
+@pytest.mark.parametrize(("family", "n", "m"), [("laughlin", 4, 13), ("laughlin", 3, 255)])
+def test_occupations_under_a_common_factor_give_the_same_matrix(family, n, m):
+    # family_report divides occupations that were never reduced by their gcd
+    occupied, total = occupations(family_expansion(family, n, m))
+    factor = 3**631  # 1,001 bits
+    assert factor.bit_length() > 1000
+    rho = measure.OneBodyDensityMatrix._from_occupations(
+        len(occupied), tuple(occupied), n * total, {}
+    )
+    scaled = measure.OneBodyDensityMatrix._from_occupations(
+        len(occupied), tuple(p * factor for p in occupied), n * total * factor, {}
+    )
+    assert scaled == rho and hash(scaled) == hash(rho)
+    assert measure.von_neumann(scaled).hex() == measure.von_neumann(rho).hex()
+    assert rho == measure.one_body_density(FAMILIES[family](n, m))
 
 
 def assert_kernel_matrix_is_the_public_one(v: FockVector) -> None:

@@ -6,8 +6,10 @@ import importlib
 import pickle
 import pkgutil
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fqhent
@@ -67,6 +69,9 @@ RECORDS = {
             ((2, (0.5, 0.25)), "trace is 0.75"),
             ((2, (Fraction(3, 2), -HALF)), "negative"),
             ((2, (1.5, -0.5)), "negative"),
+            ((2, (np.int64(1), np.int64(0))), "not an int, a Fraction or a float"),
+            ((2, (Decimal("0.5"), Decimal("0.5"))), "not an int, a Fraction or a float"),
+            ((2, ("1", "0")), "not an int, a Fraction or a float"),
         ],
     ),
     EntanglementReport: (

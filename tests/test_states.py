@@ -604,7 +604,9 @@ class TestSizeLimits:
                 pass
 
     def test_sweep_counts_each_budget_once(self, monkeypatch):
-        # the sweep's up-front check and the build after it share one count
+        # the sweep's up-front check and the build after it share one count;
+        # both states have more subsets C(root[0] + 1, N) than the budget,
+        # C(40, 4) = 91,390 and C(36, 4) = 58,905, so both are counted
         roots = []
 
         def counting(root):
@@ -612,10 +614,26 @@ class TestSizeLimits:
             return poly._dominated_prefixes(root)
 
         monkeypatch.setattr(states, "_dominated_prefixes", counting)
-        sweep([("laughlin", 3, 5), ("hierarchical_phi", 3, 5)])
+        sweep([("laughlin", 4, 13), ("hierarchical_phi", 4, 11)])
+        assert roots == [(39, 26, 13, 0), (35, 24, 13, 0)]
+        family_expansion("laughlin", 4, 13)
         assert len(roots) == 2
-        family_expansion("laughlin", 3, 5)
-        assert len(roots) == 2
+
+    def test_state_with_fewer_subsets_than_the_budget_is_not_walked(self, monkeypatch):
+        # every tuple laughlin(3, 31) visits is a 3-subset of 0 .. 62, and
+        # C(63, 3) = 39,711 is within the budget, so there is nothing to count
+        def refuse(root):
+            raise AssertionError(f"walked {root}")
+
+        monkeypatch.setattr(states, "_dominated_prefixes", refuse)
+        for family, n, m in [
+            ("laughlin", 3, 31),
+            ("hierarchical_phi", 3, 27),
+            ("chi", 4, 7),
+            ("laughlin", 5, 5),
+        ]:
+            family_factors(family, n, m)
+        assert sweep([("laughlin", 3, 5)])[0].measure_bits > 0
 
 
 class TestKMatrix:
