@@ -8,12 +8,14 @@ from types import MappingProxyType
 class Record:
     """Immutable value whose fields are the __slots__ along its MRO, the
     bases' first, collected per class into _fields and read by one getter,
-    _get; Record.__init__(*values) is the one writer.  Records equal only
-    records of their own class, and hash, print and pickle by their field
-    values, a dict field hashing by its items, so a subclass that declares
-    no slots keeps its base's fields.  A record overrides only __reduce__
-    and __repr__: FockVector and OneBodyDensityMatrix, whose constructors do
-    not take their fields, and _TermMap's repr, whose terms are sorted."""
+    _get; Record.__init__(*values) is the one writer and takes them in that
+    order, so a subclass defines __init__ only to check or to default its
+    fields.  Records equal only records of their own class, and hash, print
+    and pickle by their field values, a dict field hashing by its items, so
+    a subclass that declares no slots keeps its base's fields.  A record
+    overrides only __reduce__ and __repr__: FockVector and
+    OneBodyDensityMatrix, whose constructors do not take their fields, and
+    _TermMap's repr, whose terms are sorted."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -79,9 +79,6 @@ class SweepPoint(Record):
 
     __slots__ = ("family", "n_electrons", "m", "measure_bits")
 
-    def __init__(self, family: str, n_electrons: int, m: int, measure_bits: float | None) -> None:
-        super().__init__(family, n_electrons, m, measure_bits)
-
     @property
     def t(self) -> int:
         return (self.m - 1) // 2
@@ -135,10 +132,6 @@ def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:
         return SweepPoint(family, n_electrons, m, None)
 
 
-def _evaluate_tuple(args: tuple[str, int, int]) -> SweepPoint:
-    return evaluate_point(*args)
-
-
 def _is_nonzero(family: str, n_electrons: int, m: int) -> bool:
     """Whether the point is nonzero; one over the size budget raises ValueError."""
     try:
@@ -173,7 +166,7 @@ def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[Sweep
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_tuple, requests))
+        return list(pool.map(evaluate_point, *zip(*requests)))
 
 
 def series_points(

@@ -51,9 +51,6 @@ class Amplitude(Record):
 
     __slots__ = ("sign", "magnitude_sq")
 
-    def __init__(self, sign: int, magnitude_sq: Fraction) -> None:
-        super().__init__(sign, magnitude_sq)
-
     @property
     def as_float(self) -> float:
         return self.sign * math.sqrt(float(self.magnitude_sq))

@@ -274,17 +274,6 @@ class EntanglementReport(Record):
 
     __slots__ = ("n_particles", "entropy_nats", "measure_nats", "measure_bits", "family", "m")
 
-    def __init__(
-        self,
-        n_particles: int,
-        entropy_nats: float,
-        measure_nats: float,
-        measure_bits: float,
-        family: str | None = None,
-        m: int | None = None,
-    ) -> None:
-        super().__init__(n_particles, entropy_nats, measure_nats, measure_bits, family, m)
-
     @classmethod
     def from_entropy(
         cls, n_particles: int, entropy_nats: float, family: str | None = None, m: int | None = None

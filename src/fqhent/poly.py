@@ -48,6 +48,14 @@ class NotAntisymmetricError(ValueError):
     """A Slater projection was requested for a non-antisymmetric polynomial."""
 
 
+def _check_ints(**values: object) -> None:
+    """Raise ValueError for a value that is not a Python int: a bool, a
+    float, or a numpy integer, whose fixed width overflows exact weights."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be a Python int, got {value!r}")
+
+
 def _perm_sign(perm: Sequence[int]) -> int:
     """Parity of a permutation given as a sequence of distinct integers."""
     sign = 1
@@ -373,7 +381,9 @@ def vandermonde_expansion(nvars: int, power: int) -> SlaterExpansion:
     prefix entry the prefix key without it, which a pair of that entry and
     x or y completes with the other's digit.  Once per determinant it adds
     the digits of x and y to those keys, and x and y's terms to rho.
+    nvars and power must be Python ints.
     """
+    _check_ints(nvars=nvars, power=power)
     if nvars < 1:
         raise ValueError("need at least one variable")
     if power < 1 or power % 2 == 0:

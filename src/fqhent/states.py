@@ -52,6 +52,7 @@ from .lll import FockVector, to_fock
 from .poly import (
     MultiPoly,
     SlaterExpansion,
+    _check_ints,
     _dominated_prefixes,
     vandermonde_expansion,
     vandermonde_power,
@@ -133,17 +134,19 @@ class ZeroWavefunctionError(ValueError):
 def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | None]:
     """Validated (Vandermonde power, condensate exponent p or None) of a family state.
 
-    Raises ValueError for bad parameters, an unknown family or a state over
-    MAX_ORBITALS or MAX_DETERMINANTS, and ZeroWavefunctionError when the
-    condensate vanishes (for chi, m > 2N+1).  The orbitals are checked
-    first, which bounds N before anything of size N is made; the
-    determinants by summing prefix widths (:func:`_determinants_visited`),
-    unless C(root[0] + 1, N), the N-subsets of the root's orbitals, is
-    already within the budget.
+    n_electrons and m must be Python ints: a bool, a float or a numpy
+    integer raises ValueError before any arithmetic, as do bad parameters,
+    an unknown family or a state over MAX_ORBITALS or MAX_DETERMINANTS;
+    ZeroWavefunctionError is raised when the condensate vanishes (for chi,
+    m > 2N+1).  The orbitals are checked first, which bounds N before
+    anything of size N is made; the determinants by summing prefix widths
+    (:func:`_determinants_visited`), unless C(root[0] + 1, N), the
+    N-subsets of the root's orbitals, is already within the budget.
     Memoized per process with typed keys, so a sweep's up-front check and
-    the build after it count the determinants once; refusals raise and are
-    not kept.
+    the build after it count the determinants once, and a cached m = 1
+    never answers m = True; refusals raise and are not kept.
     """
+    _check_ints(N=n_electrons, m=m)
     if n_electrons < 2:
         raise ValueError("need at least two electrons")
     if m < 1 or m % 2 == 0:

@@ -46,9 +46,6 @@ from .states import (
 class CheckResult(Record):
     __slots__ = ("name", "status", "detail")  # status: "pass", "fail", or "info"
 
-    def __init__(self, name: str, status: str, detail: str) -> None:
-        super().__init__(name, status, detail)
-
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail)

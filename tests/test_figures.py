@@ -90,8 +90,8 @@ class TestEvaluateAndSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *columns):
+                return map(fn, *columns)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
         monkeypatch.setattr(figures.os, "cpu_count", lambda: cpus)
@@ -170,8 +170,8 @@ class TestSeriesPoints:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                mapped.extend(items)
+            def map(self, fn, *columns):
+                mapped.extend(zip(*columns))
                 return [_measured_stub(*item) for item in mapped]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
@@ -235,7 +235,7 @@ class TestPointMemo:
 
     def test_float_m_still_raises_after_int_m(self):
         evaluate_point("laughlin", 2, 3)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="m must be a Python int"):
             evaluate_point("laughlin", 2, 3.0)
 
     def test_all_presets_in_one_process_match_fresh_runs(self):

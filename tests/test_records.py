@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import pickle
 import pkgutil
 import sys
+import textwrap
 from decimal import Decimal
 from fractions import Fraction
 
@@ -78,7 +81,7 @@ RECORDS = {
         ("n_particles", "entropy_nats", "measure_nats", "measure_bits", "family", "m"),
         (2, 1.0, 0.25, 0.5, "laughlin", 3),
         (3, 2.0, 0.5, 0.75, None, None),
-        {"family": None, "m": None},
+        {},
         [],
     ),
     CondensateKernel: (
@@ -138,7 +141,11 @@ def _type_name(value: object) -> str:
 def test_record_contract(cls, monkeypatch):
     names, values, other, defaults, refused = RECORDS[cls]
     record = cls(*values)
-    assert record == cls(**dict(zip(names, values)))
+    if "__init__" in vars(cls):  # a constructor that checks or defaults takes names too
+        assert record == cls(**dict(zip(names, values)))
+    else:  # Record.__init__ takes the fields in order
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names, values)))
     assert record != cls(*other)
     assert tuple(getattr(record, name) for name in names) == values
 
@@ -233,9 +240,8 @@ def test_fields_are_collected_along_the_mro_and_counted():
     assert MultiPoly._fields == SlaterExpansion._fields == ("nvars", "_terms")
     assert FockVector._fields == ("n_particles", "dim", "_weights", "total")
     assert One._fields == ("value",) and Empty._fields == ()
-    point = SweepPoint.__new__(SweepPoint)
     with pytest.raises(TypeError, match="SweepPoint takes 4 fields, not 3"):
-        Record.__init__(point, "chi", 4, 5)
+        SweepPoint("chi", 4, 5)
 
 
 def _descendants(cls: type) -> set[type]:
@@ -260,6 +266,47 @@ def test_no_class_outside_record_defines_eq_or_hash():
         for cls in vars(importlib.import_module(name)).values():
             if isinstance(cls, type) and cls.__module__ == name != "fqhent._record":
                 assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__qualname__
+
+
+def _forwards_its_parameters(init: ast.FunctionDef) -> bool:
+    """Whether the body, but for a docstring, is one super().__init__ call
+    that passes the method's own parameters in order."""
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Expr):
+        return False
+    call = body[0].value
+    return (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__init__"
+        and isinstance(call.func.value, ast.Call)
+        and isinstance(call.func.value.func, ast.Name)
+        and call.func.value.func.id == "super"
+        and not call.keywords
+        and [getattr(arg, "id", None) for arg in call.args]
+        == [arg.arg for arg in init.args.args[1:]]
+    )
+
+
+def test_no_record_constructor_only_forwards_its_fields():
+    # Record.__init__ takes the fields in order, so a constructor whose body
+    # only passes its own parameters on restates the slots, defaults or not
+    for module in pkgutil.iter_modules(fqhent.__path__):
+        importlib.import_module(f"fqhent.{module.name}")
+    inits = {
+        cls.__qualname__: vars(cls)["__init__"]
+        for cls in _descendants(Record)
+        if cls.__module__.startswith("fqhent.") and "__init__" in vars(cls)
+    }
+    forwarding = [
+        name
+        for name, init in sorted(inits.items())
+        if _forwards_its_parameters(ast.parse(textwrap.dedent(inspect.getsource(init))).body[0])
+    ]
+    assert inits
+    assert forwarding == []
 
 
 @pytest.mark.parametrize(("cls", "values", "other"), [(One, (3,), (4,)), (Empty, (), None)])

@@ -9,6 +9,7 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -34,6 +35,7 @@ from fqhent import (
     vanishes,
 )
 from fqhent import poly, states
+from fqhent.figures import evaluate_point, family_report
 from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
 
 FAMILIES = ("laughlin", "hierarchical_phi", "chi")
@@ -414,6 +416,33 @@ class TestPointEvaluation:
         for changed in (terms[lam] + 1, -terms[lam]):
             got, expected = self._values("hierarchical_phi", 6, 3, {**terms, lam: changed})
             assert got != expected
+
+
+# each entry point that takes N and m, at the laughlin state (N, m)
+INTEGER_ENTRY_POINTS = {
+    "family_factors": lambda n, m: family_factors("laughlin", n, m),
+    "family_report": lambda n, m: family_report("laughlin", n, m),
+    "FAMILIES": lambda n, m: states.FAMILIES["laughlin"](n, m),
+    "evaluate_point": lambda n, m: evaluate_point("laughlin", n, m),
+    "vandermonde_expansion": lambda n, m: poly.vandermonde_expansion(n, m),
+}
+
+
+class TestIntegerInputs:
+    """N and m are Python ints: a bool would read as 0 or 1, a float fails
+    in math.comb, and a numpy integer overflows the weights and, once in
+    the Vandermonde memo, answers a later request with numpy entries."""
+
+    @pytest.mark.parametrize(
+        "value", [3.0, True, "3", np.int64(3)], ids=lambda value: type(value).__name__
+    )
+    @pytest.mark.parametrize("position", ["N", "m"])
+    @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+    def test_refused_before_any_arithmetic(self, entry, position, value):
+        args = (value, 3) if position == "N" else (3, value)
+        with pytest.raises(ValueError, match="must be a Python int"):
+            INTEGER_ENTRY_POINTS[entry](*args)
+        assert type(laughlin(3, 3).n_particles) is int
 
 
 def _product_root(family: str, n: int, m: int) -> tuple[int, ...]:
