@@ -8,14 +8,15 @@ Subcommands:
   verify    run the self-verification suite (fast or full)
 
 Exit codes: 0 success, 1 verification failure, 2 zero wavefunction,
-64 usage error, unwritable ``--out`` or a table or figure whose output
-does not fit in memory.  Options resolve as flags > config
-file > defaults; the config file is flat ``key = value`` text with ``#``
-comments.  A config key must name an option of some subcommand; keys of
-other subcommands are ignored, and values are checked with the running
-subcommand's flag type and choices.  Integers, as flags or config
-values, are ASCII decimal digits with an optional sign, so ``3_1`` exits
-64, as does a figure ``--out`` base with no file name, such as ``outdir/``.
+64 usage error, unwritable ``--out``, a state whose build does not fit in
+memory, or a table or figure whose output does not.  Options resolve as
+flags > config file > defaults; the config file is flat ``key = value``
+text with ``#`` comments.  A config key must name an option of some
+subcommand; keys of other subcommands are ignored, and values are checked
+with the running subcommand's flag type and choices.  Integers, as flags
+or config values, are ASCII decimal digits with an optional sign, so
+``3_1`` exits 64, as does a figure ``--out`` base with no file name, such
+as ``outdir/``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,11 @@ def cmd_compute(args: argparse.Namespace, opts: dict[str, Any]) -> int:
         return EXIT_ZERO_WAVEFUNCTION
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError:
+        report = None  # refused below, once the traceback has let go of the build
+    if report is None:
+        request = f"compute --family {opts['family']} --n {opts['n']} --m {opts['m']}"
+        raise UsageError(f"{request}: the state does not fit in memory")
     if opts["format"] == "json":
         import json
 
@@ -199,6 +205,10 @@ def _sweep_and_emit(
         points, zeros = series_points(series, opts["m_max"], opts["jobs"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError:
+        points = None  # refused below, once the traceback has let go of the build
+    if points is None:
+        raise UsageError(f"{request}: the state does not fit in memory")
     try:
         # CSV omits zero points; SVG and JSON show them, and each reads the tail once
         texts = [

@@ -28,6 +28,7 @@ from .measure import (  # re-exported, one definition each
     one_body_density,
     von_neumann,
 )
+from .poly import _check_ints
 
 class NotTwoFermionError(ValueError):
     """An operation defined only for two-particle states got another N."""
@@ -41,8 +42,9 @@ def closed_form_sf_laughlin2(m: int) -> float:
     """Analytic N=2 measure: (m-1) ln 2 - 2^{-(m-1)} sum_k C(m,k) ln C(m,k).
 
     The sum runs over k = 0 .. (m-1)/2, one term per occupied configuration
-    {k, m-k}; the value is in nats.
+    {k, m-k}; the value is in nats.  m must be a Python int.
     """
+    _check_ints(m=m)
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be a positive odd integer, got {m}")
     weight = Fraction(1, 2 ** (m - 1))

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from ._record import Record
 from .lll import occupations
 from .measure import EntanglementReport, OneBodyDensityMatrix, von_neumann
+from .poly import _check_ints
 from .states import ZeroWavefunctionError, family_expansion, family_factors
 
 DEFAULT_T_MAX = 6
@@ -43,6 +44,7 @@ ROW_FIELDS = ("t", "m", "family", "N", "S_f_bits")
 
 
 def _check_figure_id(fig_id: int) -> None:
+    _check_ints(fig_id=fig_id)
     if fig_id not in PRESETS:
         raise ValueError(f"figure id must be one of {tuple(PRESETS)}, got {fig_id}")
 
@@ -64,6 +66,7 @@ class FigureSpec(Record):
 def figure_spec(fig_id: int, t_max: int = DEFAULT_T_MAX) -> FigureSpec:
     """The preset series for figure fig_id over t = 0 .. t_max."""
     _check_figure_id(fig_id)
+    _check_ints(t_max=t_max)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     return FigureSpec(fig_id, PRESETS[fig_id][1], tuple(range(t_max + 1)))
@@ -152,9 +155,11 @@ def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[Sweep
     each distinct nonzero (family, N, m) once; the workers of a parallel
     sweep keep their own memos.  The result order follows the request order
     regardless of jobs, so downstream sorting is the only ordering that
-    matters.  At most min(jobs, requests, cpu count) worker processes are
-    started.  :func:`series_points` hands it only the nonzero points.
+    matters.  jobs must be a Python int, and at most min(jobs, requests,
+    cpu count) worker processes are started.  :func:`series_points` hands
+    it only the nonzero points.
     """
+    _check_ints(jobs=jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     for request in requests:
@@ -183,9 +188,10 @@ def series_points(
     the check at m = 1 bounds N by the orbital budget, so the walk is short.
     Only the nonzero points are swept, and the zero points are generated
     when the tail is read, so neither time nor memory grows with m_max
-    unless it is.  Raises ValueError when there is no odd m in 1..m_max or a
-    point is over the size budget.
+    unless it is.  Raises ValueError when m_max is not a Python int, there
+    is no odd m in 1..m_max or a point is over the size budget.
     """
+    _check_ints(m_max=m_max)
     m_top = m_max if m_max % 2 else m_max - 1
     if m_top < 1:
         raise ValueError(f"no odd m in 1..{m_max}")

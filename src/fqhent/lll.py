@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import Record
-from .poly import SlaterExpansion
+from .poly import SlaterExpansion, _check_ints
 
 FockConfig = tuple[int, ...]
 """Strictly increasing tuple of occupied orbital indices."""
@@ -41,6 +41,7 @@ def orbital_norm_sq(i: int) -> int:
 
     This is A_i^{−2} / pi for the normalized orbital.
     """
+    _check_ints(i=i)
     if i < 0:
         raise ValueError("orbital index must be non-negative")
     return 2 ** (i + 1) * math.factorial(i)
@@ -73,13 +74,13 @@ def amplitude_product(w: int, x: int, total: int) -> Fraction | float:
 class FockVector(Record):
     """A normalized N-fermion state over dim lowest-Landau-level orbitals.
 
-    n_particles fermions occupy orbitals 0 .. dim - 1.  Each occupied
-    configuration c (a strictly increasing orbital tuple) carries a signed
-    integer weight w_c, the weights sharing no common factor; its amplitude
-    is sign(w_c) sqrt(|w_c| / total), where total is the sum of the |w_c|,
-    so |w_c| / total is its squared amplitude.  It is built from any signed
-    integer weights, which are reduced on the way in; terms shows the same
-    exact values as Amplitudes.
+    n_particles fermions occupy orbitals 0 .. dim - 1, both Python ints.
+    Each occupied configuration c (a strictly increasing orbital tuple)
+    carries a signed integer weight w_c, the weights sharing no common
+    factor; its amplitude is sign(w_c) sqrt(|w_c| / total), where total is
+    the sum of the |w_c|, so |w_c| / total is its squared amplitude.  It is
+    built from any signed integer weights, which are reduced on the way in;
+    terms shows the same exact values as Amplitudes.
     """
 
     __slots__ = ("n_particles", "dim", "_weights", "total")
@@ -88,8 +89,7 @@ class FockVector(Record):
         for config, weight in weights.items():
             if not isinstance(weight, int):
                 raise ValueError(f"config {config}: weight {weight!r} is not an integer")
-        if not isinstance(n_particles, int) or not isinstance(dim, int):
-            raise ValueError(f"n_particles {n_particles!r} and dim {dim!r} must be integers")
+        _check_ints(n_particles=n_particles, dim=dim)
         if n_particles < 1:
             raise ValueError("need at least one particle")
         if dim < n_particles:
@@ -176,8 +176,10 @@ def _ratio_tables(expansion: SlaterExpansion) -> tuple[int, list[list[int]]]:
     """
     if expansion.is_zero:
         raise ZeroStateError("zero polynomial has no Fock expansion")
-    floors = [min(column) for column in zip(*expansion.terms)][::-1]
-    dim = 1 + max(lam[0] for lam in expansion.terms)
+    columns = zip(*expansion.terms)
+    first = next(columns)  # every lam's largest entry
+    floors = [min(first), *map(min, columns)][::-1]
+    dim = 1 + max(first)
     return dim, [[0] * f + list(accumulate(range(f + 1, dim), mul, initial=1)) for f in floors]
 
 

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Any
 
 from ._record import Record
 from .lll import FockVector
+from .poly import _check_ints
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +71,7 @@ class OneBodyDensityMatrix(Record):
     with any float among them, 1e-9 of either is allowed and each entry is
     stored by its exact binary ratio.
     An off-diagonal entry that is not an int or a Fraction must be finite,
-    and dim must be an int.  Record compares and hashes the stored fields;
+    and dim must be a Python int.  Record compares and hashes the stored fields;
     repr and pickle give the constructor's dim, diag and off_diagonal.
     """
 
@@ -82,8 +83,7 @@ class OneBodyDensityMatrix(Record):
         diag: tuple[Entry, ...],
         off_diagonal: dict[tuple[int, int], Entry] | None = None,
     ) -> None:
-        if not isinstance(dim, int):
-            raise ValueError(f"dim {dim!r} is not an integer")
+        _check_ints(dim=dim)
         if len(diag) != dim:
             raise ValueError(f"diagonal has {len(diag)} entries, not dim = {dim}")
         for p in diag:
@@ -282,8 +282,9 @@ class EntanglementReport(Record):
 
         The measure is the entropy minus ln N.  Values within 1e-12 of zero,
         on either side, are floating-point residue on separable states and
-        are clamped to exactly 0.
+        are clamped to exactly 0.  n_particles must be a Python int.
         """
+        _check_ints(n_particles=n_particles)
         if n_particles < 2:
             raise ValueError("entanglement needs at least two particles")
         measure = entropy_nats - math.log(n_particles)

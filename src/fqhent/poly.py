@@ -24,10 +24,11 @@ e_k(z_1^2, ..., z_N^2), the condensate factor, without leaving the basis.
 
 :class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
 map.  Input from outside goes through the checking constructor, which
-coerces with operator.index, checks every key, sums repeated keys in their
-first position and drops zero sums.  A map this module builds from
-checked instances is adopted unchecked with ``_from_terms`` once its zero
-sums are dropped.
+takes nvars as a count, coerces exponents and coefficients with
+operator.index, checks every key, sums repeated keys in their first
+position and drops zero sums.  A map this module builds from checked
+instances is adopted unchecked with ``_from_terms`` once its zero sums
+are dropped.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class NotAntisymmetricError(ValueError):
 
 
 def _check_ints(**values: object) -> None:
-    """Raise ValueError for a value that is not a Python int: a bool, a
-    float, or a numpy integer, whose fixed width overflows exact weights."""
+    """The one rule for a count (N, m, p, k, a size, jobs): a Python int,
+    never a bool, float, str or numpy integer, whose fixed width overflows
+    exact weights.  Every public entry point checks its counts here before
+    any arithmetic; ValueError names the first that fails."""
     for name, value in values.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be a Python int, got {value!r}")
@@ -78,7 +81,7 @@ class _TermMap(Record):
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: TermsLike = ()) -> None:
-        nvars = operator.index(nvars)
+        _check_ints(nvars=nvars)
         if nvars < 1:
             raise ValueError("need at least one variable")
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -169,6 +172,7 @@ class MultiPoly(_TermMap):
         return self * other
 
     def __pow__(self, power: int) -> "MultiPoly":
+        _check_ints(power=power)
         if power < 0:
             raise ValueError("negative power")
         out = MultiPoly.one(self.nvars)
@@ -280,11 +284,12 @@ class SlaterExpansion(_TermMap):
         read off the subset tuple, at most 8 long for the family states,
         since C(N, 9) > 40,000 for every N >= 18.
 
-        Raises ValueError unless k is an integer in 0..N.
+        Raises ValueError unless k is a Python int in 0..N.
         """
         n = self.nvars
-        if not isinstance(k, int) or not 0 <= k <= n:
-            raise ValueError(f"k must be an integer in 0..{n}, got {k!r}")
+        _check_ints(k=k)
+        if not 0 <= k <= n:
+            raise ValueError(f"k must be in 0..{n}, got {k}")
         size, step, lift = (k, 2, 0) if k <= n - k else (n - k, -2, 2)
         half = step // 2
         subsets = list(itertools.combinations(range(n), size))
@@ -319,8 +324,9 @@ def vandermonde_power(nvars: int, power: int) -> MultiPoly:
     so the cost is one sparse product per variable pair.  The result is
     homogeneous of degree power * nvars * (nvars - 1) / 2 and, for odd power,
     antisymmetric.  With a single variable the product is empty and the
-    result is the constant 1.
+    result is the constant 1.  nvars and power must be Python ints.
     """
+    _check_ints(nvars=nvars, power=power)
     if nvars < 1:
         raise ValueError("need at least one variable")
     if power < 1:
@@ -522,6 +528,7 @@ def _pair_power(nvars: int, j: int, k: int, power: int) -> MultiPoly:
 
 def elementary_symmetric(nvars: int, k: int) -> MultiPoly:
     """e_k(z_1 .. z_n): the sum of all squarefree monomials of degree k."""
+    _check_ints(nvars=nvars, k=k)
     if not 0 <= k <= nvars:
         raise ValueError(f"k={k} out of range 0..{nvars}")
     terms: dict[Exponents, int] = {}

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .poly import Exponents, MultiPoly, elementary_symmetric
+from .poly import Exponents, MultiPoly, _check_ints, elementary_symmetric
 
 ALPHA = Fraction(1, 3)
 """Gaussian width α of the quasihole measure e^{−α|ξ|²}."""
@@ -47,12 +47,13 @@ class CondensateKernel(Record):
     """Parameters of a two-quasihole condensate integral.
 
     n_electrons is the number of z coordinates and p the power of the
-    antiholomorphic pairing factor (ξ₁*−ξ₂*)^p.
+    antiholomorphic pairing factor (ξ₁*−ξ₂*)^p; both are Python ints.
     """
 
     __slots__ = ("n_electrons", "p")
 
     def __init__(self, n_electrons: int, p: int) -> None:
+        _check_ints(n_electrons=n_electrons, p=p)
         super().__init__(n_electrons, p)
         if self.n_electrons < 1:
             raise ValueError("need at least one electron")
@@ -107,6 +108,7 @@ def gaussian_moment(a: int, b: int, alpha: Fraction | int) -> Fraction:
     Angular integration kills every off-diagonal moment; on the diagonal the
     radial integral gives π · a! · α^{−(a+1)}.
     """
+    _check_ints(a=a, b=b)
     if a < 0 or b < 0:
         raise ValueError("moment orders must be non-negative")
     alpha = Fraction(alpha)
@@ -144,10 +146,7 @@ def vanishes(n_electrons: int, p: int) -> bool:
     Two mechanisms kill it: odd p makes the pairing factor odd under
     ξ₁ ↔ ξ₂ while the rest of the integrand is even, and p > 2N leaves no
     holomorphic degree to match the antiholomorphic one (each ξ appears at
-    most to power N).
+    most to power N).  Raises ValueError where CondensateKernel does.
     """
-    if n_electrons < 1:
-        raise ValueError("need at least one electron")
-    if p < 0:
-        raise ValueError("pairing exponent must be non-negative")
+    CondensateKernel(n_electrons, p)
     return p % 2 == 1 or p > 2 * n_electrons

@@ -111,12 +111,14 @@ def filling_fraction(k: KMatrix) -> Fraction:
 
 
 def hierarchical_phi_k(m: int) -> KMatrix:
-    """K-matrix of the hierarchical_phi family: ((m, 1), (1, -2))."""
+    """K-matrix of the hierarchical_phi family: ((m, 1), (1, -2)); m is a Python int."""
+    _check_ints(m=m)
     return KMatrix(((m, 1), (1, -2)))
 
 
 def chi_k(m: int) -> KMatrix:
-    """K-matrix of the chi family: ((1, 1), (1, -(m-1)))."""
+    """K-matrix of the chi family: ((1, 1), (1, -(m-1))); m is a Python int."""
+    _check_ints(m=m)
     return KMatrix(((1, 1), (1, -(m - 1))))
 
 

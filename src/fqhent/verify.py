@@ -11,7 +11,9 @@ determinant basis; basis-route-equivalence keeps the full-expansion route
 (family_polynomial, then slater_project) as their independent check, and
 laughlin-translation-highest-weight checks Laughlin states by two exact
 identities, at N <= 4 and, in full, up to N = 7 where that route is out of
-reach.
+reach.  The measure's claims read fqhent.figures.family_report, the route
+that compute, table and figure take; route-equivalence-n2 measures the
+FockVector with modified_measure.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .entangle import (
     slater_pairing,
     two_qubit_consistency,
 )
+from .figures import family_report
 from .lll import amplitude_pattern, slater_coefficient_magnitudes
 from .poly import MultiPoly, slater_project, vandermonde_power
 from .quasihole import CondensateKernel, condense, vanishes
@@ -49,10 +52,6 @@ class CheckResult(Record):
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail)
-
-
-def _measure(state) -> float:
-    return modified_measure(state).measure_nats
 
 
 def check_binomial_amplitude_pattern(m_max: int) -> CheckResult:
@@ -272,11 +271,11 @@ def check_route_equivalence_n2(m_max: int) -> CheckResult:
 
 def check_equality_anchor() -> CheckResult:
     """N=2 anchor equality holds; its N=3 counterpart does not."""
-    v23 = _measure(laughlin(2, 3))
-    phi21 = _measure(hierarchical_phi(2, 1))
+    v23 = family_report("laughlin", 2, 3).measure_nats
+    phi21 = family_report("hierarchical_phi", 2, 1).measure_nats
     analytic = 2 * math.log(2) - 0.75 * math.log(3)
-    v33 = _measure(laughlin(3, 3))
-    phi31 = _measure(hierarchical_phi(3, 1))
+    v33 = family_report("laughlin", 3, 3).measure_nats
+    phi31 = family_report("hierarchical_phi", 3, 1).measure_nats
     ok = (
         abs(v23 - phi21) <= 1e-12
         and abs(v23 - analytic) <= 1e-10
@@ -311,17 +310,17 @@ def check_two_qubit_consistency() -> CheckResult:
 def check_monotonicity(m_max: int) -> CheckResult:
     """The measure strictly increases with m for all four main series."""
     for family, n in (
-        (laughlin, 2),
-        (laughlin, 3),
-        (hierarchical_phi, 2),
-        (hierarchical_phi, 3),
+        ("laughlin", 2),
+        ("laughlin", 3),
+        ("hierarchical_phi", 2),
+        ("hierarchical_phi", 3),
     ):
-        values = [_measure(family(n, m)) for m in range(1, m_max + 1, 2)]
+        values = [family_report(family, n, m).measure_nats for m in range(1, m_max + 1, 2)]
         if any(b <= a for a, b in zip(values, values[1:])):
             return _result(
                 "monotonicity",
                 False,
-                f"{family.__name__} N={n} not strictly increasing: {values}",
+                f"{family} N={n} not strictly increasing: {values}",
             )
     return _result(
         "monotonicity",
@@ -334,7 +333,8 @@ def check_monotonicity(m_max: int) -> CheckResult:
 def check_laughlin_n_growth(m_max: int) -> CheckResult:
     """laughlin N=3 exceeds N=2 at every odd m >= 3."""
     for m in range(3, m_max + 1, 2):
-        if _measure(laughlin(3, m)) <= _measure(laughlin(2, m)):
+        n2, n3 = (family_report("laughlin", n, m).measure_nats for n in (2, 3))
+        if n3 <= n2:
             return _result("laughlin-n-growth", False, f"violated at m={m}")
     return _result(
         "laughlin-n-growth", True, f"N=3 exceeds N=2 for odd m in 3..{m_max}"
@@ -359,7 +359,10 @@ def info_family_ordering(m_max: int) -> CheckResult:
     """Report, without asserting, which N=2 family is larger at each m."""
     parts = []
     for m in range(1, m_max + 1, 2):
-        diff = _measure(laughlin(2, m)) - _measure(hierarchical_phi(2, m))
+        diff = (
+            family_report("laughlin", 2, m).measure_nats
+            - family_report("hierarchical_phi", 2, m).measure_nats
+        )
         parts.append(f"m={m}: {'laughlin' if diff > 0 else 'hierarchical_phi'}")
     return CheckResult(
         "family-ordering",
@@ -372,7 +375,10 @@ def info_hierarchical_n_growth(m_max: int) -> CheckResult:
     """Report the hierarchical N=3 vs N=2 comparison without asserting it."""
     parts = []
     for m in range(1, m_max + 1, 2):
-        d = _measure(hierarchical_phi(3, m)) - _measure(hierarchical_phi(2, m))
+        d = (
+            family_report("hierarchical_phi", 3, m).measure_nats
+            - family_report("hierarchical_phi", 2, m).measure_nats
+        )
         parts.append(f"m={m}: {'N=3' if d > 0 else 'N=2'} larger")
     return CheckResult(
         "hierarchical-n-growth", "info", ", ".join(parts) + " (not asserted)"

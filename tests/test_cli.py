@@ -195,6 +195,33 @@ class TestCompute:
         assert fits.returncode == EXIT_OK, fits.stderr
         assert fits.stdout.startswith("t,m,family,N,S_f_bits\n")
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_state_that_does_not_fit_exits_64(self):
+        # laughlin(9, 3), the largest state the budget allows at N = 9,
+        # computes in a 48,000 KiB address space (Python 3.11, Linux); in
+        # 32 MiB its squeeze runs out of memory after the imports, which fit
+        # from 20,000 KiB, and compute and table refuse it with one line
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (32 << 20, 32 << 20))
+
+        for command in (
+            ["compute", "--family", "laughlin", "--n", "9", "--m", "3"],
+            ["table", "--family", "laughlin", "--n", "9", "--m-max", "3"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fqhent.cli", *command],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                preexec_fn=limit_address_space,
+            )
+            assert proc.returncode == EXIT_USAGE, proc.stderr
+            assert proc.stdout == ""
+            request = " ".join(command)
+            assert proc.stderr == f"error: {request}: the state does not fit in memory\n"
+
     @pytest.mark.parametrize("command", [["table"], ["figure", "1"]])
     @pytest.mark.parametrize("m_max", ["0", "-4"])
     def test_no_odd_m_exit_64(self, capsys, command, m_max):

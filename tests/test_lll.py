@@ -225,9 +225,9 @@ class TestFockVectorValidation:
 
     @pytest.mark.parametrize("sizes", [(2, 4.0), (2.0, 4), (np.int64(2), 4), (2, np.int64(4))])
     def test_rejects_non_integer_sizes(self, sizes):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be a Python int"):
             FockVector(*sizes, {(0, 1): 1, (2, 3): 2})
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be a Python int"):
             FockVector.from_unnormalized(*sizes, {(0, 1): (1, 1)})
 
     def test_rejects_bad_configs(self):

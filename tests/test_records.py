@@ -65,7 +65,7 @@ RECORDS = {
         {"off_diagonal": {}},
         [
             ((3, (HALF, HALF)), "not dim"),
-            ((2.0, (HALF, HALF)), "dim 2.0 is not an integer"),
+            ((2.0, (HALF, HALF)), "dim must be a Python int"),
             ((2, (HALF, HALF), {(1, 0): HALF}), "sparsely"),
             ((2, (HALF, HALF), {(0, 1): 0}), "sparsely"),
             ((2, (HALF, Fraction(1, 3))), "trace is 5/6"),

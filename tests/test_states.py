@@ -35,7 +35,11 @@ from fqhent import (
     vanishes,
 )
 from fqhent import poly, states
-from fqhent.figures import evaluate_point, family_report
+from fqhent.entangle import closed_form_sf_laughlin2
+from fqhent.figures import evaluate_point, family_report, figure_spec, figure_title, series_points
+from fqhent.lll import FockVector, orbital_norm_sq
+from fqhent.measure import EntanglementReport, OneBodyDensityMatrix
+from fqhent.quasihole import ALPHA, gaussian_moment
 from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
 
 FAMILIES = ("laughlin", "hierarchical_phi", "chi")
@@ -427,15 +431,50 @@ INTEGER_ENTRY_POINTS = {
     "vandermonde_expansion": lambda n, m: poly.vandermonde_expansion(n, m),
 }
 
+THIRD = Fraction(1, 3)
+
+# every other entry point that takes a count, by the count's name: a call
+# that is valid when the count is 3
+COUNT_ENTRY_POINTS = {
+    "vandermonde_power-nvars": lambda v: vandermonde_power(v, 3),
+    "vandermonde_power-power": lambda v: vandermonde_power(3, v),
+    "elementary_symmetric-nvars": lambda v: poly.elementary_symmetric(v, 2),
+    "elementary_symmetric-k": lambda v: poly.elementary_symmetric(3, v),
+    "times_elementary_squares-k": (
+        lambda v: poly.SlaterExpansion(3, {(2, 1, 0): 1}).times_elementary_squares(v)
+    ),
+    "MultiPoly-nvars": lambda v: MultiPoly(v, {}),
+    "MultiPoly-power": lambda v: MultiPoly(2, {(1, 0): 1}) ** v,
+    "CondensateKernel-n_electrons": lambda v: CondensateKernel(v, 2),
+    "CondensateKernel-p": lambda v: CondensateKernel(3, v),
+    "vanishes-n_electrons": lambda v: vanishes(v, 2),
+    "vanishes-p": lambda v: vanishes(3, v),
+    "gaussian_moment-a": lambda v: gaussian_moment(v, 3, ALPHA),
+    "gaussian_moment-b": lambda v: gaussian_moment(3, v, ALPHA),
+    "orbital_norm_sq-i": orbital_norm_sq,
+    "FockVector-n_particles": lambda v: FockVector(v, 4, {(0, 1, 2): 1}),
+    "FockVector-dim": lambda v: FockVector(2, v, {(0, 1): 1}),
+    "OneBodyDensityMatrix-dim": lambda v: OneBodyDensityMatrix(v, (THIRD, THIRD, THIRD)),
+    "from_entropy-n_particles": lambda v: EntanglementReport.from_entropy(v, 1.5),
+    "closed_form_sf_laughlin2-m": closed_form_sf_laughlin2,
+    "hierarchical_phi_k-m": hierarchical_phi_k,
+    "chi_k-m": chi_k,
+    "figure_title-id": figure_title,
+    "figure_spec-id": figure_spec,
+    "figure_spec-t_max": lambda v: figure_spec(1, v),
+    "sweep-jobs": lambda v: sweep([], v),
+    "series_points-m_max": lambda v: series_points([], v),
+}
+
+NOT_INTS = [3.0, True, "3", np.int64(3)]
+
 
 class TestIntegerInputs:
     """N and m are Python ints: a bool would read as 0 or 1, a float fails
     in math.comb, and a numpy integer overflows the weights and, once in
     the Vandermonde memo, answers a later request with numpy entries."""
 
-    @pytest.mark.parametrize(
-        "value", [3.0, True, "3", np.int64(3)], ids=lambda value: type(value).__name__
-    )
+    @pytest.mark.parametrize("value", NOT_INTS, ids=lambda value: type(value).__name__)
     @pytest.mark.parametrize("position", ["N", "m"])
     @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
     def test_refused_before_any_arithmetic(self, entry, position, value):
@@ -443,6 +482,16 @@ class TestIntegerInputs:
         with pytest.raises(ValueError, match="must be a Python int"):
             INTEGER_ENTRY_POINTS[entry](*args)
         assert type(laughlin(3, 3).n_particles) is int
+
+    @pytest.mark.parametrize("value", NOT_INTS, ids=lambda value: type(value).__name__)
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_every_count_is_checked(self, entry, value):
+        # the call is valid at 3, so the refusal is the count's alone: a
+        # bool would read as 0 or 1, and a float, a str or a numpy integer
+        # would reach the arithmetic or a range check that passes it
+        COUNT_ENTRY_POINTS[entry](3)
+        with pytest.raises(ValueError, match="must be a Python int"):
+            COUNT_ENTRY_POINTS[entry](value)
 
 
 def _product_root(family: str, n: int, m: int) -> tuple[int, ...]:
