@@ -26,7 +26,6 @@ from .lll import (
     FockVector,
     ZeroStateError,
     amplitude_pattern,
-    orbital_norm_sq,
     slater_coefficient_magnitudes,
     to_fock,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "laughlin",
     "modified_measure",
     "one_body_density",
-    "orbital_norm_sq",
     "render_svg",
     "rows_to_csv",
     "schliemann_eta",

@@ -11,11 +11,11 @@ class Record:
     _get; Record.__init__(*values) is the one writer and takes them in that
     order, so a subclass defines __init__ only to check or to default its
     fields.  Records equal only records of their own class, and hash, print
-    and pickle by their field values, a dict field hashing by its items, so
-    a subclass that declares no slots keeps its base's fields.  A record
-    overrides only __reduce__ and __repr__: FockVector and
-    OneBodyDensityMatrix, whose constructors do not take their fields, and
-    _TermMap's repr, whose terms are sorted."""
+    and pickle by their field values, a dict field hashing by its items and
+    a read-only mapping printing and pickling as the dict it wraps, so a
+    subclass that declares no slots keeps its base's fields.  A record
+    overrides only __reduce__ and __repr__: FockVector, whose constructor
+    does not take its fields, and _TermMap's repr, whose terms are sorted."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -54,8 +54,13 @@ class Record:
         ]))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_plain(getattr(self, name))!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._get(self)
+        return type(self), tuple(map(_plain, self._get(self)))
+
+
+def _plain(value: object) -> object:
+    """A read-only mapping field as the dict a constructor takes; any other value as is."""
+    return dict(value) if isinstance(value, MappingProxyType) else value

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 zero wavefunction,
 64 usage error, unwritable ``--out``, a state whose build does not fit in
-memory, or a table or figure whose output does not.  Options resolve as
+memory, a table or figure whose output does not, or a ``--jobs`` sweep
+that cannot start its process pool's threads.  Options resolve as
 flags > config file > defaults; the config file is flat ``key = value``
 text with ``#`` comments.  A config key must name an option of some
 subcommand; keys of other subcommands are ignored, and values are checked
@@ -27,7 +28,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .figures import (
-    PRESETS, family_report, figure_title, render_svg, rows_to_csv, rows_to_json, series_points
+    PRESETS, WorkerStartError, family_report, figure_title, render_svg, rows_to_csv,
+    rows_to_json, series_points,
 )
 from .states import FAMILIES, ZeroWavefunctionError
 
@@ -205,6 +207,8 @@ def _sweep_and_emit(
         points, zeros = series_points(series, opts["m_max"], opts["jobs"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except WorkerStartError as exc:
+        raise UsageError(f"{request} --jobs {opts['jobs']}: {exc}") from None
     except MemoryError:
         points = None  # refused below, once the traceback has let go of the build
     if points is None:

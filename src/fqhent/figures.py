@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -50,17 +51,19 @@ def _check_figure_id(fig_id: int) -> None:
 
 
 class FigureSpec(Record):
-    """One preset figure: numbered id, series list, and t grid."""
+    """One preset figure: numbered id, series list, and a t grid of non-negative Python ints."""
 
     __slots__ = ("id", "series", "t_values")
 
     def __init__(
         self, id: int, series: tuple[tuple[str, int], ...], t_values: tuple[int, ...]
     ) -> None:
+        _check_figure_id(id)
+        for t in t_values:
+            _check_ints(t=t)
+            if t < 0:
+                raise ValueError(f"t values must be non-negative, got {t}")
         super().__init__(id, series, t_values)
-        _check_figure_id(self.id)
-        if any(t < 0 for t in self.t_values):
-            raise ValueError("t values must be non-negative")
 
 
 def figure_spec(fig_id: int, t_max: int = DEFAULT_T_MAX) -> FigureSpec:
@@ -108,9 +111,7 @@ def family_report(family: str, n_electrons: int, m: int) -> EntanglementReport:
     :func:`~fqhent.states.family_expansion` does.
     """
     occupied, total = occupations(family_expansion(family, n_electrons, m))
-    rho = OneBodyDensityMatrix._from_occupations(
-        len(occupied), tuple(occupied), n_electrons * total, {}
-    )
+    rho = OneBodyDensityMatrix(len(occupied), tuple(occupied), n_electrons * total)
     return EntanglementReport.from_entropy(n_electrons, von_neumann(rho), family, m)
 
 
@@ -144,6 +145,30 @@ def _is_nonzero(family: str, n_electrons: int, m: int) -> bool:
     return True
 
 
+class WorkerStartError(RuntimeError):
+    """A parallel sweep cannot start the threads its process pool needs."""
+
+
+def _pool_threads_start() -> bool:
+    """Whether two threads can run at once here.  A process pool forks its
+    workers, then starts a manager thread and a queue feeder; when a thread
+    cannot start, as under a tight address-space limit, the sweep hangs."""
+    release = threading.Event()
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(2):
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            threads.append(thread)
+    except RuntimeError:
+        return False
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join()
+    return True
+
+
 def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[SweepPoint]:
     """Evaluate (family, N, m) requests, optionally across processes.
 
@@ -156,8 +181,9 @@ def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[Sweep
     sweep keep their own memos.  The result order follows the request order
     regardless of jobs, so downstream sorting is the only ordering that
     matters.  jobs must be a Python int, and at most min(jobs, requests,
-    cpu count) worker processes are started.  :func:`series_points` hands
-    it only the nonzero points.
+    cpu count) worker processes are started.  A parallel sweep that cannot
+    start its pool's threads raises WorkerStartError before it forks any
+    worker.  :func:`series_points` hands it only the nonzero points.
     """
     _check_ints(jobs=jobs)
     if jobs < 1:
@@ -167,6 +193,8 @@ def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[Sweep
     workers = min(jobs, len(requests), os.cpu_count() or 1)
     if workers <= 1:
         return [evaluate_point(*req) for req in requests]
+    if not _pool_threads_start():
+        raise WorkerStartError("cannot start a process pool's two threads; use --jobs 1")
     # Imported here so that start-up and serial sweeps never load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 

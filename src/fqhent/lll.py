@@ -36,17 +36,6 @@ class ZeroStateError(ValueError):
     """A Fock vector was requested for the zero polynomial."""
 
 
-def orbital_norm_sq(i: int) -> int:
-    """Squared norm of z^i e^{−|z|²/4} over the plane, over pi: 2^{i+1} * i!.
-
-    This is A_i^{−2} / pi for the normalized orbital.
-    """
-    _check_ints(i=i)
-    if i < 0:
-        raise ValueError("orbital index must be non-negative")
-    return 2 ** (i + 1) * math.factorial(i)
-
-
 class Amplitude(Record):
     """One entry of FockVector.terms: a sign and the exact squared magnitude."""
 
@@ -191,7 +180,7 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
     c_lam * sigma * sqrt(prod_j 2^{mu_j+1} mu_j!), where sigma is the parity
     of the sorting reversal (a global sign, kept for convention fidelity) and
     the pi^{N/2} common to all terms has been dropped.  Its integer weight is
-    that amplitude's sign times its square, c_lam^2 prod_j orbital_norm_sq(mu_j),
+    that amplitude's sign times its square, c_lam^2 prod_j 2^{mu_j+1} mu_j!,
     which is c_lam^2 prod_j (mu_j! / f_j!) 2^(|mu| - min |mu|) times a factor
     2^(min |mu| + N) prod_j f_j! shared by every configuration, with f_j the
     smallest mu_j of any configuration and |mu| = sum_j mu_j.  Only the first

@@ -21,10 +21,12 @@ slot records, built on fqhent._record.Record.
 
 The matrix keeps its diagonal as the integer occupations the contraction
 sums over the one denominator N times the state's total weight, in lowest
-terms.  diag builds reduced Fractions from them only when read, and
-von_neumann and as_numpy divide each numerator by the denominator: int
-true division is correctly rounded, as float(Fraction) is, so every
-eigenvalue and matrix entry has the bits of the reduced Fraction's float.
+terms.  Its one constructor takes those fields, as every caller has them,
+checks them and reduces them.  diag builds reduced Fractions from them only
+when read, and von_neumann and as_numpy divide each numerator by the
+denominator: int true division is correctly rounded, as float(Fraction)
+is, so every eigenvalue and matrix entry has the bits of the reduced
+Fraction's float.
 
 Off the diagonal, one_body_density pairs the configurations that leave the
 same hole when one orbital is removed.  It keys each hole by a bitmask of
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ._record import Record
 from .lll import FockVector
@@ -55,24 +57,15 @@ Entry = Fraction | float
 class OneBodyDensityMatrix(Record):
     """Real symmetric density matrix with unit trace, stored sparsely.
 
-    The diagonal is stored once, in lowest terms: dim integers over one
-    positive denominator, sharing no common factor, so a matrix has one
-    stored form.  diag builds its reduced Fractions on access; von_neumann
-    and as_numpy divide each numerator by the denominator, which rounds
-    correctly as float(Fraction) does, so the floats keep their bits.
-    off_diagonal is a read-only map from (mu, nu), mu < nu, to the nonzero
-    entry rho_{mu nu} = rho_{nu mu}, so the matrix is symmetric by
-    construction and diagonal exactly when off_diagonal is empty; an entry
-    is an exact Fraction when its amplitude products are rational, else a
-    float.
-
-    The constructor takes diagonal entries, each an int, a Fraction or a
-    float.  Ints and Fractions must be non-negative and sum to exactly 1;
-    with any float among them, 1e-9 of either is allowed and each entry is
-    stored by its exact binary ratio.
-    An off-diagonal entry that is not an int or a Fraction must be finite,
-    and dim must be a Python int.  Record compares and hashes the stored fields;
-    repr and pickle give the constructor's dim, diag and off_diagonal.
+    The constructor takes the fields it stores: dim non-negative Python int
+    numerators over one positive Python int denominator, which they sum to
+    exactly, kept in lowest terms; and off_diagonal, copied and kept
+    read-only, which maps (mu, nu), 0 <= mu < nu < dim, to the nonzero entry
+    rho_{mu nu} = rho_{nu mu}: an int or a Fraction when its amplitude
+    products are rational, else a finite float.  So the matrix is symmetric
+    by construction and diagonal exactly when off_diagonal is empty.  dim
+    must be a Python int.  Record compares, hashes, prints and pickles the
+    stored fields; diag gives the diagonal as reduced Fractions.
     """
 
     __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
@@ -80,59 +73,27 @@ class OneBodyDensityMatrix(Record):
     def __init__(
         self,
         dim: int,
-        diag: tuple[Entry, ...],
-        off_diagonal: dict[tuple[int, int], Entry] | None = None,
-    ) -> None:
-        _check_ints(dim=dim)
-        if len(diag) != dim:
-            raise ValueError(f"diagonal has {len(diag)} entries, not dim = {dim}")
-        for p in diag:
-            if not isinstance(p, (int, Fraction, float)):
-                raise ValueError(f"diagonal entry {p!r} is not an int, a Fraction or a float")
-        exact = all(isinstance(p, (int, Fraction)) for p in diag)
-        if not exact and abs(sum(diag) - 1.0) > 1e-9:
-            raise ValueError(f"trace is {sum(diag)}, not 1")
-        for p in diag:
-            if p < (0 if exact else -1e-9):
-                raise ValueError(f"diagonal entry {p} is negative")
-        ratios = [p.as_integer_ratio() for p in diag]
-        denominator = math.lcm(*(q for _, q in ratios))
-        numerators = tuple(p * (denominator // q) for p, q in ratios)
-        off_diagonal = dict(off_diagonal or {})
-        for key, entry in off_diagonal.items():
-            if not isinstance(entry, (int, Fraction)) and not math.isfinite(entry):
-                raise ValueError(f"off-diagonal entry {key} = {entry} is not finite")
-        self._store(dim, numerators, denominator, off_diagonal, exact)
-
-    @classmethod
-    def _from_occupations(
-        cls, dim: int, numerators: tuple[int, ...], denominator: int, off_diagonal: dict
-    ) -> "OneBodyDensityMatrix":
-        """Adopt dim non-negative integers over one denominator and a dict
-        no one else holds; the trace and the sparse keys are still checked."""
-        rho = cls.__new__(cls)
-        rho._store(dim, numerators, denominator, off_diagonal)
-        return rho
-
-    def _store(
-        self,
-        dim: int,
         numerators: tuple[int, ...],
         denominator: int,
-        off_diagonal: dict,
-        exact: bool = True,
+        off_diagonal: Mapping[tuple[int, int], Entry] | None = None,
     ) -> None:
-        """Check the trace, exactly unless the diagonal had floats, and the
-        sparse keys and entries, then set the slots, the diagonal in lowest terms."""
-        if exact and sum(numerators) != denominator:
-            raise ValueError(f"trace is {Fraction(sum(numerators), denominator)}, not 1")
+        _check_ints(dim=dim, denominator=denominator)
+        if len(numerators) != dim:
+            raise ValueError(f"diagonal has {len(numerators)} entries, not dim = {dim}")
+        for p in numerators:
+            if type(p) is not int or p < 0:
+                raise ValueError(f"diagonal numerator {p!r} is not a non-negative Python int")
+        if denominator < 1 or sum(numerators) != denominator:
+            raise ValueError(f"trace is {sum(numerators)}/{denominator}, not 1")
+        off_diagonal = dict(off_diagonal or {})
         for (mu, nu), entry in off_diagonal.items():
             if not 0 <= mu < nu < dim or not entry:
-                raise ValueError(f"off-diagonal entry ({mu}, {nu}) = {entry} is not stored sparsely")
+                raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not stored sparsely")
+            if not isinstance(entry, (int, Fraction)) and not math.isfinite(entry):
+                raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
         common = math.gcd(denominator, *numerators)
-        numerators = tuple([p // common for p in numerators]) if common > 1 else numerators
-        off_diagonal = MappingProxyType(off_diagonal)
-        Record.__init__(self, dim, numerators, denominator // common, off_diagonal)
+        numerators = tuple([p // common for p in numerators]) if common > 1 else tuple(numerators)
+        super().__init__(dim, numerators, denominator // common, MappingProxyType(off_diagonal))
 
     @property
     def diag(self) -> tuple[Fraction, ...]:
@@ -152,15 +113,6 @@ class OneBodyDensityMatrix(Record):
         for (mu, nu), entry in self.off_diagonal.items():
             flat[mu * dim + nu] = flat[nu * dim + mu] = float(entry)
         return np.array(flat).reshape(dim, dim)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(dim={self.dim!r}, diag={self.diag!r}, "
-            f"off_diagonal={dict(self.off_diagonal)!r})"
-        )
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.dim, self.diag, dict(self.off_diagonal))
 
 
 def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
@@ -243,7 +195,7 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
         for key, s in sums.items()
         if s != 0
     }
-    return OneBodyDensityMatrix._from_occupations(dim, tuple(occupied), norm, off_diagonal)
+    return OneBodyDensityMatrix(dim, tuple(occupied), norm, off_diagonal)
 
 
 def von_neumann(rho: OneBodyDensityMatrix) -> float:

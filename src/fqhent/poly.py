@@ -6,8 +6,9 @@ z1^3 - 3*z1^2*z2.  All arithmetic is exact, zero coefficients are never
 stored, and the canonical term order is lexicographically descending in the
 exponent tuple, which makes iteration and printing deterministic.
 :class:`MultiPoly`, the reference container that the slow route, ``verify``
-and the tests build with, offers construction, arithmetic, ``permute`` and
-the antisymmetry test.
+and the tests build with, offers construction, the product of two
+polynomials, which is all the condensate and the slow route multiply with,
+and the antisymmetry test.
 
 Antisymmetric polynomials admit a second exact representation: a sum of
 monomial determinants det(z_i^{lam_j}) over strictly decreasing exponent
@@ -142,60 +143,19 @@ class MultiPoly(_TermMap):
     def one(cls, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: 1})
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic and antisymmetry --------------------------------------
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._from_terms(self.nvars, {k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_compatible(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return MultiPoly._from_terms(self.nvars, {k: c for k, c in out.items() if c})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            return MultiPoly(self.nvars, {k: c * other for k, c in self._terms.items()})
-        self._check_compatible(other)
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         out: dict[Exponents, int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, 0) + ca * cb
         return MultiPoly._from_terms(self.nvars, {k: c for k, c in out.items() if c})
-
-    def __rmul__(self, other: int) -> "MultiPoly":
-        return self * other
-
-    def __pow__(self, power: int) -> "MultiPoly":
-        _check_ints(power=power)
-        if power < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.one(self.nvars)
-        for _ in range(power):
-            out = out * self
-        return out
-
-    def _check_compatible(self, other: "MultiPoly") -> None:
-        if not isinstance(other, MultiPoly):
-            raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-
-    # -- variable permutations and antisymmetry ----------------------------
-
-    def permute(self, perm: Sequence[int]) -> "MultiPoly":
-        """Relabel variables: the result's exponent of z_i is the source's of z_{perm[i]}."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError(f"{perm} is not a permutation of 0..{self.nvars - 1}")
-        return MultiPoly._from_terms(
-            self.nvars,
-            {tuple(key[p] for p in perm): coeff for key, coeff in self._terms.items()},
-        )
 
     def is_antisymmetric(self) -> bool:
         """True iff swapping any pair of variables negates the polynomial exactly.

@@ -222,6 +222,48 @@ class TestCompute:
             request = " ".join(command)
             assert proc.stderr == f"error: {request}: the state does not fit in memory\n"
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 runs serially on one CPU")
+    def test_parallel_sweep_that_cannot_start_its_threads_exits_64(self, tmp_path):
+        # with 8 MiB thread stacks, a 32 MiB address space holds the imports
+        # and one thread but not a process pool's two; the sweep once forked
+        # its workers, then hung, and they outlived the killed parent
+        import resource
+        import signal
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (32 << 20, 32 << 20))
+            _, hard = resource.getrlimit(resource.RLIMIT_STACK)
+            resource.setrlimit(resource.RLIMIT_STACK, (8 << 20, hard))
+
+        table = ["table", "--family", "laughlin", "--n", "2", "--m-max", "5", "--jobs", "2"]
+        for command, request in (
+            (table, " ".join(table)),
+            (["figure", "1", "--jobs", "2"], "figure 1 --m-max 13 --jobs 2"),
+        ):
+            out, err = tmp_path / "out", tmp_path / "err"
+            with open(out, "w") as stdout, open(err, "w") as stderr:
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "fqhent.cli", *command],
+                    stdout=stdout,
+                    stderr=stderr,
+                    env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                    preexec_fn=limit_address_space,
+                    start_new_session=True,
+                )
+            try:
+                assert proc.wait(timeout=30) == EXIT_USAGE, err.read_text()
+                assert out.read_text() == ""
+                assert err.read_text() == (
+                    f"error: {request}: cannot start a process pool's two threads; use --jobs 1\n"
+                )
+                with pytest.raises(ProcessLookupError):  # no process left in the session
+                    os.killpg(proc.pid, 0)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+
     @pytest.mark.parametrize("command", [["table"], ["figure", "1"]])
     @pytest.mark.parametrize("m_max", ["0", "-4"])
     def test_no_odd_m_exit_64(self, capsys, command, m_max):

@@ -1,4 +1,4 @@
-"""Orbital norms and the exact Slater-to-Fock map."""
+"""The exact Slater-to-Fock map and the orbital occupations."""
 
 from __future__ import annotations
 
@@ -22,28 +22,12 @@ from fqhent import (
     family_expansion,
     laughlin,
     one_body_density,
-    orbital_norm_sq,
     slater_coefficient_magnitudes,
     slater_project,
     to_fock,
     vandermonde_power,
 )
 from fqhent.lll import amplitude_product, occupations
-
-
-class TestOrbitalNorm:
-    @pytest.mark.parametrize("i,expected", [(0, 2), (1, 4), (3, 96)])
-    def test_examples(self, i, expected):
-        assert orbital_norm_sq(i) == expected
-        assert type(orbital_norm_sq(i)) is int
-
-    def test_closed_form(self):
-        for i in range(8):
-            assert orbital_norm_sq(i) == 2 ** (i + 1) * math.factorial(i)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            orbital_norm_sq(-1)
 
 
 class TestAmplitude:
@@ -349,9 +333,8 @@ def test_sign_convention_reversal_parity():
 
 def test_multipoly_round_trip_through_fock_ratios():
     # the degree-five product state built two ways gives identical vectors
-    z1 = MultiPoly(2, {(1, 0): 1})
-    z2 = MultiPoly(2, {(0, 1): 1})
-    poly = (z1 - z2) ** 3 * (z1**2 + z2**2)
+    # (z1 - z2)^3 (z1^2 + z2^2)
+    poly = vandermonde_power(2, 3) * MultiPoly(2, {(2, 0): 1, (0, 2): 1})
     assert to_fock(slater_project(poly)) == to_fock(
         SlaterExpansion(2, {(5, 0): 1, (4, 1): -3, (3, 2): 4})
     )

@@ -126,6 +126,14 @@ WIDE_WEIGHTS = {
 }
 
 
+def matrix_of(dim: int, diag, off_diagonal=None) -> measure.OneBodyDensityMatrix:
+    """The matrix with these diagonal Fractions: their numerators over the
+    lcm of their denominators."""
+    denominator = math.lcm(*(p.denominator for p in diag))
+    numerators = tuple(p.numerator * (denominator // p.denominator) for p in diag)
+    return measure.OneBodyDensityMatrix(dim, numerators, denominator, off_diagonal)
+
+
 def assert_same_as_amplitude_products(v: FockVector) -> None:
     """The kernel's matrix entry for entry, key order and type included."""
     rho = measure.one_body_density(v)
@@ -178,7 +186,7 @@ def test_family_density_is_stored_in_lowest_terms(family, n, m, entropy):
     # every occupation here shares a factor with N times the total weight
     v = FAMILIES[family](n, m)
     rho = measure.one_body_density(v)
-    public = measure.OneBodyDensityMatrix(v.dim, rho.diag)
+    public = matrix_of(v.dim, rho.diag)
     assert rho.denominator < n * v.total
     assert rho == public and hash(rho) == hash(public)
     assert rho.denominator == math.lcm(*(p.denominator for p in rho.diag))
@@ -222,11 +230,9 @@ def test_occupations_under_a_common_factor_give_the_same_matrix(family, n, m):
     occupied, total = occupations(family_expansion(family, n, m))
     factor = 3**631  # 1,001 bits
     assert factor.bit_length() > 1000
-    rho = measure.OneBodyDensityMatrix._from_occupations(
-        len(occupied), tuple(occupied), n * total, {}
-    )
-    scaled = measure.OneBodyDensityMatrix._from_occupations(
-        len(occupied), tuple(p * factor for p in occupied), n * total * factor, {}
+    rho = measure.OneBodyDensityMatrix(len(occupied), tuple(occupied), n * total)
+    scaled = measure.OneBodyDensityMatrix(
+        len(occupied), tuple(p * factor for p in occupied), n * total * factor
     )
     assert scaled == rho and hash(scaled) == hash(rho)
     assert measure.von_neumann(scaled).hex() == measure.von_neumann(rho).hex()
@@ -238,7 +244,7 @@ def assert_kernel_matrix_is_the_public_one(v: FockVector) -> None:
     the oracle's entries; its floats are those of the oracle's Fractions."""
     rho = measure.one_body_density(v)
     diag, off_diagonal = oracles.density_by_amplitude_products(v)
-    public = measure.OneBodyDensityMatrix(v.dim, diag, off_diagonal)
+    public = matrix_of(v.dim, diag, off_diagonal)
     assert rho == public and hash(rho) == hash(public)
     assert rho.as_numpy().diagonal().tolist() == [float(p) for p in diag]
     assert rho.as_numpy().tolist() == public.as_numpy().tolist()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import math
 import pickle
 import pkgutil
 import sys
@@ -59,22 +60,24 @@ RECORDS = {
     ),
     Amplitude: (("sign", "magnitude_sq"), (-1, Fraction(1, 3)), (1, Fraction(2, 3)), {}, []),
     OneBodyDensityMatrix: (
-        ("dim", "diag", "off_diagonal"),
-        (2, (HALF, HALF), {(0, 1): Fraction(1, 4)}),
-        (2, (Fraction(1, 3), Fraction(2, 3)), {}),
+        ("dim", "numerators", "denominator", "off_diagonal"),
+        (2, (1, 1), 2, {(0, 1): Fraction(1, 4)}),
+        (2, (1, 2), 3, {}),
         {"off_diagonal": {}},
         [
-            ((3, (HALF, HALF)), "not dim"),
-            ((2.0, (HALF, HALF)), "dim must be a Python int"),
-            ((2, (HALF, HALF), {(1, 0): HALF}), "sparsely"),
-            ((2, (HALF, HALF), {(0, 1): 0}), "sparsely"),
-            ((2, (HALF, Fraction(1, 3))), "trace is 5/6"),
-            ((2, (0.5, 0.25)), "trace is 0.75"),
-            ((2, (Fraction(3, 2), -HALF)), "negative"),
-            ((2, (1.5, -0.5)), "negative"),
-            ((2, (np.int64(1), np.int64(0))), "not an int, a Fraction or a float"),
-            ((2, (Decimal("0.5"), Decimal("0.5"))), "not an int, a Fraction or a float"),
-            ((2, ("1", "0")), "not an int, a Fraction or a float"),
+            ((3, (1, 1), 2), "not dim"),
+            ((2.0, (1, 1), 2), "dim must be a Python int"),
+            ((2, (1, 1), 2.0), "denominator must be a Python int"),
+            ((2, (1, 1), 2, {(1, 0): HALF}), "sparsely"),
+            ((2, (1, 1), 2, {(0, 1): 0}), "sparsely"),
+            ((2, (1, 1), 2, {(0, 1): math.nan}), "not finite"),
+            ((2, (3, 2), 6), "trace is 5/6"),
+            ((2, (0, 0), 0), "trace is 0/0"),
+            ((2, (3, -1), 2), "numerator -1 is not a non-negative Python int"),
+            ((2, (True, False), 1), "numerator True is not a non-negative Python int"),
+            ((2, (np.int64(1), np.int64(0)), 1), "not a non-negative Python int"),
+            ((2, (Decimal("0.5"), Decimal("0.5")), 1), "not a non-negative Python int"),
+            ((2, ("1", "0"), 1), "not a non-negative Python int"),
         ],
     ),
     EntanglementReport: (
@@ -266,6 +269,22 @@ def test_no_class_outside_record_defines_eq_or_hash():
         for cls in vars(importlib.import_module(name)).values():
             if isinstance(cls, type) and cls.__module__ == name != "fqhent._record":
                 assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__qualname__
+
+
+# the classes that print or pickle by their own methods: FockVector's
+# constructor takes weights and reduces them, so it does not take its
+# fields, and _TermMap prints its terms sorted
+OWN_REPR_OR_REDUCE = {"FockVector": {"__repr__", "__reduce__"}, "_TermMap": {"__repr__"}}
+
+
+def test_only_the_listed_classes_define_repr_or_reduce():
+    # Record prints and pickles every other record by its fields
+    for module in pkgutil.iter_modules(fqhent.__path__):
+        name = f"fqhent.{module.name}"
+        for cls in vars(importlib.import_module(name)).values():
+            if isinstance(cls, type) and cls.__module__ == name != "fqhent._record":
+                own = {"__repr__", "__reduce__"} & set(vars(cls))
+                assert own == OWN_REPR_OR_REDUCE.get(cls.__qualname__, set()), cls.__qualname__
 
 
 def _forwards_its_parameters(init: ast.FunctionDef) -> bool:

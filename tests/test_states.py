@@ -36,8 +36,10 @@ from fqhent import (
 )
 from fqhent import poly, states
 from fqhent.entangle import closed_form_sf_laughlin2
-from fqhent.figures import evaluate_point, family_report, figure_spec, figure_title, series_points
-from fqhent.lll import FockVector, orbital_norm_sq
+from fqhent.figures import (
+    FigureSpec, evaluate_point, family_report, figure_spec, figure_title, series_points
+)
+from fqhent.lll import FockVector
 from fqhent.measure import EntanglementReport, OneBodyDensityMatrix
 from fqhent.quasihole import ALPHA, gaussian_moment
 from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
@@ -101,9 +103,8 @@ class TestHierarchicalPhi:
         }
 
     def test_m3_polynomial_part(self):
-        z1 = MultiPoly(2, {(1, 0): 1})
-        z2 = MultiPoly(2, {(0, 1): 1})
-        expected = (z1 - z2) ** 3 * (z1**2 + z2**2)
+        # (z1 - z2)^3 (z1^2 + z2^2)
+        expected = vandermonde_power(2, 3) * MultiPoly(2, {(2, 0): 1, (0, 2): 1})
         assert family_polynomial("hierarchical_phi", 2, 3) == expected
 
     def test_m3_amplitudes(self):
@@ -431,8 +432,6 @@ INTEGER_ENTRY_POINTS = {
     "vandermonde_expansion": lambda n, m: poly.vandermonde_expansion(n, m),
 }
 
-THIRD = Fraction(1, 3)
-
 # every other entry point that takes a count, by the count's name: a call
 # that is valid when the count is 3
 COUNT_ENTRY_POINTS = {
@@ -444,17 +443,16 @@ COUNT_ENTRY_POINTS = {
         lambda v: poly.SlaterExpansion(3, {(2, 1, 0): 1}).times_elementary_squares(v)
     ),
     "MultiPoly-nvars": lambda v: MultiPoly(v, {}),
-    "MultiPoly-power": lambda v: MultiPoly(2, {(1, 0): 1}) ** v,
     "CondensateKernel-n_electrons": lambda v: CondensateKernel(v, 2),
     "CondensateKernel-p": lambda v: CondensateKernel(3, v),
     "vanishes-n_electrons": lambda v: vanishes(v, 2),
     "vanishes-p": lambda v: vanishes(3, v),
     "gaussian_moment-a": lambda v: gaussian_moment(v, 3, ALPHA),
     "gaussian_moment-b": lambda v: gaussian_moment(3, v, ALPHA),
-    "orbital_norm_sq-i": orbital_norm_sq,
     "FockVector-n_particles": lambda v: FockVector(v, 4, {(0, 1, 2): 1}),
     "FockVector-dim": lambda v: FockVector(2, v, {(0, 1): 1}),
-    "OneBodyDensityMatrix-dim": lambda v: OneBodyDensityMatrix(v, (THIRD, THIRD, THIRD)),
+    "OneBodyDensityMatrix-dim": lambda v: OneBodyDensityMatrix(v, (1, 1, 1), 3),
+    "OneBodyDensityMatrix-denominator": lambda v: OneBodyDensityMatrix(3, (1, 1, 1), v),
     "from_entropy-n_particles": lambda v: EntanglementReport.from_entropy(v, 1.5),
     "closed_form_sf_laughlin2-m": closed_form_sf_laughlin2,
     "hierarchical_phi_k-m": hierarchical_phi_k,
@@ -462,6 +460,7 @@ COUNT_ENTRY_POINTS = {
     "figure_title-id": figure_title,
     "figure_spec-id": figure_spec,
     "figure_spec-t_max": lambda v: figure_spec(1, v),
+    "FigureSpec-t": lambda v: FigureSpec(1, (("laughlin", 2),), (v, 0)),
     "sweep-jobs": lambda v: sweep([], v),
     "series_points-m_max": lambda v: series_points([], v),
 }
