@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .lll import occupations
-from .measure import EntanglementReport, OneBodyDensityMatrix, von_neumann
+from .measure import EntanglementReport, spectrum_entropy
 from .poly import _check_ints
 from .states import ZeroWavefunctionError, family_expansion, family_factors
 
@@ -104,15 +104,25 @@ def family_report(family: str, n_electrons: int, m: int) -> EntanglementReport:
 
     A family state is homogeneous, so its one-body density matrix is the
     diagonal occupied[mu] / (N total) that :func:`fqhent.lll.occupations`
-    sums in one pass over the determinants; no FockVector is built.  The
-    matrix is stored in lowest terms, so the report has, bit for bit, the
-    values of ``modified_measure(FAMILIES[family](n_electrons, m))``, the
-    public route the tests compare it with.  Raises as
-    :func:`~fqhent.states.family_expansion` does.
+    sums in one pass over the determinants.  No FockVector and no density
+    matrix is built, and no gcd is taken: the entropy divides each
+    numerator by N times the total, and int true division is correctly
+    rounded whatever factor both sides share, so the report has, bit for
+    bit, the values of ``modified_measure(FAMILIES[family](n_electrons, m))``,
+    the public route the tests compare it with.  The one check the matrix's
+    constructor would make that can fail here, the trace, is made directly:
+    numerators that do not sum to N times the total raise ArithmeticError.
+    Raises as :func:`~fqhent.states.family_expansion` does.
     """
     occupied, total = occupations(family_expansion(family, n_electrons, m))
-    rho = OneBodyDensityMatrix(len(occupied), tuple(occupied), n_electrons * total)
-    return EntanglementReport.from_entropy(n_electrons, von_neumann(rho), family, m)
+    denominator = n_electrons * total
+    if sum(occupied) != denominator:
+        raise ArithmeticError(
+            f"{family} N={n_electrons} m={m}: occupations sum to {sum(occupied)}, not N times"
+            f" the total weight, {denominator}"
+        )
+    entropy = spectrum_entropy(occupied, denominator)
+    return EntanglementReport.from_entropy(n_electrons, entropy, family, m)
 
 
 @functools.lru_cache(maxsize=None, typed=True)

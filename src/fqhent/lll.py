@@ -158,18 +158,23 @@ class FockVector(Record):
 
 
 def _ratio_tables(expansion: SlaterExpansion) -> tuple[int, list[list[int]]]:
-    """dim and, for each position j of a configuration mu = reversed(lam),
-    the table ratios[j][mu_j] = mu_j! / f_j! for f_j <= mu_j < dim, with f_j
-    the smallest mu_j of any configuration, so no mu_j indexes below its
-    floor.  Raises ZeroStateError on the zero expansion.
+    """dim and, for each entry k of the strictly decreasing exponents lam,
+    the table ratios[k][lam_k] = lam_k! / f_k! for f_k <= lam_k <= c_k, with
+    f_k and c_k the smallest and the largest lam_k of any determinant: its
+    floor and its ceiling.  A table stops at its ceiling, so no factorial is
+    multiplied that no lam_k indexes.  One pass over the determinants reads
+    the entries one column at a time.  Raises ZeroStateError on the zero
+    expansion.
     """
     if expansion.is_zero:
         raise ZeroStateError("zero polynomial has no Fock expansion")
-    columns = zip(*expansion.terms)
-    first = next(columns)  # every lam's largest entry
-    floors = [min(first), *map(min, columns)][::-1]
-    dim = 1 + max(first)
-    return dim, [[0] * f + list(accumulate(range(f + 1, dim), mul, initial=1)) for f in floors]
+    ratios = []
+    for column in zip(*expansion.terms):
+        floor, ceiling = min(column), max(column)
+        table = accumulate(range(floor + 1, ceiling + 1), mul, initial=1)
+        ratios.append([0] * floor + list(table))
+    # the first entry is every lam's largest
+    return len(ratios[0]), ratios
 
 
 def to_fock(expansion: SlaterExpansion) -> FockVector:
@@ -189,15 +194,15 @@ def to_fock(expansion: SlaterExpansion) -> FockVector:
     dim, ratios = _ratio_tables(expansion)
     n = expansion.nvars
     reversal_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    lowest = min(map(sum, expansion.terms))
+    momenta = list(map(sum, expansion.terms))
+    lowest = min(momenta)
     weights: dict[FockConfig, int] = {}
-    for lam, coeff in expansion.terms.items():
-        config = lam[::-1]
+    for (lam, coeff), momentum in zip(expansion.terms.items(), momenta):
         weight = coeff * coeff
-        for ratio, mu in zip(ratios, config):
+        for ratio, mu in zip(ratios, lam):
             weight *= ratio[mu]
-        weight <<= sum(lam) - lowest
-        weights[config] = weight if reversal_sign * coeff > 0 else -weight
+        weight <<= momentum - lowest
+        weights[lam[::-1]] = weight if reversal_sign * coeff > 0 else -weight
     return FockVector._from_weights(n, dim, weights)
 
 
@@ -206,13 +211,15 @@ def occupations(expansion: SlaterExpansion) -> tuple[list[int], int]:
 
     One pass over a homogeneous expansion: each determinant's weight is
     to_fock's, c_lam^2 prod_j (mu_j! / f_j!) (the power of 2 is 1 when every
-    |mu| is equal), and it is added to the total and to each orbital the
-    determinant occupies.  Orbital mu's occupation is then occupied[mu] /
-    total, and the one-body density matrix is diagonal with entries
-    occupied[mu] / (N total).  The weights are not reduced by their gcd:
-    to_fock's state has the same occupations over the same total up to one
-    positive factor, and a ratio of ints is correctly rounded whatever
-    factor both sides share, so every float read from them has the same bits.
+    |mu| is equal), read from tables that run, for each entry of lam, from
+    its floor to its ceiling, the smallest and the largest value it takes,
+    and it is added to the total and to each orbital the determinant
+    occupies.  Orbital mu's occupation is then occupied[mu] / total, and
+    the one-body density matrix is diagonal with entries occupied[mu] /
+    (N total).  The weights are not reduced by their gcd: to_fock's state
+    has the same occupations over the same total up to one positive factor,
+    and a ratio of ints is correctly rounded whatever factor both sides
+    share, so every float read from them has the same bits.
 
     Raises ZeroStateError on the zero expansion, and ValueError when the
     determinants carry more than one total angular momentum, whose density
@@ -228,12 +235,11 @@ def occupations(expansion: SlaterExpansion) -> tuple[list[int], int]:
     occupied = [0] * dim
     total = 0
     for lam, coeff in expansion.terms.items():
-        config = lam[::-1]
         weight = coeff * coeff
-        for ratio, mu in zip(ratios, config):
+        for ratio, mu in zip(ratios, lam):
             weight *= ratio[mu]
         total += weight
-        for mu in config:
+        for mu in lam:
             occupied[mu] += weight
     return occupied, total
 

@@ -12,10 +12,12 @@ upstream of the final logarithms stays in exact rational arithmetic;
 entropies are reported as Python floats on both of von_neumann's branches.
 Every family state is homogeneous, so its density matrix is exactly
 diagonal and needs no linear algebra: numpy is imported only inside
-as_numpy and von_neumann's non-diagonal branch.  The CLI and the sweeps
-build that diagonal from fqhent.lll.occupations, with no FockVector
-(fqhent.figures.family_report); modified_measure takes the FockVector
-route, and both turn the entropy into the report by
+as_numpy and von_neumann's non-diagonal branch.  Only the FockVector
+route builds a matrix: modified_measure contracts one.  The CLI and the
+sweeps build neither (fqhent.figures.family_report): they hand the
+occupations of fqhent.lll.occupations and N times the total weight
+straight to spectrum_entropy, the loop von_neumann's branches share, and
+both routes turn the entropy into the report by
 EntanglementReport.from_entropy.  The matrix and the report are immutable
 slot records, built on fqhent._record.Record.
 
@@ -26,7 +28,8 @@ checks them and reduces them.  diag builds reduced Fractions from them only
 when read, and von_neumann and as_numpy divide each numerator by the
 denominator: int true division is correctly rounded, as float(Fraction)
 is, so every eigenvalue and matrix entry has the bits of the reduced
-Fraction's float.
+Fraction's float, and so does each of family_report's eigenvalues, whose
+numerators and denominator are never reduced.
 
 Off the diagonal, one_body_density pairs the configurations that leave the
 same hole when one orbital is removed.  It keys each hole by a bitmask of
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ._record import Record
 from .lll import FockVector
@@ -89,8 +92,10 @@ class OneBodyDensityMatrix(Record):
         for (mu, nu), entry in off_diagonal.items():
             if not 0 <= mu < nu < dim or not entry:
                 raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not stored sparsely")
-            if not isinstance(entry, (int, Fraction)) and not math.isfinite(entry):
-                raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
+            # a float, as most entries are, skips the slow isinstance of an ABC
+            if type(entry) is float or not isinstance(entry, (int, Fraction)):
+                if not math.isfinite(entry):
+                    raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
         common = math.gcd(denominator, *numerators)
         numerators = tuple([p // common for p in numerators]) if common > 1 else tuple(numerators)
         super().__init__(dim, numerators, denominator // common, MappingProxyType(off_diagonal))
@@ -206,14 +211,23 @@ def von_neumann(rho: OneBodyDensityMatrix) -> float:
     eigenvalues are taken as Python floats, so the result is a float either way.
     """
     if rho.is_diagonal():
-        denominator = rho.denominator
-        eigenvalues = [p / denominator for p in rho.numerators]
-    else:
-        import numpy as np
+        return spectrum_entropy(rho.numerators, rho.denominator)
+    import numpy as np
 
-        eigenvalues = np.linalg.eigvalsh(rho.as_numpy()).tolist()
+    return spectrum_entropy(np.linalg.eigvalsh(rho.as_numpy()).tolist(), 1)
+
+
+def spectrum_entropy(numerators: Iterable[int | float], denominator: int) -> float:
+    """-sum lambda ln lambda in nats over the eigenvalues lambda = p / denominator.
+
+    Each p is an int or a float; int true division is correctly rounded, so
+    an eigenvalue has the bits of its reduced Fraction's float whatever factor
+    p and the denominator share.  A negative (below -1e-9) or NaN eigenvalue
+    raises ValueError.
+    """
     entropy = 0.0
-    for lam in eigenvalues:
+    for p in numerators:
+        lam = p / denominator
         if lam > 1e-15:
             entropy -= lam * math.log(lam)
         elif not lam >= -1e-9:  # NaN fails this comparison too

@@ -66,8 +66,12 @@ built, and on the C(N, p/2) subsets the condensate's Pieri rule tries per
 determinant.  Bounds the size of a construction for every N and m, and
 the determinants the memo of Vandermonde expansions holds in all.  With
 MAX_ORBITALS it bounds memory: every allowed state computes with a peak
-RSS under 44 MB and within a 48,300 KiB address space, the most at
-laughlin(9, 3) and laughlin(512, 1) (Python 3.11, Linux x86-64)."""
+RSS under 44 MB and within a 48,300 KiB address space.  laughlin(9, 3)
+alone sets that bound (43.6 MB, from 47,600-48,300 KiB), through its
+squeeze's pair sums; next come laughlin(7, 5) at 31.5 MB and 34,600 KiB
+and hierarchical_phi(3, 253) at 29.7 MB and 33,800 KiB, and the states at
+the orbital limit take about 15.5 MB and 19,600 KiB (Python 3.11, Linux
+x86-64)."""
 
 MAX_ORBITALS = 512
 """Upper limit on the orbitals a family state can occupy.  to_fock weighs

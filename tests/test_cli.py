@@ -198,9 +198,9 @@ class TestCompute:
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     def test_state_that_does_not_fit_exits_64(self):
         # laughlin(9, 3), the largest state the budget allows at N = 9,
-        # computes in a 48,000 KiB address space (Python 3.11, Linux); in
+        # computes in a 47,600 KiB address space (Python 3.11, Linux); in
         # 32 MiB its squeeze runs out of memory after the imports, which fit
-        # from 20,000 KiB, and compute and table refuse it with one line
+        # from 19,000 KiB, and compute and table refuse it with one line
         import resource
 
         def limit_address_space():
@@ -221,6 +221,32 @@ class TestCompute:
             assert proc.stdout == ""
             request = " ".join(command)
             assert proc.stderr == f"error: {request}: the state does not fit in memory\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_states_at_the_orbital_limit_fit_in_32_mib(self):
+        # one or a few determinants over 510-512 orbitals: ratio tables that
+        # ran every position up to the last orbital took about 48,000 KiB
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (32 << 20, 32 << 20))
+
+        for (family, n, m), printed in (
+            (("laughlin", 512, 1), "0"),
+            (("chi", 510, 3), "0.00318148284098"),
+            (("hierarchical_phi", 510, 1), "0.00318148284098"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fqhent.cli", "compute", "--family", family,
+                 "--n", str(n), "--m", str(m)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                preexec_fn=limit_address_space,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            t = (m - 1) // 2
+            assert proc.stdout == f"S_f = {printed} bits ({family}, N={n}, m={m}, t={t})\n"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 runs serially on one CPU")

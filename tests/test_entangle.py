@@ -192,6 +192,11 @@ class TestOneBodyDensity:
         with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = .* is not finite"):
             OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
 
+    @pytest.mark.parametrize("entry", ["0.25", b"1", [0.25]])
+    def test_off_diagonal_entries_that_are_not_numbers_are_rejected(self, entry):
+        with pytest.raises(TypeError):
+            OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
+
     def test_finite_float32_entry_is_accepted(self):
         rho = OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): np.float32(0.25)})
         assert rho.off_diagonal == {(0, 1): 0.25}

@@ -27,7 +27,7 @@ from fqhent import (
     to_fock,
     vandermonde_power,
 )
-from fqhent.lll import amplitude_product, occupations
+from fqhent.lll import _ratio_tables, amplitude_product, occupations
 
 
 class TestAmplitude:
@@ -169,6 +169,20 @@ def assert_occupations_match_to_fock(expansion: SlaterExpansion) -> None:
     assert sum(occupied) == expansion.nvars * total
 
 
+def assert_ratio_tables_stop_at_each_ceiling(expansion: SlaterExpansion) -> None:
+    """Table k holds lam_k! / f_k! from the floor f_k to the largest lam_k,
+    and nothing past it."""
+    dim, ratios = _ratio_tables(expansion)
+    columns = list(zip(*expansion.terms))
+    assert len(ratios) == expansion.nvars
+    assert dim == 1 + max(columns[0])
+    for table, column in zip(ratios, columns):
+        floor, ceiling = min(column), max(column)
+        assert len(table) == ceiling + 1
+        factorials = [math.factorial(mu) for mu in range(floor, ceiling + 1)]
+        assert table[floor:] == [f // factorials[0] for f in factorials]
+
+
 class TestOccupations:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("family", ["laughlin", "hierarchical_phi", "chi"])
@@ -179,6 +193,7 @@ class TestOccupations:
             except ZeroWavefunctionError:
                 continue
             assert_occupations_match_to_fock(expansion)
+            assert_ratio_tables_stop_at_each_ceiling(expansion)
 
     def test_longest_weights(self):
         assert_occupations_match_to_fock(family_expansion("laughlin", 3, 255))
@@ -186,11 +201,21 @@ class TestOccupations:
     @given(slater_expansions(max_nvars=4, max_orbital=12))
     @settings(max_examples=80, deadline=None)
     def test_random_expansions(self, expansion):
+        assert_ratio_tables_stop_at_each_ceiling(expansion)
         if len({sum(lam) for lam in expansion.terms}) == 1:
             assert_occupations_match_to_fock(expansion)
         else:
             with pytest.raises(ValueError, match="not homogeneous"):
                 occupations(expansion)
+
+    def test_ratio_tables_over_512_orbitals(self):
+        # one determinant, lam = (511, ..., 0): each table is the single
+        # entry 1 at its own orbital, not 512 tables up to the last orbital
+        expansion = family_expansion("laughlin", 512, 1)
+        assert list(expansion.terms) == [tuple(range(511, -1, -1))]
+        assert_ratio_tables_stop_at_each_ceiling(expansion)
+        _, ratios = _ratio_tables(expansion)
+        assert [table[511 - k :] for k, table in enumerate(ratios)] == [[1]] * 512
 
     def test_rejects_non_homogeneous_and_zero_expansions(self):
         # total angular momenta 5, 4 and 7: the density matrix is not diagonal

@@ -224,6 +224,35 @@ def test_family_report_is_the_public_route_bit_for_bit():
     assert zeros == 2
 
 
+def test_family_report_builds_no_density_matrix(monkeypatch):
+    # the bits come from correct rounding of each numerator over N times the
+    # total, not from a matrix stored in lowest terms
+    expected = {}
+    for family, n, m in dict.fromkeys([*_preset_points(), *HEAVY_POINTS]):
+        try:
+            expected[family, n, m] = measure.modified_measure(FAMILIES[family](n, m))
+        except ZeroWavefunctionError:
+            continue
+    assert len(expected) == 38
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("family_report built a OneBodyDensityMatrix")
+
+    monkeypatch.setattr(measure.OneBodyDensityMatrix, "__init__", refuse)
+    for point, want in expected.items():
+        report = figures.family_report(*point)
+        for name in ("entropy_nats", "measure_nats", "measure_bits"):
+            assert getattr(report, name).hex() == getattr(want, name).hex(), point
+
+
+def test_family_report_checks_the_trace(monkeypatch):
+    occupied, total = occupations(family_expansion("laughlin", 3, 5))
+    assert sum(occupied) == 3 * total
+    monkeypatch.setattr(figures, "occupations", lambda expansion: (occupied, total + 1))
+    with pytest.raises(ArithmeticError, match="not N times the total weight"):
+        figures.family_report("laughlin", 3, 5)
+
+
 @pytest.mark.parametrize(("family", "n", "m"), [("laughlin", 4, 13), ("laughlin", 3, 255)])
 def test_occupations_under_a_common_factor_give_the_same_matrix(family, n, m):
     # family_report divides occupations that were never reduced by their gcd

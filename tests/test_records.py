@@ -71,6 +71,9 @@ RECORDS = {
             ((2, (1, 1), 2, {(1, 0): HALF}), "sparsely"),
             ((2, (1, 1), 2, {(0, 1): 0}), "sparsely"),
             ((2, (1, 1), 2, {(0, 1): math.nan}), "not finite"),
+            ((2, (1, 1), 2, {(0, 1): math.inf}), "not finite"),
+            ((2, (1, 1), 2, {(0, 1): -math.inf}), "not finite"),
+            ((2, (1, 1), 2, {(0, 1): np.float64("inf")}), "not finite"),
             ((2, (3, 2), 6), "trace is 5/6"),
             ((2, (0, 0), 0), "trace is 0/0"),
             ((2, (3, -1), 2), "numerator -1 is not a non-negative Python int"),
