@@ -6,9 +6,10 @@ the basis of monomial determinants (poly, states), normalize it into a Fock
 vector over lowest-Landau-level orbitals (lll), and take the entropy of its
 one-body density matrix (measure).  Hierarchical families are produced from
 two-quasihole condensate integrals (quasihole, states); figures and the CLI
-sit on top (figures, cli, verify).  The two-fermion diagnostics live in
-entangle, which imports numpy; its names are resolved from here only on
-first use, so importing fqhent does not load numpy.
+sit on top (figures, cli, verify).  The two-fermion diagnostics that
+cross-check the measure live in measure too.  Every name is imported
+eagerly, and importing fqhent does not load numpy: only a non-diagonal
+density matrix, slater_pairing's rotated branch and fqhent.entangle do.
 """
 
 from .figures import (
@@ -30,9 +31,15 @@ from .lll import (
     to_fock,
 )
 from .measure import (
+    DimensionNotFourError,
+    NotTwoFermionError,
     OneBodyDensityMatrix,
+    closed_form_sf_laughlin2,
     modified_measure,
     one_body_density,
+    schliemann_eta,
+    slater_pairing,
+    two_qubit_consistency,
     von_neumann,
 )
 from .poly import (
@@ -64,24 +71,6 @@ from .states import (
 )
 
 __version__ = "0.1.0"
-
-_ENTANGLE_NAMES = frozenset({
-    "DimensionNotFourError",
-    "NotTwoFermionError",
-    "closed_form_sf_laughlin2",
-    "schliemann_eta",
-    "slater_pairing",
-    "two_qubit_consistency",
-})
-
-
-def __getattr__(name: str):
-    if name in _ENTANGLE_NAMES:
-        from . import entangle
-
-        return getattr(entangle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Amplitude",

@@ -235,7 +235,7 @@ def _sweep_and_emit(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # verify imports entangle and so numpy; the other subcommands never do
+    # imported here, so that importing fqhent.cli does not load the checks
     from .verify import all_passed, format_report, run_verification
 
     results = run_verification(args.level)

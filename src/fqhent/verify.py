@@ -23,14 +23,14 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .entangle import (
+from .figures import family_report
+from .lll import amplitude_pattern, slater_coefficient_magnitudes
+from .measure import (
     closed_form_sf_laughlin2,
     modified_measure,
     slater_pairing,
     two_qubit_consistency,
 )
-from .figures import family_report
-from .lll import amplitude_pattern, slater_coefficient_magnitudes
 from .poly import MultiPoly, slater_project, vandermonde_power
 from .quasihole import CondensateKernel, condense, vanishes
 from .states import (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from fqhent.cli import (
     main,
 )
 from fqhent.states import FAMILIES
+from fqhent.verify import format_report, run_verification
 
 
 PACKAGE_ROOT = Path(fqhent.__file__).resolve().parent.parent
@@ -805,6 +807,30 @@ def test_cli_contract(case):
         assert _csv_rows_equal_json_rows(*((out, other) if fmt == "csv" else (other, out)))
 
 
+_VERIFY_STRAYS = [["--config", "run.cfg"], ["--jobs", "2"], ["--format", "json"]]
+
+
+@pytest.mark.parametrize("level", [None, "fast", "full", "quick", "FULL", ""], ids=repr)
+def test_verify_argv_contract(level):
+    # with no option, an absent, fast or full level exits 0 and prints what
+    # run_verification reports; a malformed level, or any option, none of
+    # which verify takes, before or after the level, exits 64 and prints
+    # nothing to stdout; neither prints a traceback
+    given = [] if level is None else [level]
+    valid = level in (None, "fast", "full")
+    report = format_report(run_verification(level or "fast")) if valid else None
+    for k in range(len(_VERIFY_STRAYS) + 1):
+        for strays in itertools.combinations(_VERIFY_STRAYS, k):
+            flat = [arg for option in strays for arg in option]
+            for argv in {("verify", *flat, *given), ("verify", *given, *flat)}:
+                code, out, err = _main_in_process(list(argv))
+                assert "Traceback" not in err
+                if valid and not strays:
+                    assert (code, out) == (EXIT_OK, report), argv
+                else:
+                    assert (code, out) == (EXIT_USAGE, ""), (argv, code, err)
+
+
 def _loaded_after(code: str, module: str) -> bool:
     """Whether module is loaded once code has run in a fresh interpreter."""
     probe = f"{code}\nimport sys; print({module!r} in sys.modules)"
@@ -820,8 +846,9 @@ def _loaded_after(code: str, module: str) -> bool:
 
 @pytest.mark.parametrize(
     "module",
-    # the process pool is imported only when a sweep starts one; entangle,
-    # verify and numpy only by verify and the two-fermion diagnostics; json
+    # the process pool is imported only when a sweep starts one; verify only
+    # by the verify subcommand; numpy only by a non-diagonal density matrix,
+    # a rotated pairing or fqhent.entangle, which no subcommand reaches; json
     # only by JSON output; dataclasses and the inspect it loads by nothing
     [
         "numpy",
@@ -855,11 +882,25 @@ def _running_main(argv: list[str], exit_code: int) -> str:
         (["compute", "--family", "chi", "--n", "2", "--m", "7"], EXIT_ZERO_WAVEFUNCTION),
         (["table", "--family", "chi", "--n", "3"], EXIT_OK),
         (["figure", "5", "--format", "csv"], EXIT_OK),
+        (["verify", "fast"], EXIT_OK),
+        (["verify", "full"], EXIT_OK),
     ],
-    ids=["compute-text", "compute-json", "compute-zero-point", "table-chi", "figure-5"],
+    ids=[
+        "compute-text",
+        "compute-json",
+        "compute-zero-point",
+        "table-chi",
+        "figure-5",
+        "verify-fast",
+        "verify-full",
+    ],
 )
 def test_cli_commands_do_not_load_numpy(argv, exit_code):
     assert not _loaded_after(_running_main(argv, exit_code), "numpy")
+
+
+def test_verify_import_does_not_load_numpy():
+    assert not _loaded_after("import fqhent.verify", "numpy")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

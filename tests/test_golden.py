@@ -13,6 +13,9 @@ the cap raised.  The stdout
 goldens are the printed text of four demos and of `verify full`, recorded
 before FockVector lost its Amplitude-map and rational-amplitude
 constructors; demo 04 is left out because it prints the paths it writes.
+The grid golden holds measure_bits, as float.hex() and as CSV text, of
+every nonzero point the size budget allows at N = 2-9, recorded by
+tests/grid_bits.py at 1f3d645; tier-1 checks a slice of it and CI the rest.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from fqhent import (
     to_fock,
 )
 from fqhent.cli import EXIT_OK, main
+from grid_bits import GRID, grid_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUTPUT = ROOT / "demos" / "output"
@@ -120,3 +124,34 @@ def test_printed_text(golden):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / golden).read_text()
+
+
+GRID_BITS = (GOLDEN / "grid_bits.txt").read_text().splitlines()
+# 250 of the 891 points, about 1 s: every chi point, and laughlin and
+# hierarchical_phi to the m given for each N
+GRID_SLICE = {
+    "laughlin": {2: 127, 3: 31, 4: 13, 5: 7, 6: 5, 7: 3, 8: 3, 9: 1},
+    "hierarchical_phi": {2: 127, 3: 31, 4: 13, 5: 7, 6: 5, 7: 3, 8: 3, 9: 1},
+    "chi": GRID["chi"],
+}
+
+
+def test_grid_golden_holds_every_allowed_point():
+    expected = [
+        (family, n, m)
+        for family, largest in GRID.items()
+        for n, m_max in largest.items()
+        for m in range(1, m_max + 1, 2)
+    ]
+    assert [(f, int(n), int(m)) for f, n, m, _, _ in map(str.split, GRID_BITS)] == expected
+
+
+@pytest.mark.parametrize("family", GRID_SLICE)
+def test_grid_bits_slice(family):
+    for n, m_max in GRID_SLICE[family].items():
+        expected = [
+            line
+            for line in GRID_BITS
+            if line.split()[:2] == [family, str(n)] and int(line.split()[2]) <= m_max
+        ]
+        assert grid_lines(family, n, m_max) == expected

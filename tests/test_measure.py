@@ -30,6 +30,13 @@ MOVED = [
     "von_neumann",
     "EntanglementReport",
     "modified_measure",
+    "NotTwoFermionError",
+    "DimensionNotFourError",
+    "closed_form_sf_laughlin2",
+    "SlaterPairing",
+    "slater_pairing",
+    "schliemann_eta",
+    "two_qubit_consistency",
 ]
 
 # N = 2, dim = 4, not homogeneous: (0, 1) and (0, 2) share the hole (0,),
@@ -51,9 +58,15 @@ def test_moved_names_have_one_definition(name):
         assert getattr(fqhent, name) is getattr(measure, name)
 
 
-def test_lazy_names_are_entangles():
-    for name in fqhent._ENTANGLE_NAMES:
-        assert getattr(fqhent, name) is getattr(entangle, name)
+def test_entangle_only_re_exports_measure():
+    assert sorted(name for name in vars(entangle) if not name.startswith("_")) == sorted(
+        [*MOVED, "numpy"]
+    )
+
+
+def test_every_public_name_is_imported_eagerly():
+    assert "__getattr__" not in vars(fqhent)
+    assert [name for name in fqhent.__all__ if name not in vars(fqhent)] == []
 
 
 def test_unknown_name_raises_attribute_error():
@@ -84,6 +97,32 @@ def test_nondiagonal_branch_imports_numpy_lazily():
     assert (before, entangle_loaded) == (False, False)
     assert entropy == entangle.von_neumann(rho)
     assert matrix == rho.as_numpy().tolist()
+
+
+def test_rotated_pairing_imports_numpy_lazily():
+    probe = (
+        "import sys\n"
+        "from fqhent.lll import FockVector\n"
+        "from fqhent.measure import slater_pairing\n"
+        "from fqhent.states import laughlin\n"
+        "disjoint = slater_pairing(laughlin(2, 5)).basis\n"
+        "before = 'numpy' in sys.modules\n"
+        f"pairing = slater_pairing(FockVector(2, 4, {NONDIAGONAL_WEIGHTS!r}))\n"
+        "print(repr((disjoint, before, 'numpy' in sys.modules,\n"
+        "            (pairing.pairs, pairing.residual, pairing.basis))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+    )
+    disjoint, before, after, fields = ast.literal_eval(result.stdout)
+    assert (disjoint, before, after) == ("orbital", False, True)
+    expected = entangle.slater_pairing(FockVector(2, 4, NONDIAGONAL_WEIGHTS))
+    assert expected.basis == "rotated"
+    assert measure.SlaterPairing(*fields) == expected
 
 
 def test_von_neumann_returns_a_float_on_both_branches():
