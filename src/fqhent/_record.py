@@ -9,13 +9,16 @@ class Record:
     """Immutable value whose fields are the __slots__ along its MRO, the
     bases' first, collected per class into _fields and read by one getter,
     _get; Record.__init__(*values) is the one writer and takes them in that
-    order, so a subclass defines __init__ only to check or to default its
-    fields.  Records equal only records of their own class, and hash, print
-    and pickle by their field values, a dict field hashing by its items and
-    a read-only mapping printing and pickling as the dict it wraps, so a
-    subclass that declares no slots keeps its base's fields.  A record
-    overrides only __reduce__ and __repr__: FockVector, whose constructor
-    does not take its fields, and _TermMap's repr, whose terms are sorted."""
+    order, so a subclass defines __init__ only to check, convert or default
+    its fields.  A field holds an immutable value in the form its callers
+    read, a sequence as a tuple, a map as a read-only mapping and an integer
+    as a Python int, never as a list, a dict or a numpy integer.  Records
+    equal only records of their own class, and hash, print and pickle by
+    their field values, a read-only mapping hashing by its items and
+    printing and pickling as the dict it wraps, so a subclass that declares
+    no slots keeps its base's fields.  A record overrides only __reduce__
+    and __repr__: FockVector, whose constructor does not take its fields,
+    and _TermMap's repr, whose terms are sorted."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -49,7 +52,7 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(tuple([
-            frozenset(value.items()) if isinstance(value, (dict, MappingProxyType)) else value
+            frozenset(value.items()) if isinstance(value, MappingProxyType) else value
             for value in self._get(self)
         ]))
 

@@ -51,7 +51,8 @@ def _check_figure_id(fig_id: int) -> None:
 
 
 class FigureSpec(Record):
-    """One preset figure: numbered id, series list, and a t grid of non-negative Python ints."""
+    """One preset figure: numbered id, its (family, N) series and a t grid of
+    non-negative Python ints, the series and the grid stored as tuples."""
 
     __slots__ = ("id", "series", "t_values")
 
@@ -59,11 +60,11 @@ class FigureSpec(Record):
         self, id: int, series: tuple[tuple[str, int], ...], t_values: tuple[int, ...]
     ) -> None:
         _check_figure_id(id)
-        for t in t_values:
+        super().__init__(id, tuple(map(tuple, series)), tuple(t_values))
+        for t in self.t_values:
             _check_ints(t=t)
             if t < 0:
                 raise ValueError(f"t values must be non-negative, got {t}")
-        super().__init__(id, series, t_values)
 
 
 def figure_spec(fig_id: int, t_max: int = DEFAULT_T_MAX) -> FigureSpec:

@@ -68,11 +68,12 @@ class FockVector(Record):
     carries a signed integer weight w_c, the weights sharing no common
     factor; its amplitude is sign(w_c) sqrt(|w_c| / total), where total is
     the sum of the |w_c|, so |w_c| / total is its squared amplitude.  It is
-    built from any signed integer weights, which are reduced on the way in;
-    terms shows the same exact values as Amplitudes.
+    built from any signed integer weights, which are reduced on the way in
+    and stored as weights, a read-only view; terms shows the same exact
+    values as Amplitudes.
     """
 
-    __slots__ = ("n_particles", "dim", "_weights", "total")
+    __slots__ = ("n_particles", "dim", "weights", "total")
 
     def __init__(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
         for config, weight in weights.items():
@@ -105,7 +106,7 @@ class FockVector(Record):
         common = math.gcd(*weights.values())
         if common == 0:
             raise ZeroStateError("all weights are zero")
-        store = {tuple(c): w // common for c, w in weights.items() if w}
+        store = MappingProxyType({tuple(c): w // common for c, w in weights.items() if w})
         Record.__init__(self, n_particles, dim, store, sum(map(abs, store.values())))
 
     @classmethod
@@ -129,31 +130,26 @@ class FockVector(Record):
     # -- queries -----------------------------------------------------------
 
     @property
-    def weights(self) -> Mapping[FockConfig, int]:
-        """Signed integer weight of each occupied configuration, gcd-reduced."""
-        return MappingProxyType(self._weights)
-
-    @property
     def terms(self) -> Mapping[FockConfig, Amplitude]:
         return MappingProxyType({
             c: Amplitude(1 if w > 0 else -1, Fraction(abs(w), self.total))
-            for c, w in self._weights.items()
+            for c, w in self.weights.items()
         })
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self.weights)
 
     def __reduce__(self) -> tuple:
-        return type(self), (self.n_particles, self.dim, self._weights)
+        return type(self), (self.n_particles, self.dim, dict(self.weights))
 
     def is_homogeneous(self) -> bool:
         """True iff every config carries the same total angular momentum."""
-        configs = iter(self._weights)
+        configs = iter(self.weights)
         momentum = sum(next(configs, ()))
         return not any(sum(config) != momentum for config in configs)
 
     def __repr__(self) -> str:
-        body = dict(sorted(self._weights.items()))
+        body = dict(sorted(self.weights.items()))
         return f"{type(self).__qualname__}({self.n_particles}, {self.dim}, {body!r})"
 
 

@@ -308,21 +308,22 @@ def closed_form_sf_laughlin2(m: int) -> float:
     _check_ints(m=m)
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be a positive odd integer, got {m}")
-    weight = Fraction(1, 2 ** (m - 1))
+    scale = 2 ** (m - 1)
     total = (m - 1) * math.log(2)
     for k in range((m - 1) // 2 + 1):
         binom = math.comb(m, k)
-        total -= float(weight) * binom * math.log(binom)
+        # int true division rounds correctly where float(binom) overflows
+        total -= binom / scale * math.log(binom)
     return total
 
 
 class SlaterPairing(Record):
     """Standard-form decomposition of a two-fermion state into mode pairs.
 
-    Each entry is (mode a, mode b, weight); weights satisfy sum of squares
-    equal to 1 and residual counts the modes left unpaired.  basis records
-    whether pair indices refer to the original orbitals or to the rotated
-    basis produced by the spectral path.
+    Each entry of pairs, a tuple of tuples, is (mode a, mode b, weight);
+    weights satisfy sum of squares equal to 1 and residual counts the modes
+    left unpaired.  basis records whether pair indices refer to the original
+    orbitals or to the rotated basis produced by the spectral path.
     """
 
     __slots__ = ("pairs", "residual", "basis")
@@ -330,7 +331,7 @@ class SlaterPairing(Record):
     def __init__(
         self, pairs: tuple[tuple[int, int, float], ...], residual: int, basis: str
     ) -> None:
-        super().__init__(pairs, residual, basis)
+        super().__init__(tuple(map(tuple, pairs)), residual, basis)
         if self.basis not in ("orbital", "rotated"):
             raise ValueError("basis must be 'orbital' or 'rotated'")
         total = sum(z * z for _, _, z in self.pairs)

@@ -73,13 +73,14 @@ def _perm_sign(perm: Sequence[int]) -> int:
 class _TermMap(Record):
     """Immutable map from exponent tuples to nonzero integer coefficients.
 
-    nvars is the number of variables, the length of every exponent tuple.
-    A subclass gives its key rule as ``_check_key(key)``, which raises
-    ValueError.  Record compares, hashes and pickles (nvars, _terms); repr
-    shows the terms in canonical order.
+    nvars is the number of variables, the length of every exponent tuple,
+    and terms the read-only view of the term map, stored once.  A subclass
+    gives its key rule as ``_check_key(key)``, which raises ValueError.
+    Record compares, hashes and pickles (nvars, terms); repr shows the terms
+    in canonical order.
     """
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: TermsLike = ()) -> None:
         _check_ints(nvars=nvars)
@@ -93,31 +94,25 @@ class _TermMap(Record):
                 raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
             self._check_key(key)
             store[key] = store.get(key, 0) + operator.index(coeff)
-        Record.__init__(self, nvars, {key: c for key, c in store.items() if c})
+        Record.__init__(self, nvars, MappingProxyType({key: c for key, c in store.items() if c}))
 
     @classmethod
     def _from_terms(cls, nvars: int, terms: dict[Exponents, int]):
         """Adopt terms this module built: valid keys, nonzero coefficients, unchecked."""
         out = cls.__new__(cls)
-        Record.__init__(out, nvars, terms)
+        Record.__init__(out, nvars, MappingProxyType(terms))
         return out
 
     @property
-    def terms(self) -> Mapping[Exponents, int]:
-        """Read-only view of the term map."""
-        return MappingProxyType(self._terms)
-
-    @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.terms)
 
     def items(self) -> Iterator[tuple[Exponents, int]]:
         """Terms in canonical order: lexicographically descending exponents."""
-        for key in sorted(self._terms, reverse=True):
-            yield key, self._terms[key]
+        yield from sorted(self.terms.items(), reverse=True)  # keys are distinct
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({self.nvars}, {dict(self.items())!r})"
@@ -151,8 +146,8 @@ class MultiPoly(_TermMap):
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         out: dict[Exponents, int] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, 0) + ca * cb
         return MultiPoly._from_terms(self.nvars, {k: c for k, c in out.items() if c})
@@ -169,7 +164,7 @@ class MultiPoly(_TermMap):
         n = self.nvars
         if n == 1:
             return True
-        terms = self._terms
+        terms = self.terms
         swap = (1, 0, *range(2, n))
         cycle = (*range(1, n), 0)
         for perm, factor in ((swap, -1), (cycle, (-1) ** (n - 1))):
@@ -180,7 +175,7 @@ class MultiPoly(_TermMap):
         return True
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         parts: list[str] = []
         for key, coeff in self.items():
@@ -222,7 +217,7 @@ class SlaterExpansion(_TermMap):
         """Reconstruct the source polynomial as sum_lam c_lam det(z_i^{lam_j})."""
         n = self.nvars
         out: dict[Exponents, int] = {}
-        for lam, coeff in self._terms.items():
+        for lam, coeff in self.terms.items():
             for perm in itertools.permutations(range(n)):
                 key = tuple(lam[p] for p in perm)
                 out[key] = out.get(key, 0) + coeff * _perm_sign(perm)
@@ -254,7 +249,7 @@ class SlaterExpansion(_TermMap):
         half = step // 2
         subsets = list(itertools.combinations(range(n), size))
         out: dict[Exponents, int] = {}
-        for lam, coeff in self._terms.items():
+        for lam, coeff in self.terms.items():
             base = [x + lift for x in lam]
             where = dict(zip(base, range(n)))
             for subset in subsets:

@@ -83,22 +83,23 @@ VM)."""
 
 
 class KMatrix(Record):
-    """A symmetric integer 2x2 matrix with a charge vector, default (1, 0)."""
+    """A symmetric integer 2x2 matrix with a charge vector, default (1, 0),
+    both stored as tuples of Python ints made by operator.index."""
 
     __slots__ = ("entries", "charge")
 
     def __init__(
         self, entries: tuple[tuple[int, int], tuple[int, int]], charge: tuple[int, int] = (1, 0)
     ) -> None:
+        try:
+            entries = tuple(tuple(map(operator.index, row)) for row in entries)
+            charge = tuple(map(operator.index, charge))
+        except TypeError as error:
+            raise ValueError(f"entries and charge must be integers: {error}") from None
         super().__init__(entries, charge)
-        (a, b), (c, d) = self.entries
-        if len(self.charge) != 2:
-            raise ValueError(f"charge must have 2 entries, got {len(self.charge)}")
-        for value in (a, b, c, d, *self.charge):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"entries and charge must be integers, got {value!r}") from None
+        (a, b), (c, d) = entries
+        if len(charge) != 2:
+            raise ValueError(f"charge must have 2 entries, got {len(charge)}")
         if b != c:
             raise ValueError("matrix must be symmetric")
         if a * d - b * c == 0:

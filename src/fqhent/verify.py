@@ -244,24 +244,16 @@ def check_route_equivalence_n2(m_max: int) -> CheckResult:
     """Pairing-weight entropy, density-matrix entropy, and the closed form agree."""
     worst = 0.0
     for m in range(1, m_max + 1, 2):
-        for name, state in (
-            ("laughlin", laughlin(2, m)),
-            ("hierarchical_phi", hierarchical_phi(2, m)),
-        ):
+        for build in (laughlin, hierarchical_phi, chi):
+            try:
+                state = build(2, m)
+            except ZeroWavefunctionError:
+                continue
             report = modified_measure(state)
             pairing_measure = slater_pairing(state).entropy_nats() - math.log(2)
             worst = max(worst, abs(pairing_measure - report.measure_nats))
-            if name == "laughlin":
-                worst = max(
-                    worst, abs(closed_form_sf_laughlin2(m) - report.measure_nats)
-                )
-        try:
-            state = chi(2, m)
-        except ZeroWavefunctionError:
-            continue
-        report = modified_measure(state)
-        pairing_measure = slater_pairing(state).entropy_nats() - math.log(2)
-        worst = max(worst, abs(pairing_measure - report.measure_nats))
+            if build is laughlin:
+                worst = max(worst, abs(closed_form_sf_laughlin2(m) - report.measure_nats))
     return _result(
         "route-equivalence-n2",
         worst <= 1e-10,

@@ -225,6 +225,35 @@ class TestCompute:
             assert proc.stderr == f"error: {request}: the state does not fit in memory\n"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_size_refusals_fit_in_64000_kib(self):
+        # a state over the size budget is refused by counting its determinants
+        # before any is built, so the refusal fits in the address space that
+        # every allowed state computes in: exit 64 with one line, in about
+        # 0.2 s each on a 2-core VM; the limit is set in the child only
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (64_000 << 10, 64_000 << 10))
+
+        for command in (
+            ["compute", "--family", "laughlin", "--n", "170", "--m", "3"],
+            ["compute", "--family", "laughlin", "--n", "4", "--m", "41"],
+            ["table", "--family", "laughlin", "--n", "4", "--m-max", "41"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fqhent.cli", *command],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+                preexec_fn=limit_address_space,
+                timeout=5,
+            )
+            assert proc.returncode == EXIT_USAGE, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert "MAX_DETERMINANTS" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     def test_states_at_the_orbital_limit_fit_in_32_mib(self):
         # one or a few determinants over 510-512 orbitals: ratio tables that
         # ran every position up to the last orbital took about 48,000 KiB

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -355,6 +355,19 @@ class TestClosedForm:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             closed_form_sf_laughlin2(2)
+
+    @pytest.mark.parametrize("m", [1031, 2001])
+    def test_large_m_against_decimal(self, m):
+        # from m = 1031 on, C(m, k) overflows a float; the weights C(m, k) /
+        # 2^(m-1) are still correctly rounded as int true divisions
+        with localcontext() as context:
+            context.prec = 60
+            weighted = sum(
+                Decimal(math.comb(m, k)) * Decimal(math.comb(m, k)).ln()
+                for k in range((m - 1) // 2 + 1)
+            )
+            exact = (m - 1) * Decimal(2).ln() - weighted / Decimal(2) ** (m - 1)
+        assert closed_form_sf_laughlin2(m) == pytest.approx(float(exact), rel=1e-11)
 
 
 class TestSlaterPairing:

@@ -12,19 +12,20 @@ import sys
 import textwrap
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import fqhent
-from fqhent import FockVector, MultiPoly, SlaterExpansion
+from fqhent import FockVector, MultiPoly, SlaterExpansion, family_expansion, laughlin
 from fqhent._record import Record
 from fqhent.entangle import SlaterPairing
 from fqhent.figures import FigureSpec, SweepPoint
 from fqhent.lll import Amplitude
 from fqhent.measure import EntanglementReport, OneBodyDensityMatrix
 from fqhent.quasihole import CondensateKernel, ScaledPoly
-from fqhent.states import KMatrix
+from fqhent.states import KMatrix, filling_fraction, hierarchical_phi_k
 from fqhent.verify import CheckResult
 
 HALF = Fraction(1, 2)
@@ -243,11 +244,74 @@ def test_term_map_and_fock_vector_fields_are_immutable(value):
 
 
 def test_fields_are_collected_along_the_mro_and_counted():
-    assert MultiPoly._fields == SlaterExpansion._fields == ("nvars", "_terms")
-    assert FockVector._fields == ("n_particles", "dim", "_weights", "total")
+    assert MultiPoly._fields == SlaterExpansion._fields == ("nvars", "terms")
+    assert FockVector._fields == ("n_particles", "dim", "weights", "total")
     assert One._fields == ("value",) and Empty._fields == ()
     with pytest.raises(TypeError, match="SweepPoint takes 4 fields, not 3"):
         SweepPoint("chi", 4, 5)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [*TERM_MAPS_AND_FOCK_VECTORS, laughlin(3, 3), family_expansion("chi", 3, 5)],
+    ids=[*map(_type_name, TERM_MAPS_AND_FOCK_VECTORS), "to_fock", "family_expansion"],
+)
+def test_terms_and_weights_are_one_stored_read_only_view(value):
+    # built by the checking constructors and by the pipeline's unchecked ones
+    name = "weights" if isinstance(value, FockVector) else "terms"
+    view = getattr(value, name)
+    assert type(view) is MappingProxyType and getattr(value, name) is view
+    key = next(iter(view))
+    with pytest.raises(TypeError):
+        view[key] = 1
+    with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+        setattr(value, name, dict(view))
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+    assert type(getattr(copy, name)) is MappingProxyType
+    assert getattr(copy, name) is getattr(copy, name)
+
+
+def _lists(value: object) -> object:
+    """value with every tuple in it, nested ones too, made a list."""
+    return [_lists(item) for item in value] if isinstance(value, tuple) else value
+
+
+def _immutable(value: object) -> bool:
+    """Whether value holds no list, dict or numpy integer, at any depth."""
+    if isinstance(value, (list, dict, np.integer)):
+        return False
+    return all(map(_immutable, value)) if isinstance(value, tuple) else True
+
+
+def test_records_built_from_lists_hold_their_tuple_form():
+    for cls, (_, values, *_) in RECORDS.items():
+        form, record = cls(*values), cls(*map(_lists, values))
+        assert record == form and hash(record) == hash(form), cls.__name__
+        assert pickle.loads(pickle.dumps(record)) == form, cls.__name__
+        assert all(map(_immutable, record._get(record))), cls.__name__
+
+
+def test_k_matrix_holds_python_ints_whatever_integers_it_is_given():
+    form = KMatrix(((3, 1), (1, -2)))
+    for entries, charge in (
+        ([[3, 1], [1, -2]], [1, 0]),
+        (np.array([[3, 1], [1, -2]]), np.array([1, 0])),
+        ([[np.int64(3), np.int8(1)], (np.int32(1), np.int64(-2))], (np.int64(1), 0)),
+    ):
+        k = KMatrix(entries, charge)
+        assert k == form == hierarchical_phi_k(3) and hash(k) == hash(form)
+        assert pickle.loads(pickle.dumps(k)) == form
+        assert (k.entries, k.charge) == (((3, 1), (1, -2)), (1, 0))
+        assert {type(v) for row in (*k.entries, k.charge) for v in (row, *row)} == {tuple, int}
+    rows = [[3, 1], [1, -2]]
+    k = KMatrix(rows)
+    rows[0][0] = 5
+    with pytest.raises(TypeError):
+        k.entries[0][0] = 5
+    assert k == form and filling_fraction(k) == Fraction(2, 7)
+    # int64 products overflow: 2**62 * 2**62 - 1 wrapped to -1
+    assert KMatrix(np.array([[2**62, 1], [1, 2**62]])).determinant == 2**124 - 1
 
 
 def _descendants(cls: type) -> set[type]:
