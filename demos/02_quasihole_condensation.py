@@ -8,15 +8,13 @@ result is an exact polynomial in the electron coordinates times a
 rational multiple of pi^2.
 """
 
-from fractions import Fraction
-
 from fqhent import CondensateKernel, condense, gaussian_moment, vanishes
 
 
 def main() -> None:
     print("== single-coordinate Gaussian moments, weight exp(-|xi|^2/3) ==")
     for a, b in ((0, 0), (1, 1), (2, 2), (2, 1)):
-        moment = gaussian_moment(a, b, Fraction(1, 3))  # the moment over pi
+        moment = gaussian_moment(a, b)  # the moment over pi
         shown = f"{moment}*pi" if moment else "0"
         print(f"  a={a} b={b}: {shown}")
 

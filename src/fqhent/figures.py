@@ -82,7 +82,7 @@ def figure_title(fig_id: int) -> str:
 
 
 class SweepPoint(Record):
-    """One evaluated grid point; value is None when the state is zero."""
+    """One evaluated grid point; measure_bits is None when the state is zero."""
 
     __slots__ = ("family", "n_electrons", "m", "measure_bits")
 
@@ -138,8 +138,9 @@ def evaluate_point(family: str, n_electrons: int, m: int) -> SweepPoint:
     (family, N, m) returns the same frozen SweepPoint and builds nothing.
     Only states within the size budget are kept, so the memo needs no bound.
     Refusals raise and are not kept; nor are zero points, which cost one
-    parameter check and would otherwise grow a chi table's memory with m.
-    :func:`series_points` never calls this for its zero points.
+    parameter check: :func:`series_points` never calls this for them, but a
+    library :func:`figure_points` or :func:`sweep` over a large t grid would
+    otherwise keep every zero point it asks for.
     """
     try:
         return _measured_point(family, n_electrons, m)
@@ -246,13 +247,14 @@ def series_points(
     return sweep(live, jobs=jobs), tail
 
 
-def figure_points(spec: FigureSpec, jobs: int = 1) -> list[SweepPoint]:
+def figure_points(spec: FigureSpec) -> list[SweepPoint]:
+    """Every point of spec, in one process; :func:`sweep` is the parallel entry."""
     requests = [
         (family, n, 2 * t + 1)
         for family, n in spec.series
         for t in spec.t_values
     ]
-    return sweep(requests, jobs=jobs)
+    return sweep(requests)
 
 
 def rows_to_csv(points: Iterable[SweepPoint]) -> str:

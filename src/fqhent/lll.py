@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import lt, mul
 from types import MappingProxyType
 from typing import Mapping
@@ -70,24 +70,24 @@ class FockVector(Record):
     the sum of the |w_c|, so |w_c| / total is its squared amplitude.  It is
     built from any signed integer weights, which are reduced on the way in
     and stored as weights, a read-only view; terms shows the same exact
-    values as Amplitudes.
+    values as Amplitudes.  Each orbital and weight must be a Python int, as
+    a count must: a bool, float or numpy integer raises ValueError.
     """
 
     __slots__ = ("n_particles", "dim", "weights", "total")
 
     def __init__(self, n_particles: int, dim: int, weights: Mapping[FockConfig, int]) -> None:
-        for config, weight in weights.items():
-            if not isinstance(weight, int):
-                raise ValueError(f"config {config}: weight {weight!r} is not an integer")
         _check_ints(n_particles=n_particles, dim=dim)
         if n_particles < 1:
             raise ValueError("need at least one particle")
         if dim < n_particles:
             raise ValueError("dim must be at least the particle count")
-        for config in weights:
+        for config, weight in weights.items():
+            if type(weight) is not int:
+                raise ValueError(f"config {config}: weight {weight!r} is not an integer")
             if len(config) != n_particles:
                 raise ValueError(f"config {config} does not have {n_particles} orbitals")
-            if not all(map(isinstance, config, repeat(int))):
+            if any(type(o) is not int for o in config):
                 raise ValueError(f"config {config} has an orbital that is not an integer")
             if not all(map(lt, config, config[1:])):
                 raise ValueError(f"config {config} is not strictly increasing")

@@ -128,16 +128,6 @@ class MultiPoly(_TermMap):
         if any(e < 0 for e in key):
             raise ValueError(f"negative exponent in {key}")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: 1})
-
     # -- arithmetic and antisymmetry --------------------------------------
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
@@ -286,7 +276,7 @@ def vandermonde_power(nvars: int, power: int) -> MultiPoly:
         raise ValueError("need at least one variable")
     if power < 1:
         raise ValueError("power must be positive")
-    result = MultiPoly.one(nvars)
+    result = MultiPoly(nvars, {(0,) * nvars: 1})
     for j in range(nvars):
         for k in range(j + 1, nvars):
             result = result * _pair_power(nvars, j, k, power)

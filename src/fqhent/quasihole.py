@@ -18,8 +18,9 @@ keeps only ξ₁^{p−j} ξ₂^j from the j-th binomial term, so that
     I(z) = π² Σ_j C(p, j) (−1)^{p+j} M(p−j) M(j) · e_{N−p+j}(z) e_{N−j}(z)
 
 over max(0, p−N) ≤ j ≤ min(N, p): an exact symmetric polynomial in
-z_1..z_N times a rational multiple of π².  The zero polynomial is a
-legitimate outcome and is what makes some hierarchical construction
+z_1..z_N times a rational multiple of π².  Each C(p, j) M(p−j) M(j) equals
+p! α^{−(p+2)}, so α scales I(z) and nothing else.  The zero polynomial
+is a legitimate outcome and is what makes some hierarchical construction
 attempts collapse.  Up to its scalar, a nonzero I(z) is the single
 symmetric polynomial e_{N−p/2}(z_1², …, z_N²), which the state
 constructors multiply in by its Pieri rule
@@ -86,7 +87,7 @@ class ScaledPoly(Record):
         """Normalize a rational-coefficient term map into scale × primitive poly."""
         terms = {key: coeff for key, coeff in terms.items() if coeff}
         if not terms:
-            return cls(Fraction(0), MultiPoly.zero(nvars))
+            return cls(Fraction(0), MultiPoly(nvars))
         denom_lcm = math.lcm(*(coeff.denominator for coeff in terms.values()))
         numer_gcd = math.gcd(*(coeff.numerator for coeff in terms.values()))
         content = Fraction(numer_gcd, denom_lcm)
@@ -102,21 +103,19 @@ class ScaledPoly(Record):
         return f"{self.scale}*pi^2 * ({self.poly})"
 
 
-def gaussian_moment(a: int, b: int, alpha: Fraction | int) -> Fraction:
-    """Moment ∫ d²ξ ξ^a (ξ*)^b e^{−α|ξ|²} over π, exactly.
+def gaussian_moment(a: int, b: int) -> Fraction:
+    """Moment ∫ d²ξ ξ^a (ξ*)^b e^{−α|ξ|²} over π, exactly, at α = ALPHA.
 
     Angular integration kills every off-diagonal moment; on the diagonal the
-    radial integral gives π · a! · α^{−(a+1)}.
+    radial integral gives π · a! · α^{−(a+1)}.  α is not a parameter: it
+    only scales the condensate, which normalization discards.
     """
     _check_ints(a=a, b=b)
     if a < 0 or b < 0:
         raise ValueError("moment orders must be non-negative")
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("Gaussian width must be positive")
     if a != b:
         return Fraction(0)
-    return math.factorial(a) * alpha ** (-(a + 1))
+    return math.factorial(a) * ALPHA ** (-(a + 1))
 
 
 def condense(kernel: CondensateKernel) -> ScaledPoly:
@@ -126,11 +125,11 @@ def condense(kernel: CondensateKernel) -> ScaledPoly:
     only ξ₁^{p−j} ξ₂^j from the j-th binomial term of (ξ₁*−ξ₂*)^p, the
     result is Σ_j weight_j · e_{N−p+j}(z) · e_{N−j}(z) over
     max(0, p−N) ≤ j ≤ min(N, p), with weight_j = C(p, j) (−1)^{p+j}
-    M(p−j) M(j) and M(k) = gaussian_moment(k, k, ALPHA), the moment over π.
+    M(p−j) M(j) and M(k) = gaussian_moment(k, k), the moment over π.
     Every term carries π·π, which the scale leaves implied.
     """
     n, p = kernel.n_electrons, kernel.p
-    moment = [gaussian_moment(k, k, ALPHA) for k in range(min(n, p) + 1)]
+    moment = [gaussian_moment(k, k) for k in range(min(n, p) + 1)]
     result: dict[Exponents, Fraction] = {}
     for j in range(max(0, p - n), min(n, p) + 1):
         weight = math.comb(p, j) * (-1) ** (p + j) * moment[p - j] * moment[j]

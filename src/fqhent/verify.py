@@ -207,10 +207,10 @@ def check_condensate_n3() -> CheckResult:
     return _result("condensate-n3", out.poly == expected_poly, f"got {out}")
 
 
-def check_condensate_vanishing(n_max: int, p_max: int = 10) -> CheckResult:
-    """vanishes(N,p) matches condense(N,p) being zero, including odd p."""
+def check_condensate_vanishing(n_max: int) -> CheckResult:
+    """vanishes(N,p) matches condense(N,p) being zero for p <= 10, including odd p."""
     for n in range(1, n_max + 1):
-        for p in range(p_max + 1):
+        for p in range(11):
             if condense(CondensateKernel(n, p)).is_zero != vanishes(n, p):
                 return _result(
                     "condensate-vanishing", False, f"mismatch at N={n}, p={p}"
@@ -218,7 +218,7 @@ def check_condensate_vanishing(n_max: int, p_max: int = 10) -> CheckResult:
     return _result(
         "condensate-vanishing",
         True,
-        f"integral zero iff p odd or p > 2N, for N <= {n_max}, p <= {p_max}",
+        f"integral zero iff p odd or p > 2N, for N <= {n_max}, p <= 10",
     )
 
 

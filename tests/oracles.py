@@ -14,7 +14,7 @@ import math
 from collections import defaultdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from fqhent.lll import amplitude_product
 from fqhent.poly import SlaterExpansion, _dominated_prefixes
@@ -295,29 +295,39 @@ def measure_bits_decimal(v, digits: int = 60) -> Decimal:
 
     Such a state's density matrix is diagonal: orbital mu's entry is the
     Fraction of the absolute weights of the configurations occupying mu over
-    N times their sum.  -sum p ln p - ln N, over ln 2, is then taken with
-    ``digits`` significant digits.  A single configuration is separable and
-    gives exactly 0, where decimal's ln would leave a residue in the last
-    digits.
+    N times their sum, which :func:`diagonal_measure_bits` takes from there.
     """
     weights = v.weights
     if len({sum(config) for config in weights}) > 1:
         raise ValueError("configurations differ in total angular momentum")
-    if len(weights) == 1:
-        return Decimal(0)
     occupied: dict[int, int] = defaultdict(int)
     for config, weight in weights.items():
         for mode in config:
             occupied[mode] += abs(weight)
     norm = v.n_particles * sum(abs(weight) for weight in weights.values())
+    return diagonal_measure_bits(occupied.values(), norm, v.n_particles, digits)
+
+
+def diagonal_measure_bits(
+    counts: Iterable[int], norm: int, n_particles: int, digits: int = 60
+) -> Decimal:
+    """The measure in bits of the diagonal density matrix count / norm, in decimal.
+
+    -sum p ln p - ln N, over ln 2, is taken with ``digits`` significant
+    digits.  When every occupied orbital holds one particle (count * N ==
+    norm), the state is a single configuration, separable, and gives
+    exactly 0, where decimal's ln would leave a residue in the last digits.
+    """
+    counts = [count for count in counts if count]
+    if all(count * n_particles == norm for count in counts):
+        return Decimal(0)
     with localcontext() as ctx:
         ctx.prec = digits
         entropy = Decimal(0)
-        for count in occupied.values():
-            exact = Fraction(count, norm)
-            p = Decimal(exact.numerator) / Decimal(exact.denominator)
+        for count in counts:
+            p = Decimal(count) / Decimal(norm)  # rounded once, whatever count and norm share
             entropy -= p * p.ln()
-        return (entropy - Decimal(v.n_particles).ln()) / Decimal(2).ln()
+        return (entropy - Decimal(n_particles).ln()) / Decimal(2).ln()
 
 
 def entropy_of(probabilities) -> float:

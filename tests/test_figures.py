@@ -228,7 +228,9 @@ class TestPointMemo:
         assert self.memo.cache_info().currsize == 0
 
     def test_zero_point_is_not_kept(self):
-        # a chi table's zero rows grow with --m-max; each costs one check
+        # table and figure never ask for a zero point, but a library sweep
+        # over a large t grid would keep every one it asks for; each costs
+        # one check
         points = [evaluate_point("chi", 2, 7) for _ in range(2)]
         assert points[0] == points[1] == SweepPoint("chi", 2, 7, None)
         assert self.memo.cache_info().currsize == 0

@@ -16,6 +16,9 @@ constructors; demo 04 is left out because it prints the paths it writes.
 The grid golden holds measure_bits, as float.hex() and as CSV text, of
 every nonzero point the size budget allows at N = 2-9, recorded by
 tests/grid_bits.py at 1f3d645; tier-1 checks a slice of it and CI the rest.
+On that slice, each value the program prints is certified against the
+exact measure, within one unit of its 12th significant digit; CI
+certifies every golden value with tests/certify_digits.py.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from pathlib import Path
 
 import pytest
 
+from certify_digits import exact_measure_bits, units_off
 from fqhent import (
+    evaluate_point,
     family_expansion,
     figure_points,
     figure_spec,
@@ -146,12 +151,29 @@ def test_grid_golden_holds_every_allowed_point():
     assert [(f, int(n), int(m)) for f, n, m, _, _ in map(str.split, GRID_BITS)] == expected
 
 
+def _slice_lines(family: str, n: int) -> list[str]:
+    m_max = GRID_SLICE[family][n]
+    return [
+        line
+        for line in GRID_BITS
+        if line.split()[:2] == [family, str(n)] and int(line.split()[2]) <= m_max
+    ]
+
+
 @pytest.mark.parametrize("family", GRID_SLICE)
 def test_grid_bits_slice(family):
     for n, m_max in GRID_SLICE[family].items():
-        expected = [
-            line
-            for line in GRID_BITS
-            if line.split()[:2] == [family, str(n)] and int(line.split()[2]) <= m_max
-        ]
-        assert grid_lines(family, n, m_max) == expected
+        assert grid_lines(family, n, m_max) == _slice_lines(family, n)
+
+
+@pytest.mark.parametrize("family", GRID_SLICE)
+def test_printed_digits_are_within_one_unit_of_exact(family):
+    # each printed value against its measure from the exact occupations at
+    # 50 digits; tests/certify_digits.py certifies the whole grid
+    for n in GRID_SLICE[family]:
+        for line in _slice_lines(family, n):
+            _, _, m, _, golden = line.split()
+            printed = f"{evaluate_point(family, n, int(m)).measure_bits:.12g}"
+            exact = exact_measure_bits(family, n, int(m))
+            assert units_off(printed, exact) < 1, (line, printed, exact)
+            assert printed == golden

@@ -239,6 +239,14 @@ class TestFockVectorValidation:
         with pytest.raises(ValueError, match="must be a Python int"):
             FockVector.from_unnormalized(*sizes, {(0, 1): (1, 1)})
 
+    @pytest.mark.parametrize("value", [True, np.int64(1)], ids=lambda value: type(value).__name__)
+    def test_orbitals_and_weights_are_python_ints(self, value):
+        # isinstance(value, int) takes a bool, and type(value) is int takes neither
+        with pytest.raises(ValueError, match="orbital that is not an integer"):
+            FockVector(1, 2, {(value,): 1})
+        with pytest.raises(ValueError, match="weight .* is not an integer"):
+            FockVector(1, 2, {(0,): value})
+
     def test_rejects_bad_configs(self):
         with pytest.raises(ValueError):
             FockVector(2, 4, {(1, 0): 1})

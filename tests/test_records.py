@@ -99,7 +99,7 @@ RECORDS = {
         (Fraction(-2, 3), POLY),
         (Fraction(1), MultiPoly(2, {(0, 1): 1})),
         {},
-        [((Fraction(0), POLY), "scale"), ((Fraction(1), MultiPoly.zero(2)), "scale")],
+        [((Fraction(0), POLY), "scale"), ((Fraction(1), MultiPoly(2)), "scale")],
     ),
     KMatrix: (
         ("entries", "charge"),

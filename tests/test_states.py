@@ -41,7 +41,7 @@ from fqhent.figures import (
 )
 from fqhent.lll import FockVector
 from fqhent.measure import EntanglementReport, OneBodyDensityMatrix
-from fqhent.quasihole import ALPHA, gaussian_moment
+from fqhent.quasihole import gaussian_moment
 from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
 
 FAMILIES = ("laughlin", "hierarchical_phi", "chi")
@@ -447,8 +447,8 @@ COUNT_ENTRY_POINTS = {
     "CondensateKernel-p": lambda v: CondensateKernel(3, v),
     "vanishes-n_electrons": lambda v: vanishes(v, 2),
     "vanishes-p": lambda v: vanishes(3, v),
-    "gaussian_moment-a": lambda v: gaussian_moment(v, 3, ALPHA),
-    "gaussian_moment-b": lambda v: gaussian_moment(3, v, ALPHA),
+    "gaussian_moment-a": lambda v: gaussian_moment(v, 3),
+    "gaussian_moment-b": lambda v: gaussian_moment(3, v),
     "FockVector-n_particles": lambda v: FockVector(v, 4, {(0, 1, 2): 1}),
     "FockVector-dim": lambda v: FockVector(2, v, {(0, 1): 1}),
     "OneBodyDensityMatrix-dim": lambda v: OneBodyDensityMatrix(v, (1, 1, 1), 3),
