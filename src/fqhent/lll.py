@@ -119,8 +119,8 @@ class FockVector(Record):
         """Normalize a map config -> (sign, int or Fraction squared magnitude)
         exactly: over one denominator they are the weights __init__ checks."""
         for config, (sign, mag) in terms.items():
-            bad_sign = not isinstance(sign, int) or sign not in (1, -1)
-            if bad_sign or not isinstance(mag, (int, Fraction)) or mag < 0:
+            bad_sign = type(sign) is not int or sign not in (1, -1)
+            if bad_sign or type(mag) not in (int, Fraction) or mag < 0:
                 raise ValueError(f"config {config}: need sign +1 or -1, int or Fraction >= 0")
         # signed squared magnitudes times the lcm of their denominators
         lcm = math.lcm(*(mag.denominator for _, mag in terms.values()))

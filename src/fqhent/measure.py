@@ -71,11 +71,12 @@ class OneBodyDensityMatrix(Record):
     numerators over one positive Python int denominator, which they sum to
     exactly, kept in lowest terms; and off_diagonal, copied and kept
     read-only, which maps (mu, nu), 0 <= mu < nu < dim, to the nonzero entry
-    rho_{mu nu} = rho_{nu mu}: an int or a Fraction when its amplitude
-    products are rational, else a finite float.  So the matrix is symmetric
-    by construction and diagonal exactly when off_diagonal is empty.  dim
-    must be a Python int.  Record compares, hashes, prints and pickles the
-    stored fields; diag gives the diagonal as reduced Fractions.
+    rho_{mu nu} = rho_{nu mu}: an int, never a bool, or a Fraction when
+    its amplitude products are rational, else a finite float.  So the
+    matrix is symmetric by construction and diagonal exactly when
+    off_diagonal is empty.  dim must be a Python int.  Record compares,
+    hashes, prints and pickles the stored fields; diag gives the diagonal
+    as reduced Fractions.
     """
 
     __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
@@ -103,6 +104,8 @@ class OneBodyDensityMatrix(Record):
             if type(entry) is float or not isinstance(entry, (int, Fraction)):
                 if not math.isfinite(entry):
                     raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
+            elif type(entry) is bool:
+                raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is a bool, not a number")
         common = math.gcd(denominator, *numerators)
         numerators = tuple([p // common for p in numerators]) if common > 1 else tuple(numerators)
         super().__init__(dim, numerators, denominator // common, MappingProxyType(off_diagonal))

@@ -502,11 +502,33 @@ class TestVerify:
             terms[min(terms)] += 1
             return fqhent.SlaterExpansion(n, terms)
 
-        assert verify.check_laughlin_translation_highest_weight([(5, 5)]).status == "pass"
+        assert verify.check_laughlin_translation_highest_weight([(5, 5)])[0] is True
         monkeypatch.setattr(verify, "family_expansion", perturbed)
-        result = verify.check_laughlin_translation_highest_weight([(3, 3), (5, 5)])
-        assert result.status == "fail"
-        assert "N=3, m=3" in result.detail
+        verdict, detail = verify.check_laughlin_translation_highest_weight([(3, 3), (5, 5)])
+        assert verdict is False
+        assert "N=3, m=3" in detail
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        from fqhent import verify
+
+        monkeypatch.setattr(verify, "vanishes", lambda n, p: False)
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_VERIFY_FAIL == 1
+        assert "[FAIL] condensate-vanishing: mismatch at N=1, p=1\n" in out
+        assert out.endswith("14 passed, 1 failed, 3 informational\n")
+
+    def test_every_check_runs_once_under_its_name(self):
+        from fqhent import verify
+
+        # check_a_b runs as a-b and asserts; info_a_b runs as a-b and reports
+        expected = {
+            name.partition("_")[2].replace("_", "-"): "info" if name.startswith("info_") else "pass"
+            for name in vars(verify)
+            if name.startswith(("check_", "info_"))
+        }
+        results = run_verification("full")
+        assert len(results) == len(expected)
+        assert {r.name: r.status for r in results} == expected
 
     def test_default_level_is_fast(self, capsys):
         code, out, _ = run(capsys, "verify")

@@ -197,6 +197,11 @@ class TestOneBodyDensity:
         with pytest.raises(TypeError):
             OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
 
+    def test_bool_off_diagonal_entry_is_rejected(self):
+        # a bool is an int, so it was once stored and only von_neumann failed
+        with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = True is a bool"):
+            OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): True})
+
     def test_finite_float32_entry_is_accepted(self):
         rho = OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): np.float32(0.25)})
         assert rho.off_diagonal == {(0, 1): 0.25}

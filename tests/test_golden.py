@@ -12,7 +12,9 @@ laughlin(8, 3)'s, recorded from the build that still capped N at 7, with
 the cap raised.  The stdout
 goldens are the printed text of four demos and of `verify full`, recorded
 before FockVector lost its Amplitude-map and rational-amplitude
-constructors; demo 04 is left out because it prints the paths it writes.
+constructors, and of `verify fast`, recorded at 174a8a7, before each check
+came to return its verdict; demo 04 is left out because it prints the
+paths it writes.
 The grid golden holds measure_bits, as float.hex() and as CSV text, of
 every nonzero point the size budget allows at N = 2-9, recorded by
 tests/grid_bits.py at 1f3d645; tier-1 checks a slice of it and CI the rest.
@@ -117,6 +119,7 @@ PRINTED = {
     "demo02_stdout.txt": ["demos/02_quasihole_condensation.py"],
     "demo03_stdout.txt": ["demos/03_entanglement_measures.py"],
     "demo05_stdout.txt": ["demos/05_k_matrix_filling.py"],
+    "verify_fast_stdout.txt": ["-m", "fqhent.cli", "verify", "fast"],
     "verify_full_stdout.txt": ["-m", "fqhent.cli", "verify", "full"],
 }
 

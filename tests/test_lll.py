@@ -285,6 +285,20 @@ class TestFockVectorValidation:
         with pytest.raises(ValueError, match="sign|negative"):
             FockVector.from_unnormalized(2, 4, terms)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(0,): (True, 1), (1,): (-1, 1)},
+            {(0,): (1, True), (1,): (-1, 1)},
+            {(0,): (np.int64(1), 1), (1,): (-1, 1)},
+        ],
+        ids=["bool-sign", "bool-magnitude", "int64-sign"],
+    )
+    def test_from_unnormalized_signs_and_magnitudes_are_not_bools(self, terms):
+        # isinstance(True, int) holds, so a bool once read as 1
+        with pytest.raises(ValueError, match="need sign"):
+            FockVector.from_unnormalized(1, 2, terms)
+
     def test_weights_and_total(self):
         v = FockVector.from_unnormalized(2, 4, {(0, 1): (1, 6), (2, 3): (-1, Fraction(9))})
         assert dict(v.weights) == {(0, 1): 2, (2, 3): -3}
