@@ -72,11 +72,13 @@ class OneBodyDensityMatrix(Record):
     exactly, kept in lowest terms; and off_diagonal, copied and kept
     read-only, which maps (mu, nu), 0 <= mu < nu < dim, to the nonzero entry
     rho_{mu nu} = rho_{nu mu}: an int, never a bool, or a Fraction when
-    its amplitude products are rational, else a finite float.  So the
-    matrix is symmetric by construction and diagonal exactly when
-    off_diagonal is empty.  dim must be a Python int.  Record compares,
-    hashes, prints and pickles the stored fields; diag gives the diagonal
-    as reduced Fractions.
+    its amplitude products are rational, else a finite float.  A numpy
+    float is taken as a float; a numpy integer or bool, or a Decimal,
+    raises ValueError, as for a FockVector weight.  So the matrix is
+    symmetric by construction and diagonal exactly when off_diagonal is
+    empty.  dim must be a Python int.  Record compares, hashes, prints and
+    pickles the stored fields; diag gives the diagonal as reduced
+    Fractions.
     """
 
     __slots__ = ("dim", "numerators", "denominator", "off_diagonal")
@@ -104,6 +106,14 @@ class OneBodyDensityMatrix(Record):
             if type(entry) is float or not isinstance(entry, (int, Fraction)):
                 if not math.isfinite(entry):
                     raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
+                if type(entry) is not float:
+                    import numbers  # loaded already, by fractions
+
+                    # numpy's floats are Real; its integers are Integral and its bool neither
+                    if isinstance(entry, numbers.Integral) or not isinstance(entry, numbers.Real):
+                        raise ValueError(
+                            f"off-diagonal entry {(mu, nu)} = {entry!r} is not an int, Fraction or float"
+                        )
             elif type(entry) is bool:
                 raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is a bool, not a number")
         common = math.gcd(denominator, *numerators)

@@ -22,6 +22,10 @@ on those are made once per prefix, and each determinant adds just its two
 last entries to them, still O(N^2) work per determinant.
 :meth:`SlaterExpansion.times_elementary_squares` multiplies by
 e_k(z_1^2, ..., z_N^2), the condensate factor, without leaving the basis.
+Where each candidate moves one entry, at k = 1 and k = N - 1, the entry
+can meet only the two next to it on the side it moves to, and the kernel
+compares with those two alone; subsets of two or more entries find what
+they meet in a value-to-position map.
 
 :class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
 map.  Input from outside goes through the checking constructor, which
@@ -224,10 +228,24 @@ class SlaterExpansion(_TermMap):
         candidates.  A moved entry that lands on one that stayed makes two
         equal columns and drops out; one that passes a stayed entry a unit
         away, the only entry it can pass, swaps places with it and flips the
-        sign.  A candidate takes two value-to-position lookups per moved
-        entry, and a survivor needs no sort.  Whether a neighbour moved is
-        read off the subset tuple, at most 8 long for the family states,
-        since C(N, 9) > 40,000 for every N >= 18.
+        sign.  A survivor needs no sort.
+
+        The entries are strictly decreasing, so an entry at position i that
+        rises by 2 (k <= N - k) can meet only positions i - 1 and i - 2,
+        and one that falls by 2 after the lift (k > N - k) only i + 1 and
+        i + 2.  When one entry moves (min(k, N - k) = 1: k = 1, which is
+        N = 2's case, and k = N - 1, hierarchical_phi's at every N and
+        chi's at p = 2), the candidate compares with those two: the
+        neighbour a unit away is passed unless the one two away is where
+        the entry lands, and the neighbour two away is landed on.  Two
+        sentinel entries past the end, read also at positions -1 and -2,
+        stand in for a missing neighbour.  Each candidate is written into
+        one scratch list per determinant, keyed as a tuple and undone.
+        Subsets of two or more entries, where a neighbour may move too,
+        take two value-to-position lookups per moved entry and a copy per
+        candidate; whether a neighbour moved is read off the subset tuple,
+        at most 8 long for the family states, since C(N, 9) > 40,000 for
+        every N >= 18.
 
         Raises ValueError unless k is a Python int in 0..N.
         """
@@ -237,28 +255,55 @@ class SlaterExpansion(_TermMap):
             raise ValueError(f"k must be in 0..{n}, got {k}")
         size, step, lift = (k, 2, 0) if k <= n - k else (n - k, -2, 2)
         half = step // 2
-        subsets = list(itertools.combinations(range(n), size))
         out: dict[Exponents, int] = {}
-        for lam, coeff in self.terms.items():
-            base = [x + lift for x in lam]
-            where = dict(zip(base, range(n)))
-            for subset in subsets:
-                term = coeff
+        get = out.get
+        if size == 1:
+            # one scratch list per determinant: write a candidate, key it, undo
+            toward = -1 if step > 0 else 1  # the side of the entries it can meet
+            positions = range(n)
+            for lam, coeff in self.terms.items():
+                base = [x + lift for x in lam]
                 alpha = base[:]
-                for i in subset:
+                base += (-3, -3)  # at n, n + 1 and so at -1, -2: never met
+                for i in positions:
                     x = base[i]
-                    j = where.get(x + step)
-                    if j is not None and j not in subset:
-                        break
-                    j = where.get(x + half)
-                    if j is not None and j not in subset:
-                        term = -term
-                        alpha[i], alpha[j] = x + half, x + step
-                    else:
+                    j = i + toward
+                    gap = base[j] - x
+                    if gap == half:
+                        if base[j + toward] - x != step:
+                            alpha[i] = x + half
+                            alpha[j] = x + step
+                            key = tuple(alpha)
+                            out[key] = get(key, 0) - coeff
+                            alpha[i] = x
+                            alpha[j] = x + half
+                    elif gap != step:
                         alpha[i] = x + step
-                else:
-                    key = tuple(alpha)
-                    out[key] = out.get(key, 0) + term
+                        key = tuple(alpha)
+                        out[key] = get(key, 0) + coeff
+                        alpha[i] = x
+        else:
+            subsets = list(itertools.combinations(range(n), size))
+            for lam, coeff in self.terms.items():
+                base = [x + lift for x in lam]
+                where = dict(zip(base, range(n)))
+                for subset in subsets:
+                    term = coeff
+                    alpha = base[:]
+                    for i in subset:
+                        x = base[i]
+                        j = where.get(x + step)
+                        if j is not None and j not in subset:
+                            break
+                        j = where.get(x + half)
+                        if j is not None and j not in subset:
+                            term = -term
+                            alpha[i], alpha[j] = x + half, x + step
+                        else:
+                            alpha[i] = x + step
+                    else:
+                        key = tuple(alpha)
+                        out[key] = get(key, 0) + term
         return SlaterExpansion._from_terms(n, {key: c for key, c in out.items() if c})
 
 

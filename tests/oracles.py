@@ -493,6 +493,44 @@ def squeeze_by_position_pairs(nvars: int, power: int) -> SlaterExpansion:
     return SlaterExpansion(nvars, out)
 
 
+def pieri_by_position_map(expansion: SlaterExpansion, k: int) -> SlaterExpansion:
+    """expansion times e_k(z_1^2, ..., z_N^2), one value-to-position map per determinant.
+
+    The Pieri rule as :meth:`fqhent.poly.SlaterExpansion.times_elementary_squares`
+    applies it, from the k-subsets or, past N/2, the lift by 2 and the
+    (N - k)-subsets that lose 2, but each candidate copies the determinant
+    and finds the entries its moved ones meet by two value lookups, with no
+    neighbour test.  Survivors are accumulated in the order they are
+    visited and returned through the checking constructor.
+    """
+    n = expansion.nvars
+    size, step, lift = (k, 2, 0) if k <= n - k else (n - k, -2, 2)
+    half = step // 2
+    subsets = list(itertools.combinations(range(n), size))
+    out: Terms = {}
+    for lam, coeff in expansion.terms.items():
+        base = [x + lift for x in lam]
+        where = dict(zip(base, range(n)))
+        for subset in subsets:
+            term = coeff
+            alpha = base[:]
+            for i in subset:
+                x = base[i]
+                j = where.get(x + step)
+                if j is not None and j not in subset:
+                    break
+                j = where.get(x + half)
+                if j is not None and j not in subset:
+                    term = -term
+                    alpha[i], alpha[j] = x + half, x + step
+                else:
+                    alpha[i] = x + step
+            else:
+                key = tuple(alpha)
+                out[key] = out.get(key, 0) + term
+    return SlaterExpansion(n, out)
+
+
 def dyson_norm(nvars: int, power: int) -> int:
     """Sum of c_mu^2 over the Slater expansion of prod (z_j - z_k)^power.
 

@@ -10,9 +10,14 @@ Then it measures the state by both routes from the same expansion: the
 occupations route that the CLI and the sweeps take (figures.family_report)
 and the public FockVector route (modified_measure(laughlin(N, m))), checks
 that their entropies have the same bits, and prints each route's seconds.
-Exits nonzero on any mismatch.  Not collected by pytest: it takes 5-10 s
-on a 2-core VM.  It puts the checkout's src/ and tests/ on sys.path
-itself, so it runs from a plain checkout with no PYTHONPATH.
+Then, at the largest hierarchical_phi state the budget allows at each N
+from 3 to 7, it multiplies the condensate e_{N-1}(z_1^2, ..., z_N^2) into
+the Vandermonde expansion by times_elementary_squares and by
+oracles.pieri_by_position_map, checks that they give the same terms in
+the same order, and prints each route's seconds.  Exits nonzero on any
+mismatch.  Not collected by pytest: it takes 5-10 s on a 2-core VM.  It
+puts the checkout's src/ and tests/ on sys.path itself, so it runs from
+a plain checkout with no PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from fqhent.poly import vandermonde_expansion
 from fqhent.states import family_expansion, family_factors, laughlin
 
 STATES = [(3, 255), (4, 39), (5, 13), (6, 7), (7, 5), (8, 3), (9, 3)]
+PIERI_STATES = [(3, 253), (4, 37), (5, 13), (6, 7), (7, 3)]
 
 
 def main() -> int:
@@ -61,6 +67,22 @@ def main() -> int:
             f" same terms and order {same}, Dyson's identity {dyson};"
             f" measure from occupations {report_s:.3f} s, from the Fock vector"
             f" {public_s:.3f} s, same entropy bits {bits}"
+        )
+    for n, m in PIERI_STATES:
+        family_factors("hierarchical_phi", n, m)  # within the budget
+        expansion = family_expansion("laughlin", n, m)
+        start = time.perf_counter()
+        product = expansion.times_elementary_squares(n - 1)
+        kernel_s = time.perf_counter() - start
+        start = time.perf_counter()
+        expected = oracles.pieri_by_position_map(expansion, n - 1)
+        oracle_s = time.perf_counter() - start
+        same = list(product.terms.items()) == list(expected.terms.items())
+        failures += not same
+        print(
+            f"hierarchical_phi({n}, {m}): {len(expansion):,} determinants times"
+            f" e_{n - 1}(z^2) make {len(product):,}, kernel {kernel_s:.3f} s,"
+            f" oracle {oracle_s:.3f} s, same terms and order {same}"
         )
     return 1 if failures else 0
 

@@ -202,6 +202,16 @@ class TestOneBodyDensity:
         with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = True is a bool"):
             OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): True})
 
+    @pytest.mark.parametrize(
+        "entry",
+        [np.True_, np.int64(1), Decimal("0.25")],
+        ids=["numpy-bool", "int64", "decimal"],
+    )
+    def test_entries_of_other_number_types_are_rejected(self, entry):
+        # none is an int, Fraction or float, so each was once stored as given
+        with pytest.raises(ValueError, match=r"\(0, 1\) = .* is not an int, Fraction or float"):
+            OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
+
     def test_finite_float32_entry_is_accepted(self):
         rho = OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): np.float32(0.25)})
         assert rho.off_diagonal == {(0, 1): 0.25}

@@ -26,6 +26,7 @@ from fqhent import (
     vandermonde_power,
 )
 from fqhent.poly import vandermonde_expansion
+from fqhent.states import family_expansion
 
 
 def z(nvars: int, index: int) -> MultiPoly:
@@ -409,3 +410,67 @@ class TestTimesSymmetric:
         for k in (-1, 4, 1.0, "1", None):
             with pytest.raises(ValueError, match=r"k must be (a Python int|in 0\.\.3)"):
                 expansion.times_elementary_squares(k)
+
+    @pytest.mark.parametrize(
+        ("lam", "k", "expected"),
+        [
+            # k = 1, every entry in turn rises by 2: the last passes its
+            # neighbour, or lands on it; the second passes the first
+            ((5, 2, 1), 1, {(7, 2, 1): 1, (5, 4, 1): 1, (5, 3, 2): -1}),
+            ((6, 3, 1), 1, {(8, 3, 1): 1, (6, 5, 1): 1}),
+            ((3, 2, 0), 1, {(5, 2, 0): 1, (4, 3, 0): -1}),
+            ((7, 4, 3, 2), 1, {(9, 4, 3, 2): 1, (7, 6, 3, 2): 1, (7, 5, 4, 2): -1}),
+            # k = N - 1, every entry rises by 2 and one falls back: the first
+            # passes its neighbour, or lands on it; the one before last
+            # passes the last
+            ((4, 3, 0), 2, {(5, 4, 2): -1, (6, 3, 2): 1, (6, 5, 0): 1}),
+            ((5, 3, 0), 2, {(7, 3, 2): 1, (7, 5, 0): 1}),
+            ((5, 2, 1), 2, {(5, 4, 3): 1, (7, 3, 2): -1, (7, 4, 1): 1}),
+            ((7, 6, 3, 1), 3, {(8, 7, 5, 3): -1, (9, 6, 5, 3): 1, (9, 8, 5, 1): 1}),
+            # N = 2, k = 1: the unlifted direction; 0 lands on 2
+            ((2, 0), 1, {(4, 0): 1}),
+        ],
+    )
+    def test_one_moved_entry_at_the_ends(self, lam, k, expected):
+        expansion = SlaterExpansion(len(lam), {lam: 1})
+        product = expansion.times_elementary_squares(k)
+        assert dict(product.terms) == expected
+        assert product == slater_project(expansion.expand() * squares(len(lam), k))
+        assert list(product.terms.items()) == list(oracles.pieri_by_position_map(expansion, k).terms.items())
+
+
+PIERI_EVERY_K = [
+    ("laughlin", 2, 399),
+    ("hierarchical_phi", 3, 41),
+    ("laughlin", 4, 11),
+    ("laughlin", 5, 5),
+    ("hierarchical_phi", 6, 3),
+    ("laughlin", 7, 3),
+    ("hierarchical_phi", 8, 1),
+    ("chi", 9, 9),
+]
+"""Family expansions, one at each N from 2 to 9, multiplied at every k."""
+
+PIERI_BUDGET = [(3, 253), (4, 37), (5, 13), (6, 7), (7, 3)]
+"""hierarchical_phi's largest m at N = 3 to 7: the Vandermonde expansions
+its condensate is multiplied into, at the most determinants it allows."""
+
+
+class TestPieriOracle:
+    """times_elementary_squares against oracles.pieri_by_position_map."""
+
+    @pytest.mark.parametrize("state", PIERI_EVERY_K, ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_every_k(self, state):
+        expansion = family_expansion(*state)
+        for k in range(expansion.nvars + 1):
+            expected = oracles.pieri_by_position_map(expansion, k)
+            assert list(expansion.times_elementary_squares(k).terms.items()) == list(expected.terms.items()), k
+
+    @pytest.mark.parametrize("state", PIERI_BUDGET, ids="{0[0]}-{0[1]}".format)
+    def test_one_moved_entry_at_the_budget(self, state):
+        # k = N - 1 is hierarchical_phi's own, k = 1 the other direction
+        n = state[0]
+        expansion = family_expansion("laughlin", *state)
+        for k in (1, n - 1):
+            expected = oracles.pieri_by_position_map(expansion, k)
+            assert list(expansion.times_elementary_squares(k).terms.items()) == list(expected.terms.items()), k
