@@ -73,8 +73,9 @@ class OneBodyDensityMatrix(Record):
     read-only, which maps (mu, nu), 0 <= mu < nu < dim, to the nonzero entry
     rho_{mu nu} = rho_{nu mu}: an int, never a bool, or a Fraction when
     its amplitude products are rational, else a finite float.  A numpy
-    float is taken as a float; a numpy integer or bool, or a Decimal,
-    raises ValueError, as for a FockVector weight.  So the matrix is
+    float is taken as a float; a numpy integer or bool, a Decimal, a
+    complex or anything else raises ValueError before its value is read,
+    as for a FockVector weight.  So the matrix is
     symmetric by construction and diagonal exactly when off_diagonal is
     empty.  dim must be a Python int.  Record compares, hashes, prints and
     pickles the stored fields; diag gives the diagonal as reduced
@@ -104,16 +105,17 @@ class OneBodyDensityMatrix(Record):
                 raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not stored sparsely")
             # a float, as most entries are, skips the slow isinstance of an ABC
             if type(entry) is float or not isinstance(entry, (int, Fraction)):
-                if not math.isfinite(entry):
-                    raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
                 if type(entry) is not float:
                     import numbers  # loaded already, by fractions
 
-                    # numpy's floats are Real; its integers are Integral and its bool neither
+                    # numpy's floats are Real; its integers are Integral and its bool
+                    # neither.  Tested first, so math.isfinite never warns or fails.
                     if isinstance(entry, numbers.Integral) or not isinstance(entry, numbers.Real):
                         raise ValueError(
                             f"off-diagonal entry {(mu, nu)} = {entry!r} is not an int, Fraction or float"
                         )
+                if not math.isfinite(entry):
+                    raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
             elif type(entry) is bool:
                 raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is a bool, not a number")
         common = math.gcd(denominator, *numerators)
@@ -154,23 +156,23 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
     is exactly diagonal.  Everything is summed in the state's integer
     weights; each diagonal entry takes one division, by N times their total.
 
-    One pass over the configurations takes each one's |w|, sign and integer
-    square root (0 when |w| is not a perfect square) and keys its holes by
-    the bitmask of the orbitals left, mask ^ (1 << mode).  A product is
-    rational exactly when |w_mu w_nu| is a perfect square: the product of
-    the two roots when both exist, never when only one does, and otherwise
-    as isqrt finds.  An entry is an integer numerator over total while every
-    product summed into it is rational, which is the exact Fraction sum.  At
-    its first irrational product it becomes numerator / total plus that
-    float, and later rational products add as their numerator / total.  Int
-    true division is correctly rounded, as float(Fraction) is, and the
-    products are added in the same order, so every entry has the type and
-    the bits of the running sum of one exact Fraction or float product at a
-    time (tests/oracles.density_by_amplitude_products).
+    One pass files each configuration under the holes it leaves, keyed by
+    the bitmask of the orbitals left, mask ^ (1 << mode), with its weight
+    negated at every later position.  Each pair in a hole makes one
+    exactness test, lll.amplitude_product's: w_mu w_nu is rational exactly
+    when its magnitude is a perfect square, and its sign is the product's.
+    An entry is an integer numerator over total while every product summed
+    into it is rational, which is the exact Fraction sum.  At its first
+    irrational product it becomes numerator / total plus that float, and
+    later rational products add as their numerator / total.  Int true
+    division is correctly rounded, as float(Fraction) is, and the products
+    are added in the same order, so every entry has the type and the bits
+    of the running sum of one exact Fraction or float product at a time
+    (tests/oracles.density_by_amplitude_products).
     """
     n, total, dim = v.n_particles, v.total, v.dim
     occupied = [0] * dim
-    holes: dict[int, list[tuple[int, int, int, int]]] = {}
+    holes: dict[int, list[tuple[int, int]]] = {}
     homogeneous = v.is_homogeneous()
     for config, weight in v.weights.items():
         magnitude = abs(weight)
@@ -178,42 +180,32 @@ def one_body_density(v: FockVector) -> OneBodyDensityMatrix:
             occupied[mode] += magnitude
         if homogeneous:
             continue
-        root = math.isqrt(magnitude)
-        if root * root != magnitude:
-            root = 0
         mask = 0
         for mode in config:
             mask |= 1 << mode
-        sign = 1 if weight > 0 else -1
         for mode in config:
-            holes.setdefault(mask ^ (1 << mode), []).append((mode, sign, magnitude, root))
-            sign = -sign
+            holes.setdefault(mask ^ (1 << mode), []).append((mode, weight))
+            weight = -weight
     total_sq = total * total
     sums: dict[int, int | float] = {}  # keyed by mu * dim + nu, mu < nu
     for group in holes.values():
         if len(group) < 2:
             continue
-        for k, (mu, s_mu, a_mu, r_mu) in enumerate(group):
-            for nu, s_nu, a_nu, r_nu in group[k + 1 :]:
+        for k, (mu, w_mu) in enumerate(group):
+            for nu, w_nu in group[k + 1 :]:
                 key = mu * dim + nu if mu < nu else nu * dim + mu
-                magnitude = a_mu * a_nu
-                if r_mu:
-                    root = r_mu * r_nu
-                elif r_nu:
-                    root = 0
-                else:
-                    root = math.isqrt(magnitude)
-                    if root * root != magnitude:
-                        root = 0
+                product = w_mu * w_nu
+                magnitude = abs(product)
+                root = math.isqrt(magnitude)
                 s = sums.get(key, 0)
-                if root:
-                    signed = root if s_mu == s_nu else -root
-                    sums[key] = s + signed if type(s) is int else s + signed / total
+                if root * root == magnitude:
+                    root = root if product > 0 else -root
+                    sums[key] = s + root if type(s) is int else s + root / total
                 else:
-                    product = math.sqrt(magnitude / total_sq)
-                    if s_mu != s_nu:
-                        product = -product
-                    sums[key] = (s / total if type(s) is int else s) + product
+                    irrational = math.sqrt(magnitude / total_sq)
+                    if product < 0:
+                        irrational = -irrational
+                    sums[key] = (s / total if type(s) is int else s) + irrational
     norm = n * total
     off_diagonal = {
         divmod(key, dim): Fraction(s, norm) if type(s) is int else s / n
@@ -437,9 +429,12 @@ def two_qubit_consistency(alpha_sq: Fraction | int) -> float:
 
     alpha_sq is |alpha|^2 with |beta|^2 = 1 - alpha_sq; the returned value
     must coincide with the distinguishable-particle Schmidt entropy
-    -|alpha|^2 ln|alpha|^2 - |beta|^2 ln|beta|^2.
+    -|alpha|^2 ln|alpha|^2 - |beta|^2 ln|beta|^2.  alpha_sq is a Python int
+    or a Fraction, as FockVector.from_unnormalized takes a squared
+    magnitude: anything else, a bool or a str included, raises ValueError.
     """
-    alpha_sq = Fraction(alpha_sq)
+    if type(alpha_sq) not in (int, Fraction):
+        raise ValueError(f"alpha_sq must be an int or a Fraction, got {alpha_sq!r}")
     if not 0 <= alpha_sq <= 1:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
     a, b = alpha_sq.numerator, alpha_sq.denominator

@@ -30,10 +30,10 @@ they meet in a value-to-position map.
 :class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
 map.  Input from outside goes through the checking constructor, which
 takes nvars as a count, coerces exponents and coefficients with
-operator.index, checks every key, sums repeated keys in their first
-position and drops zero sums.  A map this module builds from checked
-instances is adopted unchecked with ``_from_terms`` once its zero sums
-are dropped.
+operator.index but refuses bools, checks every key, sums repeated keys in
+their first position and drops zero sums.  A map this module builds from
+checked instances is adopted unchecked with ``_from_terms`` once its zero
+sums are dropped.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def _check_ints(**values: object) -> None:
     for name, value in values.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be a Python int, got {value!r}")
+
+
+def _index(value: object) -> int:
+    """operator.index, which converts a numpy integer, but never a bool:
+    True would read as 1, so a bool raises ValueError."""
+    if type(value) is bool:
+        raise ValueError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -93,11 +101,11 @@ class _TermMap(Record):
         items = terms.items() if isinstance(terms, Mapping) else terms
         store: dict[Exponents, int] = {}
         for exponents, coeff in items:
-            key = tuple(operator.index(e) for e in exponents)
+            key = tuple(map(_index, exponents))
             if len(key) != nvars:
                 raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
             self._check_key(key)
-            store[key] = store.get(key, 0) + operator.index(coeff)
+            store[key] = store.get(key, 0) + _index(coeff)
         Record.__init__(self, nvars, MappingProxyType({key: c for key, c in store.items() if c}))
 
     @classmethod

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from fractions import Fraction
 
@@ -54,6 +53,7 @@ from .poly import (
     SlaterExpansion,
     _check_ints,
     _dominated_prefixes,
+    _index,
     vandermonde_expansion,
     vandermonde_power,
 )
@@ -84,7 +84,8 @@ VM)."""
 
 class KMatrix(Record):
     """A symmetric integer 2x2 matrix with a charge vector, default (1, 0),
-    both stored as tuples of Python ints made by operator.index."""
+    both stored as tuples of Python ints made by operator.index; a bool
+    raises ValueError."""
 
     __slots__ = ("entries", "charge")
 
@@ -92,8 +93,8 @@ class KMatrix(Record):
         self, entries: tuple[tuple[int, int], tuple[int, int]], charge: tuple[int, int] = (1, 0)
     ) -> None:
         try:
-            entries = tuple(tuple(map(operator.index, row)) for row in entries)
-            charge = tuple(map(operator.index, charge))
+            entries = tuple(tuple(map(_index, row)) for row in entries)
+            charge = tuple(map(_index, charge))
         except TypeError as error:
             raise ValueError(f"entries and charge must be integers: {error}") from None
         super().__init__(entries, charge)

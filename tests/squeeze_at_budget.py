@@ -14,14 +14,21 @@ Then, at the largest hierarchical_phi state the budget allows at each N
 from 3 to 7, it multiplies the condensate e_{N-1}(z_1^2, ..., z_N^2) into
 the Vandermonde expansion by times_elementary_squares and by
 oracles.pieri_by_position_map, checks that they give the same terms in
-the same order, and prints each route's seconds.  Exits nonzero on any
-mismatch.  Not collected by pytest: it takes 5-10 s on a 2-core VM.  It
+the same order, and prints each route's seconds.  Last, over a fixed pool
+of 2,000 hand-built states of several total angular momenta, it builds
+the density matrix by the general contraction (measure.one_body_density)
+and by oracles.density_by_amplitude_products, checks that they give the
+same entries in the same key order, of the same types and values, and
+prints each route's seconds.  Exits nonzero on any mismatch.  Not
+collected by pytest: it takes 5-10 s on a 2-core VM.  It
 puts the checkout's src/ and tests/ on sys.path itself, so it runs from
 a plain checkout with no PYTHONPATH.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 import sys
 import time
 from pathlib import Path
@@ -31,12 +38,47 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 import oracles
 from fqhent.figures import family_report
-from fqhent.measure import modified_measure
+from fqhent.lll import FockVector
+from fqhent.measure import modified_measure, one_body_density
 from fqhent.poly import vandermonde_expansion
 from fqhent.states import family_expansion, family_factors, laughlin
 
 STATES = [(3, 255), (4, 39), (5, 13), (6, 7), (7, 5), (8, 3), (9, 3)]
 PIERI_STATES = [(3, 253), (4, 37), (5, 13), (6, 7), (7, 3)]
+MIXED_STATES = 2000
+
+
+def mixed_state_pool(count: int = MIXED_STATES) -> list[FockVector]:
+    """count states from one fixed seed, each of at least two total momenta.
+
+    N is 2, 3 or 4 over N + 1 to 7 orbitals, in turn; each state occupies
+    from two configurations up to all of them, with weights of magnitude
+    1-20 and random signs, so most amplitude products are irrational.
+    """
+    rng = random.Random("squeeze-at-budget:mixed-states")
+    cells = [(n, dim) for n in (2, 3, 4) for dim in range(n + 1, 8)]
+    pool = []
+    for i in range(count):
+        n, dim = cells[i % len(cells)]
+        combos = list(itertools.combinations(range(dim), n))
+        size = rng.randint(2, len(combos))
+        configs = rng.sample(combos, size)
+        while len({sum(c) for c in configs}) < 2:
+            configs = rng.sample(combos, size)
+        pool.append(FockVector(n, dim, {c: rng.choice((1, -1)) * rng.randint(1, 20) for c in configs}))
+    return pool
+
+
+def same_entries(rho, diag, off_diagonal) -> bool:
+    """True iff the matrix has the oracle's entries: key order, type and value."""
+    return (
+        rho.diag == diag
+        and list(rho.off_diagonal) == list(off_diagonal)
+        and all(
+            (type(rho.off_diagonal[key]), rho.off_diagonal[key]) == (type(entry), entry)
+            for key, entry in off_diagonal.items()
+        )
+    )
 
 
 def main() -> int:
@@ -84,6 +126,21 @@ def main() -> int:
             f" e_{n - 1}(z^2) make {len(product):,}, kernel {kernel_s:.3f} s,"
             f" oracle {oracle_s:.3f} s, same terms and order {same}"
         )
+    pool = mixed_state_pool()
+    start = time.perf_counter()
+    kernel = [one_body_density(v) for v in pool]
+    kernel_s = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = [oracles.density_by_amplitude_products(v) for v in pool]
+    oracle_s = time.perf_counter() - start
+    differ = sum(not same_entries(rho, *entries) for rho, entries in zip(kernel, expected))
+    failures += differ
+    print(
+        f"mixed states: {len(pool):,} of several total momenta,"
+        f" {sum(len(rho.off_diagonal) for rho in kernel):,} off-diagonal entries,"
+        f" contraction {kernel_s:.3f} s, oracle {oracle_s:.3f} s,"
+        f" {differ} with different entries"
+    )
     return 1 if failures else 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import MappingProxyType
@@ -182,20 +183,29 @@ class TestOneBodyDensity:
             OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
 
     @pytest.mark.parametrize(
-        "entry",
-        [np.float32("nan"), np.float64("inf"), Decimal("NaN")],
+        ("entry", "refusal"),
+        [
+            (np.float32("nan"), "is not finite"),
+            (np.float64("inf"), "is not finite"),
+            # the type is tested before the value, and Decimal is refused as a type
+            (Decimal("NaN"), "is not an int, Fraction or float"),
+        ],
         ids=["float32-nan", "float64-inf", "decimal-nan"],
     )
-    def test_non_finite_entries_of_other_number_types_are_rejected(self, entry):
+    def test_non_finite_entries_of_other_number_types_are_rejected(self, entry, refusal):
         # neither float32 nor Decimal is a float, so a check of floats alone
         # lets their NaN through to von_neumann
-        with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = .* is not finite"):
+        with pytest.raises(ValueError, match=r"off-diagonal entry \(0, 1\) = .* " + refusal):
             OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
 
-    @pytest.mark.parametrize("entry", ["0.25", b"1", [0.25]])
+    @pytest.mark.parametrize("entry", ["0.25", b"1", [0.25], np.complex128(0.5), 0.5j])
     def test_off_diagonal_entries_that_are_not_numbers_are_rejected(self, entry):
-        with pytest.raises(TypeError):
-            OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
+        # each once reached math.isfinite before its type was tested: numpy's
+        # complex warned there, and every other entry raised TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(0, 1\) = .* is not an int, Fraction or float"):
+                OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
 
     def test_bool_off_diagonal_entry_is_rejected(self):
         # a bool is an int, so it was once stored and only von_neumann failed
@@ -522,3 +532,11 @@ class TestTwoQubitConsistency:
     def test_range_error(self):
         with pytest.raises(ValueError):
             two_qubit_consistency(Fraction(3, 2))
+
+    @pytest.mark.parametrize(
+        "alpha_sq", [True, False, "1/2", 0.5, np.int64(1), Decimal("0.5")], ids=repr
+    )
+    def test_only_ints_and_fractions_are_taken(self, alpha_sq):
+        # Fraction() once read True as 1 and "1/2" as one half
+        with pytest.raises(ValueError, match="alpha_sq must be an int or a Fraction"):
+            two_qubit_consistency(alpha_sq)

@@ -130,6 +130,21 @@ def checked(poly):
 class TestTermMap:
     """The immutable term map MultiPoly and SlaterExpansion share."""
 
+    @pytest.mark.parametrize(
+        ("cls", "terms"),
+        [
+            (MultiPoly, {(True, 0): 1}),
+            (MultiPoly, {(1, 0): True}),
+            (SlaterExpansion, {(True, False): 3}),
+            (SlaterExpansion, {(1, 0): True}),
+        ],
+        ids=["poly-exponent", "poly-coefficient", "slater-exponent", "slater-coefficient"],
+    )
+    def test_bools_are_refused(self, cls, terms):
+        # operator.index reads True as 1: MultiPoly(2, {(True, 0): 1}) was z1
+        with pytest.raises(ValueError, match="is a bool, not an integer"):
+            cls(2, terms)
+
     @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
     def test_setting_an_attribute_raises(self, cls):
         value = cls(2, {(1, 0): 1})

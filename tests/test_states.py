@@ -765,3 +765,13 @@ class TestKMatrix:
     def test_rejects_non_integer_entries_and_bad_charge(self, entries, charge):
         with pytest.raises(ValueError):
             KMatrix(entries, charge=charge)
+
+    @pytest.mark.parametrize(
+        "entries,charge",
+        [(((True, 1), (1, -2)), (1, 0)), (((3, 1), (1, -2)), (True, 0))],
+        ids=["entry", "charge"],
+    )
+    def test_rejects_bools(self, entries, charge):
+        # operator.index reads True as 1, so each was once stored as 1
+        with pytest.raises(ValueError, match="is a bool, not an integer"):
+            KMatrix(entries, charge=charge)
