@@ -73,9 +73,9 @@ class OneBodyDensityMatrix(Record):
     read-only, which maps (mu, nu), 0 <= mu < nu < dim, to the nonzero entry
     rho_{mu nu} = rho_{nu mu}: an int, never a bool, or a Fraction when
     its amplitude products are rational, else a finite float.  A numpy
-    float is taken as a float; a numpy integer or bool, a Decimal, a
-    complex or anything else raises ValueError before its value is read,
-    as for a FockVector weight.  So the matrix is
+    float is stored as the Python float it rounds to; a numpy integer or
+    bool, a Decimal, a complex or anything else raises ValueError before
+    its value is read, as for a FockVector weight.  So the matrix is
     symmetric by construction and diagonal exactly when off_diagonal is
     empty.  dim must be a Python int.  Record compares, hashes, prints and
     pickles the stored fields; diag gives the diagonal as reduced
@@ -114,6 +114,9 @@ class OneBodyDensityMatrix(Record):
                         raise ValueError(
                             f"off-diagonal entry {(mu, nu)} = {entry!r} is not an int, Fraction or float"
                         )
+                    entry = off_diagonal[mu, nu] = float(entry)
+                    if not entry:  # a longdouble below the least float
+                        raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not stored sparsely")
                 if not math.isfinite(entry):
                     raise ValueError(f"off-diagonal entry {(mu, nu)} = {entry} is not finite")
             elif type(entry) is bool:

@@ -30,10 +30,10 @@ they meet in a value-to-position map.
 :class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
 map.  Input from outside goes through the checking constructor, which
 takes nvars as a count, coerces exponents and coefficients with
-operator.index but refuses bools, checks every key, sums repeated keys in
-their first position and drops zero sums.  A map this module builds from
-checked instances is adopted unchecked with ``_from_terms`` once its zero
-sums are dropped.
+operator.index but raises ValueError for a bool and for what that
+refuses, checks every key, sums repeated keys in their first position
+and drops zero sums.  A map this module builds from checked instances is
+adopted unchecked with ``_from_terms`` once its zero sums are dropped.
 """
 
 from __future__ import annotations
@@ -65,11 +65,14 @@ def _check_ints(**values: object) -> None:
 
 
 def _index(value: object) -> int:
-    """operator.index, which converts a numpy integer, but never a bool:
-    True would read as 1, so a bool raises ValueError."""
+    """operator.index, which converts a numpy integer; a bool, which it reads
+    as 0 or 1, and what it refuses, a float, str or numpy bool, raise ValueError."""
     if type(value) is bool:
         raise ValueError(f"{value!r} is a bool, not an integer")
-    return operator.index(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -230,13 +233,13 @@ class SlaterExpansion(_TermMap):
 
         a_lam e_k(z^2) is the sum of a_{lam + 2 1_S} over the k-subsets S of
         positions (Macdonald, Symmetric Functions and Hall Polynomials, ch. I,
-        the product a_lam m_mu at mu = (2^k)).  When N - k < k it uses
-        e_k(x) = e_N(x) e_{N-k}(1/x): every entry gains 2 and an
-        (N - k)-subset loses 2, so a determinant costs C(N, min(k, N - k))
-        candidates.  A moved entry that lands on one that stayed makes two
-        equal columns and drops out; one that passes a stayed entry a unit
-        away, the only entry it can pass, swaps places with it and flips the
-        sign.  A survivor needs no sort.
+        the product a_lam m_mu at mu = (2^k)).  At k = 0 it is the expansion
+        itself.  When N - k < k it uses e_k(x) = e_N(x) e_{N-k}(1/x): every
+        entry gains 2 and an (N - k)-subset, empty at k = N, loses 2, so a
+        determinant costs C(N, min(k, N - k)) candidates.  A moved entry that
+        lands on one that stayed makes two equal columns and drops out; one
+        that passes a stayed entry a unit away, the only entry it can pass,
+        swaps places with it and flips the sign.  A survivor needs no sort.
 
         The entries are strictly decreasing, so an entry at position i that
         rises by 2 (k <= N - k) can meet only positions i - 1 and i - 2,
@@ -261,6 +264,8 @@ class SlaterExpansion(_TermMap):
         _check_ints(k=k)
         if not 0 <= k <= n:
             raise ValueError(f"k must be in 0..{n}, got {k}")
+        if k == 0:  # e_0 = 1
+            return self
         size, step, lift = (k, 2, 0) if k <= n - k else (n - k, -2, 2)
         half = step // 2
         out: dict[Exponents, int] = {}

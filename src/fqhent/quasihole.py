@@ -44,6 +44,14 @@ ALPHA = Fraction(1, 3)
 """Gaussian width α of the quasihole measure e^{−α|ξ|²}."""
 
 
+def _check_kernel(n_electrons: int, p: int) -> None:
+    _check_ints(n_electrons=n_electrons, p=p)
+    if n_electrons < 1:
+        raise ValueError("need at least one electron")
+    if p < 0:
+        raise ValueError("pairing exponent must be non-negative")
+
+
 class CondensateKernel(Record):
     """Parameters of a two-quasihole condensate integral.
 
@@ -54,12 +62,8 @@ class CondensateKernel(Record):
     __slots__ = ("n_electrons", "p")
 
     def __init__(self, n_electrons: int, p: int) -> None:
-        _check_ints(n_electrons=n_electrons, p=p)
+        _check_kernel(n_electrons, p)
         super().__init__(n_electrons, p)
-        if self.n_electrons < 1:
-            raise ValueError("need at least one electron")
-        if self.p < 0:
-            raise ValueError("pairing exponent must be non-negative")
 
 
 class ScaledPoly(Record):
@@ -145,7 +149,7 @@ def vanishes(n_electrons: int, p: int) -> bool:
     Two mechanisms kill it: odd p makes the pairing factor odd under
     ξ₁ ↔ ξ₂ while the rest of the integrand is even, and p > 2N leaves no
     holomorphic degree to match the antiholomorphic one (each ξ appears at
-    most to power N).  Raises ValueError where CondensateKernel does.
+    most to power N).  Raises ValueError as CondensateKernel does, making none.
     """
-    CondensateKernel(n_electrons, p)
+    _check_kernel(n_electrons, p)
     return p % 2 == 1 or p > 2 * n_electrons

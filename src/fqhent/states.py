@@ -84,8 +84,8 @@ VM)."""
 
 class KMatrix(Record):
     """A symmetric integer 2x2 matrix with a charge vector, default (1, 0),
-    both stored as tuples of Python ints made by operator.index; a bool
-    raises ValueError."""
+    both stored as tuples of Python ints made by operator.index; a bool or
+    any other non-integer raises ValueError."""
 
     __slots__ = ("entries", "charge")
 
@@ -95,7 +95,7 @@ class KMatrix(Record):
         try:
             entries = tuple(tuple(map(_index, row)) for row in entries)
             charge = tuple(map(_index, charge))
-        except TypeError as error:
+        except (TypeError, ValueError) as error:  # TypeError: a row or charge is no sequence
             raise ValueError(f"entries and charge must be integers: {error}") from None
         super().__init__(entries, charge)
         (a, b), (c, d) = entries
@@ -119,22 +119,26 @@ def filling_fraction(k: KMatrix) -> Fraction:
     return Fraction(d * q0 * q0 - (b + c) * q0 * q1 + a * q1 * q1, k.determinant)
 
 
+# name -> the family's K-matrix entries as tuples, a function of m, or None
+# for laughlin, Vandermonde^m alone.  K = ((power, 1), (1, -p)) gives the
+# Vandermonde power and the exponent p of the condensate that multiplies it.
+_FAMILY_TABLE = {
+    "laughlin": None,
+    "hierarchical_phi": lambda m: ((m, 1), (1, -2)),
+    "chi": lambda m: ((1, 1), (1, -(m - 1))),
+}
+
+
 def hierarchical_phi_k(m: int) -> KMatrix:
     """K-matrix of the hierarchical_phi family: ((m, 1), (1, -2)); m is a Python int."""
     _check_ints(m=m)
-    return KMatrix(((m, 1), (1, -2)))
+    return KMatrix(_FAMILY_TABLE["hierarchical_phi"](m))
 
 
 def chi_k(m: int) -> KMatrix:
     """K-matrix of the chi family: ((1, 1), (1, -(m-1))); m is a Python int."""
     _check_ints(m=m)
-    return KMatrix(((1, 1), (1, -(m - 1))))
-
-
-# name -> the family's K-matrix as a function of m, or None for laughlin,
-# Vandermonde^m alone.  K = ((power, 1), (1, -p)) gives the Vandermonde
-# power and the exponent p of the condensate factor that multiplies it.
-_FAMILY_TABLE = {"laughlin": None, "hierarchical_phi": hierarchical_phi_k, "chi": chi_k}
+    return KMatrix(_FAMILY_TABLE["chi"](m))
 
 
 class ZeroWavefunctionError(ValueError):
@@ -149,13 +153,14 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     integer raises ValueError before any arithmetic, as do bad parameters,
     an unknown family or a state over MAX_ORBITALS or MAX_DETERMINANTS;
     ZeroWavefunctionError is raised when the condensate vanishes (for chi,
-    m > 2N+1).  The orbitals are checked first, which bounds N before
+    m > 2N+1).  power and p are read off the family table's entries, with
+    no record made.  The orbitals are checked first, which bounds N before
     anything of size N is made; the determinants by summing prefix widths
-    (:func:`_determinants_visited`), unless C(root[0] + 1, N), the
-    N-subsets of the root's orbitals, is already within the budget.
-    Memoized per process with typed keys, so a sweep's up-front check and
-    the build after it count the determinants once, and a cached m = 1
-    never answers m = True; refusals raise and are not kept.
+    (:func:`_determinants_visited`), unless C(orbitals, N), the N-subsets of
+    the root's orbitals, is already within the budget.  Memoized per process
+    with typed keys, so a sweep's up-front check and the build after it
+    count the determinants once, and a cached m = 1 never answers m = True;
+    refusals raise, are not kept, and alone format their text.
     """
     _check_ints(N=n_electrons, m=m)
     if n_electrons < 2:
@@ -164,44 +169,36 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
         raise ValueError(f"m must be a positive odd integer, got {m}")
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILY_TABLE)}")
-    k_matrix = _FAMILY_TABLE[family]
-    if k_matrix is None:
-        power, p = m, None
-    else:
-        (power, _), (_, minus_p) = k_matrix(m).entries
+    entries, power, p, k = _FAMILY_TABLE[family], m, None, 0
+    if entries is not None:
+        (power, _), (_, minus_p) = entries(m)
         p = -minus_p
-    if p is not None and vanishes(n_electrons, p):
-        raise ZeroWavefunctionError(
-            f"zero wavefunction: m > 2N+1 (family {family}, N={n_electrons}, m={m})"
-        )
-    k = 0 if p is None else n_electrons - p // 2
-    name = f"family {family}, N={n_electrons}, m={m}"
+        if vanishes(n_electrons, p):
+            raise ZeroWavefunctionError(
+                f"zero wavefunction: m > 2N+1 (family {family}, N={n_electrons}, m={m})"
+            )
+        k = n_electrons - p // 2
     orbitals = power * (n_electrons - 1) + 2 * (k > 0) + 1
     if orbitals > MAX_ORBITALS:
-        raise ValueError(
-            f"{name} spans {orbitals:,} orbitals, more than MAX_ORBITALS = {MAX_ORBITALS}"
-        )
-    subsets = 1 if p is None else math.comb(n_electrons, p // 2)
-    if subsets > MAX_DETERMINANTS:
-        raise ValueError(
-            f"{name} tries {subsets:,} condensate subsets per determinant,"
+        refusal = f"spans {orbitals:,} orbitals, more than MAX_ORBITALS = {MAX_ORBITALS}"
+    elif p is not None and math.comb(n_electrons, p // 2) > MAX_DETERMINANTS:
+        refusal = (
+            f"tries {math.comb(n_electrons, p // 2):,} condensate subsets per determinant,"
             f" more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,}"
         )
     # The build visits only tuples this root dominates: the squeezing
     # recursion those of ((N-1) power, ..., power, 0), and the product by
     # e_k(z_1^2, ..., z_N^2), k = N - p/2, those of that root plus 2 on its
     # first k entries, since sort(lam + nu) is dominated by lam + sort(nu).
-    # Each is an N-subset of 0 .. root[0], so the walk is needed only when
-    # there are more such subsets than the budget.
-    root = tuple(power * (n_electrons - 1 - i) + 2 * (i < k) for i in range(n_electrons))
-    if (
-        math.comb(root[0] + 1, n_electrons) > MAX_DETERMINANTS
-        and _determinants_visited(root) > MAX_DETERMINANTS
-    ):
-        raise ValueError(
-            f"{name} can have more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,} determinants"
-        )
-    return power, p
+    # Each is an N-subset of 0 .. root[0], the orbitals, so the root is made
+    # and walked only when there are more such subsets than the budget.
+    elif math.comb(orbitals, n_electrons) > MAX_DETERMINANTS and _determinants_visited(
+        tuple(power * (n_electrons - 1 - i) + 2 * (i < k) for i in range(n_electrons))
+    ) > MAX_DETERMINANTS:
+        refusal = f"can have more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,} determinants"
+    else:
+        return power, p
+    raise ValueError(f"family {family}, N={n_electrons}, m={m} {refusal}")
 
 
 def _determinants_visited(root: tuple[int, ...]) -> int:
@@ -230,15 +227,14 @@ def family_polynomial(family: str, n_electrons: int, m: int) -> MultiPoly:
     power, p = family_factors(family, n_electrons, m)
     if n_electrons > 5:
         raise ValueError(f"the full expansion is limited to N <= 5, got N={n_electrons}")
-    if p is None:
-        return vandermonde_power(n_electrons, power)
-    cond = condense(CondensateKernel(n_electrons, p=p))
-    return vandermonde_power(n_electrons, power) * cond.poly
+    product = vandermonde_power(n_electrons, power)
+    return product if p is None else product * condense(CondensateKernel(n_electrons, p)).poly
 
 
 _expansions: dict[tuple[int, int], SlaterExpansion] = {}
 """Vandermonde expansions by (N, power), least recently used first."""
 _expansions_lock = threading.Lock()
+_held = 0  # the determinants _expansions holds, counted under the lock
 
 
 def _vandermonde(n_electrons: int, power: int) -> SlaterExpansion:
@@ -247,9 +243,11 @@ def _vandermonde(n_electrons: int, power: int) -> SlaterExpansion:
     The memo holds at most MAX_DETERMINANTS determinants in all, no more
     than one state at the size budget: the least recently used expansions
     make room for a new one, and one that alone exceeds the bound is not
-    kept.  SlaterExpansion is immutable, so callers share one object.  A
-    lock guards the memo, not the build, as lru_cache does.
+    kept; the count held is kept as the memo fills.  SlaterExpansion is
+    immutable, so callers share one object.  A lock guards the memo and
+    its count, not the build, as lru_cache does.
     """
+    global _held
     key = (n_electrons, power)
     with _expansions_lock:
         expansion = _expansions.pop(key, None)
@@ -259,11 +257,11 @@ def _vandermonde(n_electrons: int, power: int) -> SlaterExpansion:
     expansion = vandermonde_expansion(n_electrons, power)
     if len(expansion) <= MAX_DETERMINANTS:
         with _expansions_lock:
-            _expansions.pop(key, None)
+            held = _held if _expansions else 0  # 0 once emptied from outside
+            _held = held + len(expansion) - len(_expansions.pop(key, ()))
             _expansions[key] = expansion
-            held = sum(map(len, _expansions.values()))
-            while held > MAX_DETERMINANTS:
-                held -= len(_expansions.pop(next(iter(_expansions))))
+            while _held > MAX_DETERMINANTS:
+                _held -= len(_expansions.pop(next(iter(_expansions))))
     return expansion
 
 

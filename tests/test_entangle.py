@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -226,6 +227,23 @@ class TestOneBodyDensity:
         rho = OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): np.float32(0.25)})
         assert rho.off_diagonal == {(0, 1): 0.25}
         assert von_neumann(rho) == pytest.approx(-0.75 * math.log(0.75) - 0.25 * math.log(0.25))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [np.float32(0.1), np.float64(0.1), np.longdouble(0.1)],
+        ids=["float32", "float64", "longdouble"],
+    )
+    def test_numpy_float_entry_is_stored_as_a_float(self, entry):
+        # each was once stored as the numpy scalar, which pickling pulls in
+        rho = OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): entry})
+        assert type(rho.off_diagonal[0, 1]) is float
+        assert rho.off_diagonal[0, 1] == float(entry)
+        assert b"numpy" not in pickle.dumps(rho)
+        assert pickle.loads(pickle.dumps(rho)) == rho
+
+    def test_numpy_float_entry_that_rounds_to_zero_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\) = 0.0 is not stored sparsely"):
+            OneBodyDensityMatrix(2, (1, 1), 2, {(0, 1): np.longdouble("1e-4000")})
 
     def test_non_finite_diagonal_entries_are_rejected(self):
         for diag in ((math.nan, 1.0), (math.inf, 0.0), (math.inf, -math.inf)):

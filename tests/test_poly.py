@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,17 @@ class TestTermMap:
     def test_bools_are_refused(self, cls, terms):
         # operator.index reads True as 1: MultiPoly(2, {(True, 0): 1}) was z1
         with pytest.raises(ValueError, match="is a bool, not an integer"):
+            cls(2, terms)
+
+    @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
+    @pytest.mark.parametrize(
+        "terms",
+        [{(1.0, 0): 1}, {("1", 0): 1}, {(np.True_, 0): 1}, {(1, 0): 1.5}],
+        ids=["float-exponent", "str-exponent", "numpy-bool-exponent", "float-coefficient"],
+    )
+    def test_non_integers_are_refused(self, cls, terms):
+        # each once raised TypeError from operator.index
+        with pytest.raises(ValueError, match="is not an integer"):
             cls(2, terms)
 
     @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
@@ -364,6 +376,13 @@ def squares(nvars: int, k: int) -> MultiPoly:
 
 class TestTimesSymmetric:
     """The product with the symmetric factor e_k(z_1^2, ..., z_N^2)."""
+
+    def test_empty_subsets(self):
+        # e_0 = 1 returns the expansion itself; e_N(z^2) lifts every entry by 2
+        expansion = vandermonde_expansion(4, 3)
+        assert expansion.times_elementary_squares(0) is expansion
+        lifted = {tuple(x + 2 for x in lam): c for lam, c in expansion.terms.items()}
+        assert dict(expansion.times_elementary_squares(4).terms) == lifted
 
     def test_known_product(self):
         # (z1 - z2)(z1^2 + z2^2) = (z1^3 - z2^3) - (z1^2 z2 - z1 z2^2)

@@ -136,10 +136,14 @@ class TestVanishes:
         assert condense(CondensateKernel(n, p)).is_zero == vanishes(n, p)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            vanishes(0, 2)
-        with pytest.raises(ValueError):
-            vanishes(2, -1)
+        # vanishes makes no CondensateKernel, so it states the kernel's checks itself
+        for n, p, refusal in [
+            (0, 2, "need at least one electron"),
+            (2, -1, "pairing exponent must be non-negative"),
+        ]:
+            for check in (vanishes, CondensateKernel):
+                with pytest.raises(ValueError, match=f"^{refusal}$"):
+                    check(n, p)
 
 
 class TestScaledPoly:

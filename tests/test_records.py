@@ -108,7 +108,8 @@ RECORDS = {
         {"charge": (1, 0)},
         [
             ((((3, 1), (1, -2)), (1, 0, 0)), "2 entries"),
-            ((((3, 1), (1, -2)), (1.5, 0)), "integers"),
+            ((((3, 1), (1, -2)), (1.5, 0)), "integers: 1.5 is not an integer"),
+            ((((3, 1), (1, -2)), 1), "must be integers: 'int' object is not iterable"),
             ((((3, 1), (2, -2)),), "symmetric"),
             ((((1, 1), (1, 1)),), "invertible"),
         ],

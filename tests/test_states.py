@@ -713,6 +713,83 @@ class TestSizeLimits:
         assert sweep([("laughlin", 3, 5)])[0].measure_bits > 0
 
 
+def _outcome(call):
+    """What call() returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _refuse_records(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"made a {type(self).__name__}")
+
+    monkeypatch.setattr(KMatrix, "__init__", refuse)
+    monkeypatch.setattr(CondensateKernel, "__init__", refuse)
+
+
+class TestFamilyFactorsMakeNoRecord:
+    """family_factors reads power and p off the family table, with no record made."""
+
+    @pytest.fixture
+    def grid(self):
+        """Each point of N = 2-9 and odd m <= 41, with what it gives while
+        records may be made: a refusal's type and text, or else (power, p)
+        from the family's K-matrix, (K11, -K22), and (m, None) for laughlin."""
+        outcomes = {}
+        for family, n, m in itertools.product(FAMILIES, range(2, 10), range(1, 42, 2)):
+            outcome = _outcome(lambda: family_factors.__wrapped__(family, n, m))
+            if type(outcome[0]) is int:
+                k = {"hierarchical_phi": hierarchical_phi_k, "chi": chi_k}.get(family)
+                outcome = (m, None) if k is None else (k(m).entries[0][0], -k(m).entries[1][1])
+            outcomes[family, n, m] = outcome
+        return outcomes
+
+    def test_factors_are_the_k_matrix_entries(self, grid, monkeypatch):
+        _refuse_records(monkeypatch)
+        refused = 0
+        for point, expected in grid.items():
+            outcome = _outcome(lambda: family_factors.__wrapped__(*point))
+            assert outcome == expected, point
+            refused += type(outcome[0]) is not int
+        assert 0 < refused < len(grid)
+
+    @pytest.mark.parametrize(
+        "point,error,text",
+        [
+            (
+                ("laughlin", 2, 513),
+                ValueError,
+                "family laughlin, N=2, m=513 spans 514 orbitals, more than MAX_ORBITALS = 512",
+            ),
+            (
+                ("chi", 284, 5),
+                ValueError,
+                "family chi, N=284, m=5 tries 40,186 condensate subsets per determinant,"
+                " more than MAX_DETERMINANTS = 40,000",
+            ),
+            (
+                ("laughlin", 4, 41),
+                ValueError,
+                "family laughlin, N=4, m=41 can have more than MAX_DETERMINANTS = 40,000"
+                " determinants",
+            ),
+            (
+                ("chi", 4, 13),
+                ZeroWavefunctionError,
+                "zero wavefunction: m > 2N+1 (family chi, N=4, m=13)",
+            ),
+        ],
+        ids=["orbitals", "subsets", "determinants", "zero"],
+    )
+    def test_refusals(self, monkeypatch, point, error, text):
+        _refuse_records(monkeypatch)
+        with pytest.raises(ValueError) as raised:
+            family_factors.__wrapped__(*point)
+        assert type(raised.value) is error and str(raised.value) == text
+
+
 class TestKMatrix:
     def test_filling_fraction_hierarchical(self):
         assert filling_fraction(hierarchical_phi_k(3)) == Fraction(2, 7)
