@@ -27,13 +27,13 @@ can meet only the two next to it on the side it moves to, and the kernel
 compares with those two alone; subsets of two or more entries find what
 they meet in a value-to-position map.
 
-:class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term
-map.  Input from outside goes through the checking constructor, which
-takes nvars as a count, coerces exponents and coefficients with
-operator.index but raises ValueError for a bool and for what that
-refuses, checks every key, sums repeated keys in their first position
-and drops zero sums.  A map this module builds from checked instances is
-adopted unchecked with ``_from_terms`` once its zero sums are dropped.
+:class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term map.
+Input from outside goes through the checking constructor, which takes nvars as
+a count, coerces exponents and coefficients with operator.index but raises
+ValueError for a bool, for what that refuses and for terms that are not
+(exponents, coefficient) pairs, checks every key, sums repeated keys in their
+first position and drops zero sums.  A map built here from checked instances
+is adopted unchecked with ``_from_terms`` once its zero sums are dropped.
 """
 
 from __future__ import annotations
@@ -102,9 +102,12 @@ class _TermMap(Record):
         if nvars < 1:
             raise ValueError("need at least one variable")
         items = terms.items() if isinstance(terms, Mapping) else terms
+        try:
+            pairs = [(tuple(map(_index, exponents)), coeff) for exponents, coeff in items]
+        except TypeError as error:  # the terms, a term or its exponents are no sequence
+            raise ValueError(f"terms must pair exponents with coefficients: {error}") from None
         store: dict[Exponents, int] = {}
-        for exponents, coeff in items:
-            key = tuple(map(_index, exponents))
+        for key, coeff in pairs:
             if len(key) != nvars:
                 raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
             self._check_key(key)
@@ -233,30 +236,30 @@ class SlaterExpansion(_TermMap):
 
         a_lam e_k(z^2) is the sum of a_{lam + 2 1_S} over the k-subsets S of
         positions (Macdonald, Symmetric Functions and Hall Polynomials, ch. I,
-        the product a_lam m_mu at mu = (2^k)).  At k = 0 it is the expansion
-        itself.  When N - k < k it uses e_k(x) = e_N(x) e_{N-k}(1/x): every
-        entry gains 2 and an (N - k)-subset, empty at k = N, loses 2, so a
-        determinant costs C(N, min(k, N - k)) candidates.  A moved entry that
-        lands on one that stayed makes two equal columns and drops out; one
-        that passes a stayed entry a unit away, the only entry it can pass,
-        swaps places with it and flips the sign.  A survivor needs no sort.
+        the product a_lam m_mu at mu = (2^k)).  When N - k < k it uses
+        e_k(x) = e_N(x) e_{N-k}(1/x): every entry gains 2 and an (N - k)-subset
+        loses 2, so a determinant costs C(N, min(k, N - k)) candidates.  The
+        subset is empty at k = 0, where the product is the expansion itself,
+        and at k = N, where every entry gains 2.  A moved entry that lands on
+        one that stayed makes two equal columns and drops out; one that passes
+        a stayed entry a unit away, the only entry it can pass, swaps places
+        with it and flips the sign.  A survivor needs no sort.
 
         The entries are strictly decreasing, so an entry at position i that
-        rises by 2 (k <= N - k) can meet only positions i - 1 and i - 2,
-        and one that falls by 2 after the lift (k > N - k) only i + 1 and
-        i + 2.  When one entry moves (min(k, N - k) = 1: k = 1, which is
-        N = 2's case, and k = N - 1, hierarchical_phi's at every N and
-        chi's at p = 2), the candidate compares with those two: the
-        neighbour a unit away is passed unless the one two away is where
-        the entry lands, and the neighbour two away is landed on.  Two
-        sentinel entries past the end, read also at positions -1 and -2,
-        stand in for a missing neighbour.  Each candidate is written into
-        one scratch list per determinant, keyed as a tuple and undone.
-        Subsets of two or more entries, where a neighbour may move too,
-        take two value-to-position lookups per moved entry and a copy per
-        candidate; whether a neighbour moved is read off the subset tuple,
-        at most 8 long for the family states, since C(N, 9) > 40,000 for
-        every N >= 18.
+        rises by 2 (k <= N - k) can meet only positions i - 1 and i - 2, and
+        one that falls by 2 after the lift (k > N - k) only i + 1 and i + 2.
+        When one entry moves (min(k, N - k) = 1: k = 1, which is N = 2's case,
+        and k = N - 1, hierarchical_phi's at every N and chi's at p = 2), the
+        candidate compares with those two: the neighbour a unit away is passed
+        unless the one two away is where the entry lands, and the neighbour
+        two away is landed on.  Two sentinel entries past the end, read also
+        at positions -1 and -2, stand in for a missing neighbour.  Each
+        candidate is written into one scratch list per determinant, keyed as a
+        tuple and undone.  Subsets of two or more entries, where a neighbour
+        may move too, take two value-to-position lookups per moved entry and a
+        copy per candidate; whether a neighbour moved is read off the subset
+        tuple, at most 8 long for the family states, since C(N, 9) > 40,000
+        for every N >= 18.
 
         Raises ValueError unless k is a Python int in 0..N.
         """
@@ -264,9 +267,11 @@ class SlaterExpansion(_TermMap):
         _check_ints(k=k)
         if not 0 <= k <= n:
             raise ValueError(f"k must be in 0..{n}, got {k}")
-        if k == 0:  # e_0 = 1
-            return self
         size, step, lift = (k, 2, 0) if k <= n - k else (n - k, -2, 2)
+        if not size:  # no entry moves: e_0 = 1, and e_N(z^2) = (z_1 ... z_N)^2 adds 2 to each
+            return self if not lift else SlaterExpansion._from_terms(
+                n, {tuple([x + 2 for x in lam]): c for lam, c in self.terms.items()}
+            )
         half = step // 2
         out: dict[Exponents, int] = {}
         get = out.get

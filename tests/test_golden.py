@@ -20,7 +20,11 @@ every nonzero point the size budget allows at N = 2-9, recorded by
 tests/grid_bits.py at 1f3d645; tier-1 checks a slice of it and CI the rest.
 On that slice, each value the program prints is certified against the
 exact measure, within one unit of its 12th significant digit; CI
-certifies every golden value with tests/certify_digits.py.
+certifies every golden value with tests/certify_digits.py.  The measure
+reads only c_mu^2, so the grid digests pin the signs too: for the same 891
+points, the determinant count and a sha256 of the signed terms, recorded by
+tests/grid_digests.py at 955318c; tier-1 checks the same slice and CI the
+rest.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from fqhent import (
 )
 from fqhent.cli import EXIT_OK, main
 from grid_bits import GRID, grid_lines
+from grid_digests import digest_line
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUTPUT = ROOT / "demos" / "output"
@@ -180,3 +185,19 @@ def test_printed_digits_are_within_one_unit_of_exact(family):
             exact = exact_measure_bits(family, n, int(m))
             assert units_off(printed, exact) < 1, (line, printed, exact)
             assert printed == golden
+
+
+GRID_DIGESTS = (GOLDEN / "grid_digests.txt").read_text().splitlines()
+
+
+def test_grid_digests_hold_every_grid_point():
+    assert [line.split()[:3] for line in GRID_DIGESTS] == [line.split()[:3] for line in GRID_BITS]
+
+
+@pytest.mark.parametrize("family", GRID_SLICE)
+def test_grid_digests_slice(family):
+    # the signed terms at the grid bits' slice, laughlin(6, 5) among them
+    for line in GRID_DIGESTS:
+        name, n, m, _, _ = line.split()
+        if name == family and int(m) <= GRID_SLICE[family][int(n)]:
+            assert digest_line(family, int(n), int(m)) == line

@@ -158,6 +158,18 @@ class TestTermMap:
             cls(2, terms)
 
     @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
+    @pytest.mark.parametrize(
+        "terms",
+        [{1: 1}, [(1, 0)], 5, [1, 2], [((1, 0), 1), 3]],
+        ids=["int-key", "int-exponents", "int-terms", "int-term", "int-second-term"],
+    )
+    def test_terms_that_are_not_pairs_of_sequences_are_refused(self, cls, terms):
+        # each once raised TypeError: 'int' object is not iterable, or
+        # cannot unpack non-iterable int object
+        with pytest.raises(ValueError, match="^terms must pair exponents with coefficients: "):
+            cls(2, terms)
+
+    @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
     def test_setting_an_attribute_raises(self, cls):
         value = cls(2, {(1, 0): 1})
         for name in ("_terms", "_nvars", "nvars", "other"):
@@ -377,12 +389,22 @@ def squares(nvars: int, k: int) -> MultiPoly:
 class TestTimesSymmetric:
     """The product with the symmetric factor e_k(z_1^2, ..., z_N^2)."""
 
-    def test_empty_subsets(self):
-        # e_0 = 1 returns the expansion itself; e_N(z^2) lifts every entry by 2
-        expansion = vandermonde_expansion(4, 3)
-        assert expansion.times_elementary_squares(0) is expansion
-        lifted = {tuple(x + 2 for x in lam): c for lam, c in expansion.terms.items()}
-        assert dict(expansion.times_elementary_squares(4).terms) == lifted
+    def test_empty_subsets(self, monkeypatch):
+        # e_0 = 1 returns the expansion itself; e_N(z^2) lifts every entry by
+        # 2, in the oracle's term order; neither makes a subset
+        expansions = [vandermonde_expansion(n, 3) for n in (2, 3, 4, 5)]
+        lifted = [oracles.pieri_by_position_map(e, e.nvars) for e in expansions]
+
+        def refuse(*args):
+            raise AssertionError(f"combinations{args} called")
+
+        monkeypatch.setattr(itertools, "combinations", refuse)
+        for expansion, expected in zip(expansions, lifted):
+            assert expansion.times_elementary_squares(0) is expansion
+            product = expansion.times_elementary_squares(expansion.nvars)
+            assert list(product.terms.items()) == list(expected.terms.items())
+            shifted = {tuple(x + 2 for x in lam): c for lam, c in expansion.terms.items()}
+            assert dict(product.terms) == shifted
 
     def test_known_product(self):
         # (z1 - z2)(z1^2 + z2^2) = (z1^3 - z2^3) - (z1^2 z2 - z1 z2^2)
@@ -499,6 +521,17 @@ class TestPieriOracle:
         for k in range(expansion.nvars + 1):
             expected = oracles.pieri_by_position_map(expansion, k)
             assert list(expansion.times_elementary_squares(k).terms.items()) == list(expected.terms.items()), k
+
+    @pytest.mark.parametrize("n", [10, 63, 283, 510])
+    def test_no_and_one_moved_entry_past_n9(self, n):
+        # the Vandermonde determinant delta at the ends of every chi series:
+        # k = 0 and k = N move no entry, k = 1 and k = N - 1 one
+        expansion = vandermonde_expansion(n, 1)
+        for k in (0, 1, n - 1, n):
+            expected = oracles.pieri_by_position_map(expansion, k)
+            assert list(expansion.times_elementary_squares(k).terms.items()) == list(expected.terms.items()), k
+        # chi(N, 1) = a_delta e_N(z^2): the one determinant delta + 2
+        assert dict(family_expansion("chi", n, 1).terms) == {tuple(range(n + 1, 1, -1)): 1}
 
     @pytest.mark.parametrize("state", PIERI_BUDGET, ids="{0[0]}-{0[1]}".format)
     def test_one_moved_entry_at_the_budget(self, state):

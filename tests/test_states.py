@@ -39,7 +39,7 @@ from fqhent.entangle import closed_form_sf_laughlin2
 from fqhent.figures import (
     FigureSpec, evaluate_point, family_report, figure_spec, figure_title, series_points
 )
-from fqhent.lll import FockVector
+from fqhent.lll import FockVector, occupations
 from fqhent.measure import EntanglementReport, OneBodyDensityMatrix
 from fqhent.quasihole import gaussian_moment
 from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
@@ -171,6 +171,47 @@ class TestChi:
             raised = True
         assert raised == vanishes(n, m - 1)
         assert raised == (m > 2 * n + 1)
+
+
+CHI_LARGEST_N = {3: 510, 5: 283, 7: 63, 9: 32, 11: 23, 13: 20}
+"""The largest N family_factors accepts for chi at each odd m from 3 to 13."""
+
+
+def _occupations(family: str, n: int, m: int) -> list[Fraction]:
+    occupied, total = occupations(family_expansion(family, n, m))
+    return [Fraction(count, total) for count in occupied]
+
+
+class TestChiStability:
+    """chi(N, m) at fixed m and N >= m - 1 has (m + 1) / 2 determinants, and
+    chi(N + 1, m)'s occupations are chi(N, m)'s with one more orbital at the
+    top, fully occupied; compared as exact Fractions, not floats."""
+
+    @pytest.mark.parametrize("m", range(3, 14, 2))
+    def test_one_more_electron_fills_one_more_orbital(self, m):
+        below = _occupations("chi", m - 1, m)
+        for n in range(m - 1, m + 3):
+            assert len(family_expansion("chi", n, m)) == (m + 1) // 2, n
+            if n > m - 1:
+                occupied = _occupations("chi", n, m)
+                assert occupied == below + [1], n
+                below = occupied
+
+    @pytest.mark.parametrize("m", CHI_LARGEST_N)
+    def test_at_the_largest_n(self, m):
+        n = CHI_LARGEST_N[m]
+        family_factors("chi", n, m)
+        with pytest.raises(ValueError, match="MAX_"):
+            family_factors("chi", n + 1, m)
+        assert len(family_expansion("chi", n, m)) == (m + 1) // 2
+        assert _occupations("chi", n, m) == _occupations("chi", m - 1, m) + [1] * (n - m + 1)
+
+    @pytest.mark.parametrize("n", [*range(2, 10), 510])
+    def test_hierarchical_phi_m1_is_chi_m3(self, n):
+        # both have K = ((1, 1), (1, -2))
+        quarter = Fraction(1, 4)
+        expected = [3 * quarter, quarter, quarter, 3 * quarter] + [1] * (n - 2)
+        assert _occupations("hierarchical_phi", n, 1) == expected == _occupations("chi", n, 3)
 
 
 class TestFamilyPolynomials:
