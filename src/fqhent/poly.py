@@ -102,16 +102,22 @@ class _TermMap(Record):
         if nvars < 1:
             raise ValueError("need at least one variable")
         items = terms.items() if isinstance(terms, Mapping) else terms
+        store: dict[Exponents, int] = {}
         try:
-            pairs = [(tuple(map(_index, exponents)), coeff) for exponents, coeff in items]
+            for term in items:
+                try:
+                    exponents, coeff = term
+                except ValueError:  # a sequence of other than two entries
+                    raise ValueError(
+                        f"terms must pair exponents with coefficients: {term!r} is not a pair"
+                    ) from None
+                key = tuple(map(_index, exponents))
+                if len(key) != nvars:
+                    raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
+                self._check_key(key)
+                store[key] = store.get(key, 0) + _index(coeff)
         except TypeError as error:  # the terms, a term or its exponents are no sequence
             raise ValueError(f"terms must pair exponents with coefficients: {error}") from None
-        store: dict[Exponents, int] = {}
-        for key, coeff in pairs:
-            if len(key) != nvars:
-                raise ValueError(f"exponent tuple {key} does not have {nvars} entries")
-            self._check_key(key)
-            store[key] = store.get(key, 0) + _index(coeff)
         Record.__init__(self, nvars, MappingProxyType({key: c for key, c in store.items() if c}))
 
     @classmethod

@@ -16,19 +16,22 @@ constructors, and of `verify fast`, recorded at 174a8a7, before each check
 came to return its verdict; demo 04 is left out because it prints the
 paths it writes.
 The grid golden holds measure_bits, as float.hex() and as CSV text, of
-every nonzero point the size budget allows at N = 2-9, recorded by
-tests/grid_bits.py at 1f3d645; tier-1 checks a slice of it and CI the rest.
-On that slice, each value the program prints is certified against the
-exact measure, within one unit of its 12th significant digit; CI
-certifies every golden value with tests/certify_digits.py.  The measure
+every nonzero point the size budget allows at N = 2-9, recorded at 1f3d645;
+tier-1 checks a slice of it and CI the rest.  On that slice, each value the
+program prints is certified against the exact measure, within one unit of
+its 12th significant digit; CI certifies every golden value.  The measure
 reads only c_mu^2, so the grid digests pin the signs too: for the same 891
-points, the determinant count and a sha256 of the signed terms, recorded by
-tests/grid_digests.py at 955318c; tier-1 checks the same slice and CI the
-rest.
+points, the determinant count and a sha256 of the signed terms, recorded at
+955318c; tier-1 checks the same slice and CI the rest.  The large-N golden
+holds all of that, with each printed value's units off the exact measure,
+for the 3,768 points the budget allows at N = 10-512, recorded at 738d8e7;
+tier-1 checks every point at four N and CI the rest.  tests/grid.py writes
+the three files in one pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -38,7 +41,6 @@ from pathlib import Path
 
 import pytest
 
-from certify_digits import exact_measure_bits, units_off
 from fqhent import (
     evaluate_point,
     family_expansion,
@@ -50,8 +52,8 @@ from fqhent import (
     to_fock,
 )
 from fqhent.cli import EXIT_OK, main
-from grid_bits import GRID, grid_lines
-from grid_digests import digest_line
+from fqhent.states import MAX_ORBITALS, family_factors
+from grid import GRID, digest_line, exact_measure_bits, grid_lines, measured, units_off
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUTPUT = ROOT / "demos" / "output"
@@ -177,7 +179,7 @@ def test_grid_bits_slice(family):
 @pytest.mark.parametrize("family", GRID_SLICE)
 def test_printed_digits_are_within_one_unit_of_exact(family):
     # each printed value against its measure from the exact occupations at
-    # 50 digits; tests/certify_digits.py certifies the whole grid
+    # 50 digits; tests/grid.py certifies the whole grid
     for n in GRID_SLICE[family]:
         for line in _slice_lines(family, n):
             _, _, m, _, golden = line.split()
@@ -201,3 +203,27 @@ def test_grid_digests_slice(family):
         name, n, m, _, _ = line.split()
         if name == family and int(m) <= GRID_SLICE[family][int(n)]:
             assert digest_line(family, int(n), int(m)) == line
+
+
+GRID_LARGE = [
+    line for line in (GOLDEN / "grid_large.txt").read_text().splitlines() if line[0] != "#"
+]
+
+
+@pytest.mark.parametrize("n", [10, 40, 163, 510])
+def test_grid_large_slice(n):
+    # every point allowed at N = n, 37 at the four: chi(40, 7) and the high-m
+    # chi reach the multi-entry Pieri loop, and N = 163 has the first point
+    # printed a unit or more off the exact measure
+    lines = [line for line in GRID_LARGE if line.split()[1] == str(n)]
+    allowed = []
+    for family in GRID:
+        for m in range(1, 2 * MAX_ORBITALS, 2):
+            with contextlib.suppress(ValueError):  # refused or zero
+                family_factors(family, n, m)
+                allowed.append(f"{family} {n} {m}")
+    assert [line.rsplit(maxsplit=5)[0] for line in lines] == allowed
+    for line in lines:
+        family, _, m = line.split()[:3]
+        bits, digest, off = measured(family, n, int(m))
+        assert f"{family} {n} {m} {bits} {digest} {off:.3f}" == line

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,14 +160,34 @@ class TestTermMap:
 
     @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
     @pytest.mark.parametrize(
-        "terms",
-        [{1: 1}, [(1, 0)], 5, [1, 2], [((1, 0), 1), 3]],
-        ids=["int-key", "int-exponents", "int-terms", "int-term", "int-second-term"],
+        "terms,named",
+        [
+            ({1: 1}, ""),
+            ([(1, 0)], ""),
+            (5, ""),
+            ([1, 2], ""),
+            ([((1, 0), 1), 3], ""),
+            ([((1, 0), 1, 5)], "((1, 0), 1, 5) is not a pair"),
+            ("ab", "'a' is not a pair"),
+            ([((1, 0), 1), ((1, 0),)], "((1, 0),) is not a pair"),
+        ],
+        ids=[
+            "int-key",
+            "int-exponents",
+            "int-terms",
+            "int-term",
+            "int-second-term",
+            "three-entry-term",
+            "str-terms",
+            "one-entry-second-term",
+        ],
     )
-    def test_terms_that_are_not_pairs_of_sequences_are_refused(self, cls, terms):
-        # each once raised TypeError: 'int' object is not iterable, or
-        # cannot unpack non-iterable int object
-        with pytest.raises(ValueError, match="^terms must pair exponents with coefficients: "):
+    def test_terms_that_are_not_pairs_of_sequences_are_refused(self, cls, terms, named):
+        # the int cases once raised TypeError: 'int' object is not iterable,
+        # or cannot unpack non-iterable int object; the named ones Python's
+        # bare too many, or not enough, values to unpack
+        match = "^terms must pair exponents with coefficients: " + re.escape(named)
+        with pytest.raises(ValueError, match=match):
             cls(2, terms)
 
     @pytest.mark.parametrize("cls", [MultiPoly, SlaterExpansion])
