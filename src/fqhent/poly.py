@@ -24,8 +24,8 @@ last entries to them, still O(N^2) work per determinant.
 e_k(z_1^2, ..., z_N^2), the condensate factor, without leaving the basis.
 Where each candidate moves one entry, at k = 1 and k = N - 1, the entry
 can meet only the two next to it on the side it moves to, and the kernel
-compares with those two alone; subsets of two or more entries find what
-they meet in a value-to-position map.
+compares with those two alone; where more move, only the subsets that
+survive are made, from the chains of values two apart in a determinant.
 
 :class:`MultiPoly` and :class:`SlaterExpansion` share one immutable term map.
 Input from outside goes through the checking constructor, which takes nvars as
@@ -244,12 +244,12 @@ class SlaterExpansion(_TermMap):
         positions (Macdonald, Symmetric Functions and Hall Polynomials, ch. I,
         the product a_lam m_mu at mu = (2^k)).  When N - k < k it uses
         e_k(x) = e_N(x) e_{N-k}(1/x): every entry gains 2 and an (N - k)-subset
-        loses 2, so a determinant costs C(N, min(k, N - k)) candidates.  The
-        subset is empty at k = 0, where the product is the expansion itself,
-        and at k = N, where every entry gains 2.  A moved entry that lands on
-        one that stayed makes two equal columns and drops out; one that passes
-        a stayed entry a unit away, the only entry it can pass, swaps places
-        with it and flips the sign.  A survivor needs no sort.
+        loses 2.  The subset is empty at k = 0, where the product is the
+        expansion itself, and at k = N, where every entry gains 2.  A moved
+        entry that lands on one that stayed makes two equal columns and drops
+        out; one that passes a stayed entry a unit away, the only entry it can
+        pass, swaps places with it and flips the sign.  A survivor needs no
+        sort.
 
         The entries are strictly decreasing, so an entry at position i that
         rises by 2 (k <= N - k) can meet only positions i - 1 and i - 2, and
@@ -261,11 +261,13 @@ class SlaterExpansion(_TermMap):
         two away is landed on.  Two sentinel entries past the end, read also
         at positions -1 and -2, stand in for a missing neighbour.  Each
         candidate is written into one scratch list per determinant, keyed as a
-        tuple and undone.  Subsets of two or more entries, where a neighbour
-        may move too, take two value-to-position lookups per moved entry and a
-        copy per candidate; whether a neighbour moved is read off the subset
-        tuple, at most 8 long for the family states, since C(N, 9) > 40,000
-        for every N >= 18.
+        tuple and undone.  Where two or more entries move, an entry survives
+        only if the one it would land on moves too.  Those links make chains
+        of values 2 apart, and a surviving subset takes a run at the far end
+        of each chain, the end the entries move to: one run length per chain,
+        the lengths summing to the subset's size.  Only those subsets are
+        made, so a determinant costs its survivors, not C(N, size)
+        candidates, and they are emitted in itertools.combinations order.
 
         Raises ValueError unless k is a Python int in 0..N.
         """
@@ -307,27 +309,31 @@ class SlaterExpansion(_TermMap):
                         out[key] = get(key, 0) + coeff
                         alpha[i] = x
         else:
-            subsets = list(itertools.combinations(range(n), size))
             for lam, coeff in self.terms.items():
                 base = [x + lift for x in lam]
                 where = dict(zip(base, range(n)))
-                for subset in subsets:
+                runs, room = [()], n  # the runs taken so far, and the positions not yet chained
+                for x in base:  # x + step is free: x heads a chain of values a step apart
+                    if x + step not in where:
+                        values = itertools.takewhile(where.__contains__, itertools.count(x, -step))
+                        chain = tuple(map(where.get, values))
+                        room -= len(chain)
+                        runs = [run + chain[:r] for run in runs for r in range(size - len(run) + 1)
+                                if r <= len(chain) and size - len(run) - r <= room]
+                for subset in sorted(map(sorted, runs)):
                     term = coeff
                     alpha = base[:]
+                    moved = set(subset)
                     for i in subset:
                         x = base[i]
-                        j = where.get(x + step)
-                        if j is not None and j not in subset:
-                            break
                         j = where.get(x + half)
-                        if j is not None and j not in subset:
+                        if j is not None and j not in moved:
                             term = -term
                             alpha[i], alpha[j] = x + half, x + step
                         else:
                             alpha[i] = x + step
-                    else:
-                        key = tuple(alpha)
-                        out[key] = get(key, 0) + term
+                    key = tuple(alpha)
+                    out[key] = get(key, 0) + term
         return SlaterExpansion._from_terms(n, {key: c for key, c in out.items() if c})
 
 

@@ -30,13 +30,13 @@ of the Vandermonde factor would break fermionic antisymmetry.
 
 The chi construction collapses when the condensate integral vanishes
 (m > 2N+1), which is reported as ZeroWavefunctionError rather than a state.
-Before anything is built, the orbitals the state spans, the C(N, p/2)
-subsets the Pieri rule tries per determinant and the determinants its build
-visits, the tuples its root dominates, are counted; above MAX_ORBITALS or
-MAX_DETERMINANTS the request is refused with ValueError.  The determinants
-are counted by summing the widths of the dominated prefixes, the tuples
-that share their first N - 2 entries, without making the tuples, and only
-when C(root[0] + 1, N), which bounds them, is over the limit.
+Before anything is built, the orbitals the state spans and the
+determinants its build visits, the tuples its root dominates, are counted;
+above MAX_ORBITALS or MAX_DETERMINANTS the request is refused with
+ValueError.  The determinants are counted by summing the widths of the
+dominated prefixes, the tuples that share their first N - 2 entries,
+without making the tuples, and only when C(root[0] + 1, N), which bounds
+them, is over the limit.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ from .quasihole import CondensateKernel, condense, vanishes
 MAX_DETERMINANTS = 40_000
 """Upper limit on the determinants a family state's build visits: the
 strictly decreasing tuples its root dominates, counted before anything is
-built, and on the C(N, p/2) subsets the condensate's Pieri rule tries per
-determinant.  Bounds the size of a construction for every N and m, and
-the determinants the memo of Vandermonde expansions holds in all.  With
-MAX_ORBITALS it bounds memory: every allowed state computes with a peak
-RSS under 44 MB and within a 48,300 KiB address space.  laughlin(9, 3)
-alone sets that bound (43.6 MB, from 47,600-48,300 KiB), through its
+built; the Pieri rule makes only the subsets that survive, so it needs no
+limit of its own.  Bounds the size of a construction for every N and m,
+and the determinants the memo of Vandermonde expansions holds in all.
+With MAX_ORBITALS it bounds memory: every allowed state computes with a
+peak RSS under 44 MB and within a 48,300 KiB address space.  laughlin(9,
+3) alone sets that bound (43.6 MB, from 47,600-48,300 KiB), through its
 squeeze's pair sums; next come laughlin(7, 5) at 31.5 MB and 34,600 KiB
 and hierarchical_phi(3, 253) at 29.7 MB and 33,800 KiB, and the states at
-the orbital limit take about 15.5 MB and 19,600 KiB (Python 3.11, Linux
-x86-64)."""
+the orbital limit take 15.5-19.9 MB and 19,600-23,000 KiB (Python 3.11,
+Linux x86-64)."""
 
 MAX_ORBITALS = 512
 """Upper limit on the orbitals a family state can occupy.  to_fock weighs
@@ -157,7 +157,10 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     no record made.  The orbitals are checked first, which bounds N before
     anything of size N is made; the determinants by summing prefix widths
     (:func:`_determinants_visited`), unless C(orbitals, N), the N-subsets of
-    the root's orbitals, is already within the budget.  Memoized per process
+    the root's orbitals, is already within the budget.  chi's root is
+    delta with two values left out, summing to a fixed total, so it has at
+    most N/2 + 1 determinants and only its orbitals refuse it: every odd
+    m <= 2N + 1 up to N = 510.  Memoized per process
     with typed keys, so a sweep's up-front check and the build after it
     count the determinants once, and a cached m = 1 never answers m = True;
     refusals raise, are not kept, and alone format their text.
@@ -181,11 +184,6 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     orbitals = power * (n_electrons - 1) + 2 * (k > 0) + 1
     if orbitals > MAX_ORBITALS:
         refusal = f"spans {orbitals:,} orbitals, more than MAX_ORBITALS = {MAX_ORBITALS}"
-    elif p is not None and math.comb(n_electrons, p // 2) > MAX_DETERMINANTS:
-        refusal = (
-            f"tries {math.comb(n_electrons, p // 2):,} condensate subsets per determinant,"
-            f" more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,}"
-        )
     # The build visits only tuples this root dominates: the squeezing
     # recursion those of ((N-1) power, ..., power, 0), and the product by
     # e_k(z_1^2, ..., z_N^2), k = N - p/2, those of that root plus 2 on its

@@ -1,4 +1,4 @@
-"""Every nonzero point the size budget allows, each built once: its bits, digest and digits.
+"""The N = 2-9 grid and 3,768 points at N = 10-512, each built once: bits, digest, digits.
 
     python tests/grid.py [--jobs J] OUT
     diff tests/golden/grid_bits.txt OUT/grid_bits.txt    # and grid_digests, grid_large
@@ -11,11 +11,11 @@ the signs the measure cannot see; and the units of its 12th digit by which
 the .12g text is off the measure of the same occupations in decimal at 50
 digits.  GRID's 891 points at N = 2-9 go to grid_bits.txt and
 grid_digests.txt; the run exits 1 unless none is a unit off and exactly
-NOT_CORRECTLY_ROUNDED are over half a unit off.  The 3,768 points
-family_factors allows at N = 10-512 go to grid_large.txt with all three,
+NOT_CORRECTLY_ROUNDED are over half a unit off.  The 3,768 points at
+N = 10-512 that allowed() selects go to grid_large.txt with all three,
 its units off a report, not a failure.  tests/test_golden.py checks a slice
 of each file, and grid_lines ties the bits to `table --format json`.  About
-52 s with --jobs 2 and 99 s with --jobs 1 on a 2-core VM.  Not collected by
+39 s with --jobs 2 and 75 s with --jobs 1 on a 2-core VM.  Not collected by
 pytest; it puts src/ on sys.path itself.
 """
 
@@ -27,6 +27,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from fqhent import evaluate_point, family_expansion, figures
 from fqhent.cli import EXIT_OK, main
 from fqhent.lll import occupations
-from fqhent.states import MAX_ORBITALS, family_factors
+from fqhent.states import MAX_DETERMINANTS, MAX_ORBITALS, family_factors
 from oracles import diagonal_measure_bits
 
 # the largest allowed m of each family at N = 2..9; chi is zero past 2N + 1
@@ -73,11 +74,18 @@ def grid_lines(family: str, n: int, m_max: int, jobs: int = 1) -> list[str]:
 
 
 def allowed(family: str, n: int) -> list[int]:
-    """The odd m family_factors allows at N = n.  laughlin's and hierarchical_phi's
-    orbitals and determinants grow with m (lam -> lam + 2 delta keeps dominance), so
-    their scan stops at the first refusal; chi's subset rule refuses its middle m."""
+    """The odd m grid_large.txt holds at N = n, each one family_factors allows.
+    laughlin's and hierarchical_phi's orbitals and determinants grow with m
+    (lam -> lam + 2 delta keeps dominance), so their scan stops at the first
+    refusal.  chi is held only where C(N, (m - 1)/2) <= MAX_DETERMINANTS, the
+    condensate-subset rule family_factors had before the Pieri product made
+    only the subsets that survive; it is checked before family_factors, so
+    the file keeps its 3,768 points and the scan never walks the chi points
+    past that rule, which tests/test_states.py checks by sample."""
     found = []
     for m in range(1, 2 * n + 2 if family == "chi" else MAX_ORBITALS, 2):
+        if family == "chi" and math.comb(n, (m - 1) // 2) > MAX_DETERMINANTS:
+            continue
         try:
             family_factors(family, n, m)
         except ValueError:

@@ -23,12 +23,30 @@ prints each route's seconds.  Exits nonzero on any mismatch.  Not
 collected by pytest: it takes 5-10 s on a 2-core VM.  It
 puts the checkout's src/ and tests/ on sys.path itself, so it runs from
 a plain checkout with no PYTHONPATH.
+
+    python tests/squeeze_at_budget.py --record
+
+does the same and then also writes BENCH_budget.json at the checkout's
+root: for each of those laughlin and hierarchical_phi states, chi(284, 5)
+and chi(510, 511), its determinants, orbitals and largest coefficient's
+bits, the best of 3 runs in seconds of each stage (family_factors' count,
+the squeeze, the Pieri product, occupations, and to_fock with
+modified_measure), and the median of 3 cold `compute` runs; and once, the
+commit, the src/ line count, the Python version, the bare interpreter's
+start-up and one cold `table --family laughlin --n 3 --m-max 255`.  That
+takes about a minute more on a 2-core VM.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
+import json
+import os
+import platform
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -38,7 +56,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 import oracles
 from fqhent.figures import family_report
-from fqhent.lll import FockVector
+from fqhent.lll import FockVector, occupations, to_fock
 from fqhent.measure import modified_measure, one_body_density
 from fqhent.poly import vandermonde_expansion
 from fqhent.states import family_expansion, family_factors, laughlin
@@ -46,6 +64,14 @@ from fqhent.states import family_expansion, family_factors, laughlin
 STATES = [(3, 255), (4, 39), (5, 13), (6, 7), (7, 5), (8, 3), (9, 3)]
 PIERI_STATES = [(3, 253), (4, 37), (5, 13), (6, 7), (7, 3)]
 MIXED_STATES = 2000
+BUDGET_STATES = [
+    *(("laughlin", n, m) for n, m in STATES),
+    *(("hierarchical_phi", n, m) for n, m in PIERI_STATES),
+    ("chi", 284, 5),
+    ("chi", 510, 511),
+]
+ROOT = TESTS.parent
+CLI = ("-m", "fqhent.cli")
 
 
 def mixed_state_pool(count: int = MIXED_STATES) -> list[FockVector]:
@@ -144,5 +170,73 @@ def main() -> int:
     return 1 if failures else 0
 
 
+def best_of_3(stage) -> float:
+    """The least of three runs' seconds."""
+    runs = []
+    for _ in range(3):
+        start = time.perf_counter()
+        stage()
+        runs.append(time.perf_counter() - start)
+    return min(runs)
+
+
+def cold(*argv: str, runs: int = 3) -> float:
+    """The median of fresh interpreters' wall seconds, each running argv."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds)
+
+
+def budget_state(family: str, n: int, m: int) -> dict:
+    """One state's sizes, stage seconds and cold `compute` seconds."""
+    power, p = family_factors(family, n, m)
+    vandermonde = vandermonde_expansion(n, power)
+    expansion = family_expansion(family, n, m)
+    return {
+        "family": family,
+        "N": n,
+        "m": m,
+        "determinants": len(expansion),
+        "orbitals": max(lam[0] for lam in expansion.terms) + 1,
+        "coef_bits": max(abs(c) for c in expansion.terms.values()).bit_length(),
+        "count_s": best_of_3(lambda: family_factors.__wrapped__(family, n, m)),
+        "squeeze_s": best_of_3(lambda: vandermonde_expansion(n, power)),
+        "product_s": None if p is None else best_of_3(
+            lambda: vandermonde.times_elementary_squares(n - p // 2)
+        ),
+        "occupations_s": best_of_3(lambda: occupations(expansion)),
+        "fock_vector_s": best_of_3(lambda: modified_measure(to_fock(expansion))),
+        "cold_compute_s": cold(*CLI, "compute", "--family", family, "--n", str(n), "--m", str(m)),
+    }
+
+
+def record() -> dict:
+    """BENCH_budget.json's content: the run's setting, then each budget state."""
+    describe = ["git", "describe", "--always", "--dirty", "--abbrev=40"]  # "-dirty": uncommitted
+    git = subprocess.run(describe, cwd=ROOT, capture_output=True, text=True)
+    sources = sorted((ROOT / "src" / "fqhent").glob("*.py"))
+    return {
+        "commit": git.stdout.strip() or None,
+        "src_lines": sum(len(path.read_text().splitlines()) for path in sources),
+        "python": platform.python_version(),
+        "bare_interpreter_s": cold("-c", "pass"),
+        "cold_table_laughlin_n3_m255_s": cold(
+            *CLI, "table", "--family", "laughlin", "--n", "3", "--m-max", "255", runs=1
+        ),
+        "states": [budget_state(*state) for state in BUDGET_STATES],
+    }
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true", help="also write BENCH_budget.json")
+    args = parser.parse_args()
+    code = main()
+    if args.record:
+        (ROOT / "BENCH_budget.json").write_text(json.dumps(record(), indent=1) + "\n")
+        print(f"wrote {ROOT / 'BENCH_budget.json'}")
+    sys.exit(code)

@@ -107,20 +107,20 @@ class TestCompute:
         assert "MAX_DETERMINANTS" in err
         assert out == ""
 
-    def test_chi_table_over_subset_budget_exit_64_before_computing(self, capsys, monkeypatch):
-        # chi(18, 37) is allowed, but chi(18, 17) tries C(18, 8) = 43,758
-        # condensate subsets per determinant: the sweep's check refuses it
+    def test_chi_table_over_orbital_budget_exit_64_before_computing(self, capsys, monkeypatch):
+        # chi(511, 1023) is allowed, the Vandermonde determinant alone over 511
+        # orbitals, but chi(511, 1) spans 513: the sweep's check refuses it
         def refuse(*args):
             raise AssertionError("a point was computed")
 
         monkeypatch.setattr(figures, "evaluate_point", refuse)
         start = time.perf_counter()
         code, out, err = run(
-            capsys, "table", "--family", "chi", "--n", "18", "--m-max", "37"
+            capsys, "table", "--family", "chi", "--n", "511", "--m-max", "1023"
         )
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_USAGE
-        assert "43,758 condensate subsets" in err
+        assert "N=511, m=1 spans 513 orbitals" in err
         assert out == ""
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

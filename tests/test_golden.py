@@ -24,14 +24,14 @@ reads only c_mu^2, so the grid digests pin the signs too: for the same 891
 points, the determinant count and a sha256 of the signed terms, recorded at
 955318c; tier-1 checks the same slice and CI the rest.  The large-N golden
 holds all of that, with each printed value's units off the exact measure,
-for the 3,768 points the budget allows at N = 10-512, recorded at 738d8e7;
-tier-1 checks every point at four N and CI the rest.  tests/grid.py writes
+for 3,768 points at N = 10-512, recorded at 738d8e7: each point the budget
+allows there, but chi only where C(N, (m - 1)/2) <= 40,000, the subset rule
+the budget had then; tier-1 checks every point at four N and CI the rest.  tests/grid.py writes
 the three files in one pass.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -52,8 +52,7 @@ from fqhent import (
     to_fock,
 )
 from fqhent.cli import EXIT_OK, main
-from fqhent.states import MAX_ORBITALS, family_factors
-from grid import GRID, digest_line, exact_measure_bits, grid_lines, measured, units_off
+from grid import GRID, allowed, digest_line, exact_measure_bits, grid_lines, measured, units_off
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUTPUT = ROOT / "demos" / "output"
@@ -212,17 +211,12 @@ GRID_LARGE = [
 
 @pytest.mark.parametrize("n", [10, 40, 163, 510])
 def test_grid_large_slice(n):
-    # every point allowed at N = n, 37 at the four: chi(40, 7) and the high-m
-    # chi reach the multi-entry Pieri loop, and N = 163 has the first point
-    # printed a unit or more off the exact measure
+    # every point grid.py's allowed() selects at N = n, 37 at the four: chi(40,
+    # 7) and the high-m chi reach the multi-entry Pieri product, and N = 163
+    # has the first point printed a unit or more off the exact measure
     lines = [line for line in GRID_LARGE if line.split()[1] == str(n)]
-    allowed = []
-    for family in GRID:
-        for m in range(1, 2 * MAX_ORBITALS, 2):
-            with contextlib.suppress(ValueError):  # refused or zero
-                family_factors(family, n, m)
-                allowed.append(f"{family} {n} {m}")
-    assert [line.rsplit(maxsplit=5)[0] for line in lines] == allowed
+    expected = [f"{family} {n} {m}" for family in GRID for m in allowed(family, n)]
+    assert [line.rsplit(maxsplit=5)[0] for line in lines] == expected
     for line in lines:
         family, _, m = line.split()[:3]
         bits, digest, off = measured(family, n, int(m))

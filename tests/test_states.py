@@ -77,16 +77,13 @@ class TestLaughlin:
 
     def test_rejects_small_and_large_n(self):
         # past N = 7 a state is refused as soon as one of its counts is over:
-        # chi(284, 5) tries C(284, 2) subsets per determinant and chi(18, 19)
-        # C(18, 9), laughlin(10, 3) visits more than 40,000 determinants and
-        # laughlin(513, 1) spans 513 orbitals
+        # chi(511, 3) spans 513 orbitals, laughlin(10, 3) visits more than
+        # 40,000 determinants and laughlin(513, 1) spans 513 orbitals
         with pytest.raises(ValueError):
             laughlin(1, 3)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="40,186 condensate subsets"):
-            chi(284, 5)
-        with pytest.raises(ValueError, match="48,620 condensate subsets"):
-            chi(18, 19)
+        with pytest.raises(ValueError, match="513 orbitals"):
+            chi(511, 3)
         with pytest.raises(ValueError, match="MAX_DETERMINANTS"):
             laughlin(10, 3)
         with pytest.raises(ValueError, match="MAX_ORBITALS"):
@@ -173,8 +170,10 @@ class TestChi:
         assert raised == (m > 2 * n + 1)
 
 
-CHI_LARGEST_N = {3: 510, 5: 283, 7: 63, 9: 32, 11: 23, 13: 20}
-"""The largest N family_factors accepts for chi at each odd m from 3 to 13."""
+CHI_LARGEST_N = dict.fromkeys(range(3, 14, 2), 510)
+"""The largest N family_factors accepts for chi at each odd m from 3 to 13:
+the orbital limit, N + 2 <= 512, since the Pieri product makes only the
+subsets that survive."""
 
 
 def _occupations(family: str, n: int, m: int) -> list[Fraction]:
@@ -201,7 +200,7 @@ class TestChiStability:
     def test_at_the_largest_n(self, m):
         n = CHI_LARGEST_N[m]
         family_factors("chi", n, m)
-        with pytest.raises(ValueError, match="MAX_"):
+        with pytest.raises(ValueError, match="MAX_ORBITALS"):
             family_factors("chi", n + 1, m)
         assert len(family_expansion("chi", n, m)) == (m + 1) // 2
         assert _occupations("chi", n, m) == _occupations("chi", m - 1, m) + [1] * (n - m + 1)
@@ -212,6 +211,46 @@ class TestChiStability:
         quarter = Fraction(1, 4)
         expected = [3 * quarter, quarter, quarter, 3 * quarter] + [1] * (n - 2)
         assert _occupations("hierarchical_phi", n, 1) == expected == _occupations("chi", n, 3)
+
+
+def _chi_by_lowered_tails(n: int, m: int) -> dict[tuple[int, ...], int]:
+    """chi(N, m) for N >= m - 1 in closed form, with no Pieri product.
+
+    It is a_{delta + 2} e_j(z^-2), j = (m - 1)/2.  An entry of delta + 2
+    lowered by 2 lands on the entry two positions on, unless that one is
+    lowered too, so the lowered positions are the last a of the even ones
+    and the last j - a of the odd ones, for each a in 0..j; each is sorted
+    by value with its permutation's sign.
+    """
+    j = (m - 1) // 2
+    evens, odds = range(0, n, 2), range(1, n, 2)
+    terms = {}
+    for a in range(j + 1):
+        lowered = {*evens[len(evens) - a:], *odds[len(odds) - (j - a):]}
+        values = [n + 1 - i - 2 * (i in lowered) for i in range(n)]
+        order = sorted(range(n), key=values.__getitem__, reverse=True)
+        terms[tuple(values[i] for i in order)] = oracles._cycle_sign(tuple(order))
+    return terms
+
+
+class TestChiPastTheSubsetRule:
+    """chi points that family_factors refused while C(N, p/2) > 40,000, before
+    the Pieri product made only the subsets that survive."""
+
+    @pytest.mark.parametrize("n,m", [(18, 19), (20, 21), (284, 5)])
+    def test_terms_and_order_match_the_subset_loop(self, n, m):
+        # just past the retired rule: C(18, 9), C(20, 10) and C(284, 2) subsets
+        expected = oracles.pieri_by_position_map(poly.vandermonde_expansion(n, 1), n - (m - 1) // 2)
+        assert list(family_expansion("chi", n, m).terms.items()) == list(expected.terms.items())
+
+    @pytest.mark.parametrize("n,m", [(100, 41), (284, 5), (510, 201), (510, 511)])
+    def test_signed_law(self, n, m):
+        # chi is stable in N: chi(m - 1, m)'s terms with N + 1, ..., m + 1 put
+        # in front, with the same coefficients
+        terms = dict(family_expansion("chi", n, m).terms)
+        top = tuple(range(n + 1, m, -1))
+        assert terms == {top + lam: c for lam, c in family_expansion("chi", m - 1, m).terms.items()}
+        assert terms == _chi_by_lowered_tails(n, m)
 
 
 class TestFamilyPolynomials:
@@ -450,7 +489,9 @@ class TestPointEvaluation:
         "family,n,m",
         [("hierarchical_phi", 6, 3), ("hierarchical_phi", 7, 3), ("laughlin", 7, 3)]
         + [("chi", n, m) for n in (6, 7) for m in range(1, 2 * n + 2, 2)]
-        + [("laughlin", 8, 3), ("hierarchical_phi", 8, 3), ("chi", 16, 17)],
+        + [("laughlin", 8, 3), ("hierarchical_phi", 8, 3), ("chi", 16, 17)]
+        # past the retired subset rule, where m > N + 1 and no signed law holds
+        + [("chi", 20, 23), ("chi", 20, 27), ("chi", 24, 35)],
     )
     def test_matches_product_form(self, family, n, m):
         got, expected = self._values(family, n, m, dict(family_expansion(family, n, m).terms))
@@ -805,12 +846,6 @@ class TestFamilyFactorsMakeNoRecord:
                 "family laughlin, N=2, m=513 spans 514 orbitals, more than MAX_ORBITALS = 512",
             ),
             (
-                ("chi", 284, 5),
-                ValueError,
-                "family chi, N=284, m=5 tries 40,186 condensate subsets per determinant,"
-                " more than MAX_DETERMINANTS = 40,000",
-            ),
-            (
                 ("laughlin", 4, 41),
                 ValueError,
                 "family laughlin, N=4, m=41 can have more than MAX_DETERMINANTS = 40,000"
@@ -822,7 +857,7 @@ class TestFamilyFactorsMakeNoRecord:
                 "zero wavefunction: m > 2N+1 (family chi, N=4, m=13)",
             ),
         ],
-        ids=["orbitals", "subsets", "determinants", "zero"],
+        ids=["orbitals", "determinants", "zero"],
     )
     def test_refusals(self, monkeypatch, point, error, text):
         _refuse_records(monkeypatch)
