@@ -187,15 +187,16 @@ def sweep(requests: Sequence[tuple[str, int, int]], jobs: int = 1) -> list[Sweep
     Every request is checked against the family limits before any is
     evaluated, so a sweep with a request over the size budget raises
     ValueError at once; a zero request becomes a point with value None.
-    That check, :func:`~fqhent.states.family_factors`, and
-    :func:`evaluate_point` are memoized, so a process counts and measures
-    each distinct nonzero (family, N, m) once; the workers of a parallel
-    sweep keep their own memos.  The result order follows the request order
-    regardless of jobs, so downstream sorting is the only ordering that
-    matters.  jobs must be a Python int, and at most min(jobs, requests,
-    cpu count) worker processes are started.  A parallel sweep that cannot
-    start its pool's threads raises WorkerStartError before it forks any
-    worker.  :func:`series_points` hands it only the nonzero points.
+    That check, :func:`~fqhent.states.family_factors`, walks a root only
+    near the size budget, so each build repeats it; :func:`evaluate_point`
+    is memoized, so a process measures each distinct nonzero (family, N, m)
+    once; the workers of a parallel sweep keep their own memos.  The result
+    order follows the request order regardless of jobs, so downstream
+    sorting is the only ordering that matters.  jobs must be a Python int,
+    and at most min(jobs, requests, cpu count) worker processes are
+    started.  A parallel sweep that cannot start its pool's threads raises
+    WorkerStartError before it forks any worker.  :func:`series_points`
+    hands it only the nonzero points.
     """
     _check_ints(jobs=jobs)
     if jobs < 1:
@@ -225,7 +226,8 @@ def series_points(
     first, so one over the size budget there, as laughlin and
     hierarchical_phi are at their largest m, is refused at once.  When that
     point is zero, the series is walked up from m = 1 to its first zero m;
-    the check at m = 1 bounds N by the orbital budget, so the walk is short.
+    the check at m = 1 bounds N by the orbital budget, so the walk is short,
+    and no chi check walks its root's dominated tuples.
     Only the nonzero points are swept, and the zero points are generated
     when the tail is read, so neither time nor memory grows with m_max
     unless it is.  Raises ValueError when m_max is not a Python int, there

@@ -35,13 +35,12 @@ determinants its build visits, the tuples its root dominates, are counted;
 above MAX_ORBITALS or MAX_DETERMINANTS the request is refused with
 ValueError.  The determinants are counted by summing the widths of the
 dominated prefixes, the tuples that share their first N - 2 entries,
-without making the tuples, and only when C(root[0] + 1, N), which bounds
-them, is over the limit.
+without making the tuples, and only when min(C(root[0] + 1, N - 1),
+C(root[0] + 1, N + 1)), which bounds them, is over the limit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from fractions import Fraction
@@ -145,7 +144,6 @@ class ZeroWavefunctionError(ValueError):
     """The requested construction is identically zero, not a state."""
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | None]:
     """Validated (Vandermonde power, condensate exponent p or None) of a family state.
 
@@ -156,14 +154,13 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     m > 2N+1).  power and p are read off the family table's entries, with
     no record made.  The orbitals are checked first, which bounds N before
     anything of size N is made; the determinants by summing prefix widths
-    (:func:`_determinants_visited`), unless C(orbitals, N), the N-subsets of
-    the root's orbitals, is already within the budget.  chi's root is
-    delta with two values left out, summing to a fixed total, so it has at
-    most N/2 + 1 determinants and only its orbitals refuse it: every odd
-    m <= 2N + 1 up to N = 510.  Memoized per process
-    with typed keys, so a sweep's up-front check and the build after it
-    count the determinants once, and a cached m = 1 never answers m = True;
-    refusals raise, are not kept, and alone format their text.
+    (:func:`_determinants_visited`), unless min(C(orbitals, N - 1),
+    C(orbitals, N + 1)) bounds them within the budget: each is an N-subset
+    of the orbitals with the root's sum, so its first N - 1 entries fix it,
+    as does its complement less one entry.  That bound never exceeds
+    C(orbitals, N) and is N + 2 at most for chi, whose root is delta with
+    two values left out: only its orbitals refuse it, at every odd m <=
+    2N + 1 up to N = 510.  Only refusals format their text.
     """
     _check_ints(N=n_electrons, m=m)
     if n_electrons < 2:
@@ -188,9 +185,9 @@ def family_factors(family: str, n_electrons: int, m: int) -> tuple[int, int | No
     # recursion those of ((N-1) power, ..., power, 0), and the product by
     # e_k(z_1^2, ..., z_N^2), k = N - p/2, those of that root plus 2 on its
     # first k entries, since sort(lam + nu) is dominated by lam + sort(nu).
-    # Each is an N-subset of 0 .. root[0], the orbitals, so the root is made
-    # and walked only when there are more such subsets than the budget.
-    elif math.comb(orbitals, n_electrons) > MAX_DETERMINANTS and _determinants_visited(
+    elif min(
+        math.comb(orbitals, n_electrons - 1), math.comb(orbitals, n_electrons + 1)
+    ) > MAX_DETERMINANTS and _determinants_visited(
         tuple(power * (n_electrons - 1 - i) + 2 * (i < k) for i in range(n_electrons))
     ) > MAX_DETERMINANTS:
         refusal = f"can have more than MAX_DETERMINANTS = {MAX_DETERMINANTS:,} determinants"

@@ -13,17 +13,15 @@ from fqhent import figures, states
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start and end every test with empty point, budget and Vandermonde memos.
+    """Start and end every test with empty point and Vandermonde memos.
 
     A test then computes what it checks, whatever ran before it in the
     same process, and a forked worker inherits no measured point.
     """
     figures._measured_point.cache_clear()
-    states.family_factors.cache_clear()
     states._expansions.clear()
     yield
     figures._measured_point.cache_clear()
-    states.family_factors.cache_clear()
     states._expansions.clear()
 
 

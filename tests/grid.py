@@ -79,9 +79,9 @@ def allowed(family: str, n: int) -> list[int]:
     (lam -> lam + 2 delta keeps dominance), so their scan stops at the first
     refusal.  chi is held only where C(N, (m - 1)/2) <= MAX_DETERMINANTS, the
     condensate-subset rule family_factors had before the Pieri product made
-    only the subsets that survive; it is checked before family_factors, so
-    the file keeps its 3,768 points and the scan never walks the chi points
-    past that rule, which tests/test_states.py checks by sample."""
+    only the subsets that survive.  That retired rule only keeps the file at
+    its 3,768 points: family_factors walks no chi root, and the chi points
+    past the rule are checked by sample in tests/test_states.py."""
     found = []
     for m in range(1, 2 * n + 2 if family == "chi" else MAX_ORBITALS, 2):
         if family == "chi" and math.comb(n, (m - 1) // 2) > MAX_DETERMINANTS:
@@ -97,7 +97,11 @@ def allowed(family: str, n: int) -> list[int]:
 
 
 def digest(terms: dict) -> str:
-    """The determinant count and the SHA-256 of the sorted signed terms."""
+    """The determinant count and the SHA-256 of the sorted signed terms.
+
+    Sorted, the terms' order does not show; TestPieriOracle::test_every_k and
+    TestChiPastTheSubsetRule::test_terms_and_order_match_the_subset_loop pin it.
+    """
     sha = hashlib.sha256()
     for lam, coeff in sorted(terms.items()):
         sha.update(f"{','.join(map(str, lam))}|{coeff}\n".encode())

@@ -203,7 +203,7 @@ def budget_state(family: str, n: int, m: int) -> dict:
         "determinants": len(expansion),
         "orbitals": max(lam[0] for lam in expansion.terms) + 1,
         "coef_bits": max(abs(c) for c in expansion.terms.values()).bit_length(),
-        "count_s": best_of_3(lambda: family_factors.__wrapped__(family, n, m)),
+        "count_s": best_of_3(lambda: family_factors(family, n, m)),
         "squeeze_s": best_of_3(lambda: vandermonde_expansion(n, power)),
         "product_s": None if p is None else best_of_3(
             lambda: vandermonde.times_elementary_squares(n - p // 2)

@@ -27,7 +27,10 @@ holds all of that, with each printed value's units off the exact measure,
 for 3,768 points at N = 10-512, recorded at 738d8e7: each point the budget
 allows there, but chi only where C(N, (m - 1)/2) <= 40,000, the subset rule
 the budget had then; tier-1 checks every point at four N and CI the rest.  tests/grid.py writes
-the three files in one pass.
+the three files in one pass.  The grid digests sort the terms, so they cannot
+see term order; tests/test_poly.py::TestPieriOracle::test_every_k and
+tests/test_states.py::TestChiPastTheSubsetRule::test_terms_and_order_match_the_subset_loop
+pin it.
 """
 
 from __future__ import annotations

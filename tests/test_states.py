@@ -439,7 +439,6 @@ class TestVandermondeMemo:
             states.FAMILIES[family](n, m)
         assert calls == []
         assert states._expansions == {}
-        assert family_factors.cache_info().currsize == 0
 
 
 class TestLaughlinInvariants:
@@ -763,9 +762,11 @@ class TestSizeLimits:
                 pass
 
     def test_sweep_counts_each_budget_once(self, monkeypatch):
-        # the sweep's up-front check and the build after it share one count;
-        # both states have more subsets C(root[0] + 1, N) than the budget,
-        # C(40, 4) = 91,390 and C(36, 4) = 58,905, so both are counted
+        # C(40, 3) = 9,880 and C(36, 3) = 7,140 bound the tuples these roots
+        # dominate, so neither is walked; laughlin(5, 13), with
+        # min(C(53, 4), C(53, 6)) = 292,825, and laughlin(3, 143), with
+        # min(C(287, 2), C(287, 4)) = 41,041, are walked once per check: a
+        # sweep's up-front one and its build's count twice
         roots = []
 
         def counting(root):
@@ -774,24 +775,77 @@ class TestSizeLimits:
 
         monkeypatch.setattr(states, "_dominated_prefixes", counting)
         sweep([("laughlin", 4, 13), ("hierarchical_phi", 4, 11)])
-        assert roots == [(39, 26, 13, 0), (35, 24, 13, 0)]
         family_expansion("laughlin", 4, 13)
-        assert len(roots) == 2
+        assert roots == []
+        family_factors("laughlin", 5, 13)
+        assert roots == [(52, 39, 26, 13, 0)]
+        sweep([("laughlin", 3, 143)])
+        assert roots[1:] == [(286, 143, 0)] * 2
+
+    def test_decisions_match_the_walk(self, monkeypatch):
+        # a point within its orbitals is allowed exactly when its root
+        # dominates no more tuples than the budget, whether or not it is
+        # walked; a root family_factors walks is counted once, not again here
+        counts, visited = {}, states._determinants_visited
+
+        def count(root):
+            if root not in counts:
+                counts[root] = visited(root)
+            return counts[root]
+
+        monkeypatch.setattr(states, "_determinants_visited", count)
+        points = [
+            (family, n, m)
+            for family, n, m in itertools.product(FAMILIES, range(2, 10), range(1, 42, 2))
+            if family != "chi" or m <= 2 * n + 1
+        ]
+        points += [("chi", n, m) for n in (282, 510) for m in (3, 5, 101, 2 * n - 1)]
+        allowed = 0
+        for family, n, m in points:
+            power, p = {"laughlin": (m, None), "hierarchical_phi": (m, 2), "chi": (1, m - 1)}[family]
+            k = 0 if p is None else n - p // 2
+            root = tuple(power * (n - 1 - i) + 2 * (i < k) for i in range(n))
+            try:
+                family_factors(family, n, m)
+            except ValueError as error:
+                assert "MAX_DETERMINANTS" in str(error), (family, n, m)
+                assert count(root) > MAX_DETERMINANTS, (family, n, m)
+            else:
+                assert count(root) <= MAX_DETERMINANTS, (family, n, m)
+                allowed += 1
+        assert 0 < allowed < len(points)
 
     def test_state_with_fewer_subsets_than_the_budget_is_not_walked(self, monkeypatch):
-        # every tuple laughlin(3, 31) visits is a 3-subset of 0 .. 62, and
-        # C(63, 3) = 39,711 is within the budget, so there is nothing to count
+        # every tuple laughlin(3, 31) visits is a 3-subset of 0 .. 62 with the
+        # root's sum, fixed by its first 2 entries, and C(63, 2) = 1,953 is
+        # within the budget, so there is nothing to count.  chi's root leaves
+        # two of its N + 2 orbitals out, and m = 1 spans N or N + 2 of them,
+        # so min(C(orbitals, N - 1), C(orbitals, N + 1)) <= N + 2; the figure
+        # presets' points and the benchmark's heavy points are within it too
         def refuse(root):
             raise AssertionError(f"walked {root}")
 
         monkeypatch.setattr(states, "_dominated_prefixes", refuse)
-        for family, n, m in [
+        points = [
             ("laughlin", 3, 31),
             ("hierarchical_phi", 3, 27),
             ("chi", 4, 7),
             ("laughlin", 5, 5),
-        ]:
-            family_factors(family, n, m)
+            ("laughlin", 4, 13),
+            ("hierarchical_phi", 4, 11),
+            ("hierarchical_phi", 5, 3),
+            ("chi", 5, 11),
+        ]
+        points += [("chi", 510, m) for m in range(1, 1022, 2)]
+        points += [(f, n, 1) for f in ("laughlin", "hierarchical_phi") for n in range(2, 511)]
+        for fig_id in (1, 2, 3, 4, 5):
+            spec = figure_spec(fig_id)
+            points += [(family, n, 2 * t + 1) for family, n in spec.series for t in spec.t_values]
+        for point in points:
+            try:
+                family_factors(*point)
+            except ZeroWavefunctionError:
+                pass
         assert sweep([("laughlin", 3, 5)])[0].measure_bits > 0
 
 
@@ -821,7 +875,7 @@ class TestFamilyFactorsMakeNoRecord:
         from the family's K-matrix, (K11, -K22), and (m, None) for laughlin."""
         outcomes = {}
         for family, n, m in itertools.product(FAMILIES, range(2, 10), range(1, 42, 2)):
-            outcome = _outcome(lambda: family_factors.__wrapped__(family, n, m))
+            outcome = _outcome(lambda: family_factors(family, n, m))
             if type(outcome[0]) is int:
                 k = {"hierarchical_phi": hierarchical_phi_k, "chi": chi_k}.get(family)
                 outcome = (m, None) if k is None else (k(m).entries[0][0], -k(m).entries[1][1])
@@ -832,7 +886,7 @@ class TestFamilyFactorsMakeNoRecord:
         _refuse_records(monkeypatch)
         refused = 0
         for point, expected in grid.items():
-            outcome = _outcome(lambda: family_factors.__wrapped__(*point))
+            outcome = _outcome(lambda: family_factors(*point))
             assert outcome == expected, point
             refused += type(outcome[0]) is not int
         assert 0 < refused < len(grid)
@@ -862,7 +916,7 @@ class TestFamilyFactorsMakeNoRecord:
     def test_refusals(self, monkeypatch, point, error, text):
         _refuse_records(monkeypatch)
         with pytest.raises(ValueError) as raised:
-            family_factors.__wrapped__(*point)
+            family_factors(*point)
         assert type(raised.value) is error and str(raised.value) == text
 
 
